@@ -4,9 +4,8 @@ cogeneration tests built on them."""
 from __future__ import annotations
 
 from .krullschmidt import basic_summands
-from .linalg import Mat, solve_matrix
-from .replicated import (cotuple_map, direct_sum, hom_basis_r, tuple_map,
-                         zero_module, zero_rmap)
+from .replicated import (cotuple_map, direct_sum, hom_basis_r, hom_space,
+                         tuple_map, zero_module, zero_rmap)
 
 
 class ApproxResult:
@@ -18,72 +17,43 @@ class ApproxResult:
         self.summands = summands
 
 
-def _vec(f):
-    out = []
-    alg = f.source.algebra
-    for i in range(alg.m + 1):
-        for v in alg.quiver.vertices:
-            c = f.component(i, v)
-            out.extend(x for row in c.data for x in row)
-    return out
+def _strip_redundant(pairs, factor_maps):
+    """Drop summand copies whose map factors through the other copies.
 
-
-class _HomCache:
-    def __init__(self):
-        self.store = {}
-
-    def basis(self, a, b):
-        key = (id(a), id(b))
-        if key not in self.store:
-            self.store[key] = hom_basis_r(a, b)
-        return self.store[key]
-
-
-def _strip_redundant(pairs, field, factor_columns):
-    """Drop summand copies whose component factors through the rest.
-
-    ``factor_columns(candidate, rest)`` yields the vectorized factoring
-    system; sweeps repeat until no copy can be removed.
+    ``factor_maps(candidate, rest)`` returns the Hom space of the
+    candidate's map and the maps that factor through ``rest``.  Removing a
+    copy only shrinks the span the others are tested against, so a copy
+    kept once stays kept and one forward sweep suffices.
     """
-    changed = True
-    while changed:
-        changed = False
-        for c in range(len(pairs)):
-            rest = pairs[:c] + pairs[c + 1:]
-            cols, rhs = factor_columns(pairs[c], rest)
-            if not rhs:
-                pairs.pop(c)
-                changed = True
-                break
-            mat = (Mat.hstack([Mat.column(col, field) for col in cols],
-                              field=field)
-                   if cols else Mat.zeros(len(rhs), 0, field))
-            if solve_matrix(mat, Mat.column(rhs, field)) is not None:
-                pairs.pop(c)
-                changed = True
-                break
+    c = 0
+    while c < len(pairs):
+        space, maps = factor_maps(pairs[c], pairs[:c] + pairs[c + 1:])
+        if space.solve(maps, [pairs[c][1]]) is not None:
+            pairs.pop(c)
+        else:
+            c += 1
     return pairs
+
+
+def _right_factor_maps(cand, rest):
+    """Hom(T_c, M) and the maps T_c -> T_l -> M through the other copies."""
+    Tc, fc = cand
+    return hom_space(Tc, fc.target), [fl.compose(b) for Tl, fl in rest
+                                      for b in hom_basis_r(Tc, Tl)]
+
+
+def _left_factor_maps(cand, rest):
+    """Hom(M, T_c) and the maps M -> T_l -> T_c through the other copies."""
+    Tc, gc = cand
+    return hom_space(gc.source, Tc), [b.compose(gl) for Tl, gl in rest
+                                      for b in hom_basis_r(Tl, Tc)]
 
 
 def right_approximation(M, T):
     """Minimal right add(T)-approximation of M."""
     alg = M.algebra
-    field = alg.field
-    cache = _HomCache()
-    pairs = []
-    for Tj in basic_summands(T):
-        for f in cache.basis(Tj, M):
-            pairs.append((Tj, f))
-
-    def factor_columns(cand, rest):
-        Tc, fc = cand
-        cols = []
-        for Tl, fl in rest:
-            for b in cache.basis(Tc, Tl):
-                cols.append(_vec(fl.compose(b)))
-        return cols, _vec(fc)
-
-    pairs = _strip_redundant(pairs, field, factor_columns)
+    pairs = [(Tj, f) for Tj in basic_summands(T) for f in hom_basis_r(Tj, M)]
+    pairs = _strip_redundant(pairs, _right_factor_maps)
     if not pairs:
         Z = zero_module(alg)
         return ApproxResult(zero_rmap(Z, M), [])
@@ -96,22 +66,8 @@ def right_approximation(M, T):
 def left_approximation(M, T):
     """Minimal left add(T)-approximation of M."""
     alg = M.algebra
-    field = alg.field
-    cache = _HomCache()
-    pairs = []
-    for Tj in basic_summands(T):
-        for f in cache.basis(M, Tj):
-            pairs.append((Tj, f))
-
-    def factor_columns(cand, rest):
-        Tc, gc = cand
-        cols = []
-        for Tl, gl in rest:
-            for b in cache.basis(Tl, Tc):
-                cols.append(_vec(b.compose(gl)))
-        return cols, _vec(gc)
-
-    pairs = _strip_redundant(pairs, field, factor_columns)
+    pairs = [(Tj, f) for Tj in basic_summands(T) for f in hom_basis_r(M, Tj)]
+    pairs = _strip_redundant(pairs, _left_factor_maps)
     if not pairs:
         Z = zero_module(alg)
         return ApproxResult(zero_rmap(M, Z), [])

@@ -6,10 +6,11 @@ from __future__ import annotations
 from .hereditary import AMap, injective_rep
 from .homological import (cokernel, ext1_classes, injective_envelope_with_data,
                           minimal_resolution, realize_extension)
-from .krullschmidt import (end_radical_basis, is_indecomposable, is_isomorphic)
-from .linalg import Mat, column_space, solve_matrix
-from .replicated import (RMap, direct_sum, hom_basis_r, injective, kernel,
-                         map_from_projective, projective, zero_rmap)
+from .krullschmidt import (all_of_kind, end_radical_basis, is_indecomposable,
+                           is_isomorphic)
+from .linalg import Mat, rank
+from .replicated import (RMap, direct_sum, hom_basis_r, hom_space, injective,
+                         kernel, map_from_projective, projective, zero_rmap)
 
 
 def iota_path_map(quiver, p, field):
@@ -110,35 +111,16 @@ def _nu_inverse_block(alg, h, v, i, w, j):
         if not h.is_zero():
             raise RuntimeError("impossible inverse Nakayama block")
         return zero_rmap(projective(alg, v, alg.m), projective(alg, w, j))
-    # decompose the level-m component over the path-induced basis maps
+    # decompose h over the path-induced maps I(v,m) -> I(w,m)
     paths = alg.base_projective(w).path_basis[v]
-    cols = []
-    for p in paths:
-        amap = iota_path_map(alg.quiver, p, alg.field)
-        cols.append(_vec_amap(amap))
-    rhs = _vec_amap_of_level(h, alg.m)
-    field = alg.field
-    mat = (Mat.hstack([Mat.column(c, field) for c in cols], field=field)
-           if cols else Mat.zeros(max(len(rhs), 1), 0, field))
-    sol = solve_matrix(mat, Mat.column(rhs, field))
+    iotas = [_embedded_injective_map(
+        alg, iota_path_map(alg.quiver, p, alg.field), v, w) for p in paths]
+    space = hom_space(injective(alg, v, alg.m), injective(alg, w, alg.m))
+    sol = space.solve(iotas, [h])
     if sol is None:
         raise RuntimeError("level-m injective map is not path-induced")
-    coords = [sol.data[t][0] for t in range(len(paths))]
-    return map_from_projective(alg, v, alg.m, projective(alg, w, alg.m), coords)
-
-
-def _vec_amap(amap):
-    out = []
-    for u in amap.source.quiver.vertices:
-        out.extend(x for row in amap.components[u].data for x in row)
-    return out
-
-
-def _vec_amap_of_level(h, lev):
-    out = []
-    for u in h.source.algebra.quiver.vertices:
-        out.extend(x for row in h.component(lev, u).data for x in row)
-    return out
+    return map_from_projective(alg, v, alg.m, projective(alg, w, alg.m),
+                               sol.col(0))
 
 
 def translate_inverse(M):
@@ -208,11 +190,6 @@ def is_dynkin(quiver):
     return arms in ([1, 2, 2], [1, 2, 3], [1, 2, 4])   # E6, E7, E8
 
 
-def _is_injective_indec(alg, M):
-    return any(is_isomorphic(M, injective(alg, v, i))
-               for v in alg.quiver.vertices for i in range(alg.m + 1))
-
-
 def enumerate_indecomposables(alg):
     """All indecomposables of a representation-finite replicated algebra,
     as the closure of the projectives under inverse translation."""
@@ -233,7 +210,7 @@ def enumerate_indecomposables(alg):
         if not is_indecomposable(M):
             raise RuntimeError("orbit produced a decomposable module")
         nodes.append(M)
-        if not _is_injective_indec(alg, M):
+        if not all_of_kind([M], injective):
             queue.append(translate_inverse(M))
     nodes.sort(key=lambda N: (N.total_dim, N.dim_grid().key()))
     return nodes
@@ -270,27 +247,14 @@ def verify_right_almost_split(pX, nodes):
     through the almost split epi pX: E -> N."""
     N = pX.target
     E = pX.source
-    field = N.algebra.field
     for X in nodes:
         rad = _rad_basis(X, N)
         if not rad:
             continue
-        cols = [_vec_rmap(pX.compose(b)) for b in hom_basis_r(X, E)]
-        mat = (Mat.hstack([Mat.column(c, field) for c in cols], field=field)
-               if cols else Mat.zeros(max(len(_vec_rmap(rad[0])), 1), 0, field))
-        for u in rad:
-            if solve_matrix(mat, Mat.column(_vec_rmap(u), field)) is None:
-                return False
+        through = [pX.compose(b) for b in hom_basis_r(X, E)]
+        if hom_space(X, N).solve(through, rad) is None:
+            return False
     return True
-
-
-def _vec_rmap(g):
-    out = []
-    alg = g.source.algebra
-    for i in range(alg.m + 1):
-        for u in alg.quiver.vertices:
-            out.extend(x for row in g.component(i, u).data for x in row)
-    return out
 
 
 class ARQuiver:
@@ -302,34 +266,15 @@ class ARQuiver:
         self.arrows = arrows           # {(i, j): multiplicity}
         self.translation = translation  # {j: i} meaning tau(nodes[j]) = nodes[i]
 
-    def node_index(self, M):
-        for i, N in enumerate(self.nodes):
-            if M.dim_grid() == N.dim_grid() and is_isomorphic(M, N):
-                return i
-        raise KeyError("module is not a node")
-
 
 def ar_quiver(alg):
     """Knit the AR quiver of a representation-finite replicated algebra."""
     nodes = enumerate_indecomposables(alg)
-    field = alg.field
-    hom_cache = {}
-
-    def hom(i, j):
-        if (i, j) not in hom_cache:
-            hom_cache[(i, j)] = hom_basis_r(nodes[i], nodes[j])
-        return hom_cache[(i, j)]
 
     def rad(i, j):
         if i == j:
             return end_radical_basis(nodes[i])
-        return hom(i, j)
-
-    def coords_in_hom(i, j, g):
-        basis = hom(i, j)
-        mat = Mat.hstack([Mat.column(_vec_rmap(b), field) for b in basis],
-                         field=field)
-        return solve_matrix(mat, Mat.column(_vec_rmap(g), field))
+        return hom_basis_r(nodes[i], nodes[j])
 
     arrows = {}
     n = len(nodes)
@@ -338,27 +283,15 @@ def ar_quiver(alg):
             rb = rad(i, j)
             if not rb:
                 continue
-            sq = []
-            for k in range(n):
-                for g1 in rad(i, k):
-                    for g2 in rad(k, j):
-                        sq.append(g2.compose(g1))
-            rad_cols = [coords_in_hom(i, j, g) for g in rb]
-            sq_cols = [coords_in_hom(i, j, g) for g in sq]
-            dim_hom = len(hom(i, j))
-            rad_dim = column_space(Mat.hstack(rad_cols, field=field)).dim
-            if sq_cols:
-                sq_dim = column_space(Mat.hstack(sq_cols, field=field)).dim
-            else:
-                sq_dim = 0
-            mult = rad_dim - sq_dim
+            sq = [g2.compose(g1) for k in range(n)
+                  for g1 in rad(i, k) for g2 in rad(k, j)]
+            space = hom_space(nodes[i], nodes[j])
+            mult = rank(space.matrix(rb)) - rank(space.matrix(sq))
             if mult:
                 arrows[(i, j)] = mult
     translation = {}
     for j, N in enumerate(nodes):
-        is_proj = any(is_isomorphic(N, projective(alg, v, i))
-                      for v in alg.quiver.vertices for i in range(alg.m + 1))
-        if is_proj:
+        if all_of_kind([N], projective):
             continue
         t = translate(N)
         translation[j] = next(i for i, X in enumerate(nodes)

@@ -27,11 +27,6 @@ def dtilde4_quiver():
                   [("a2", 2, 1), ("a3", 3, 1), ("a4", 4, 1), ("a5", 5, 1)])
 
 
-def one_arrow_quiver():
-    """A_2 written with a single arrow 2 -> 1 (alias of linear_quiver(2))."""
-    return linear_quiver(2)
-
-
 def duplicated(quiver, field=QQ):
     return ReplicatedAlgebra(quiver, 1, field)
 

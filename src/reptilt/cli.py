@@ -40,6 +40,14 @@ def load_algebra(path, field):
         raise InputError("invalid algebra file %s: %s" % (path, e))
 
 
+def load_field(spec):
+    """The ground field named by ``--field``."""
+    try:
+        return parse_field(spec)
+    except ValueError as e:
+        raise InputError("bad --field %r: %s" % (spec, e))
+
+
 def eval_module_expr(alg, expr):
     """Evaluate a ModuleExpr JSON tree to an RModule.
 
@@ -59,44 +67,47 @@ def eval_module_expr(alg, expr):
     from .hereditary import Rep
     from .homological import cosyzygy, syzygy
     from .linalg import Mat
-    from .replicated import (cokernel, direct_sum, embed_level, hom_basis_r,
+    from .replicated import (cokernel, direct_sum, embed_level, hom_space,
                              injective, kernel, projective, regular_module,
-                             rmodule_from_json, simple, zero_rmap)
+                             rmodule_from_json, simple)
     if not isinstance(expr, dict) or len(expr) != 1:
         raise InputError("module expression must be a one-key object: %r"
                          % (expr,))
     (op, arg), = expr.items()
     vkey = {str(v): v for v in alg.quiver.vertices}
     if op in ("proj", "inj", "simple"):
-        v, i = arg
-        v = vkey.get(str(v), v)
         fn = {"proj": projective, "inj": injective, "simple": simple}[op]
         try:
-            return fn(alg, v, i)
-        except (KeyError, ValueError) as e:
-            raise InputError("bad %s(%r, %r): %s" % (op, v, i, e))
+            v, i = arg
+            return fn(alg, vkey.get(str(v), v), i)
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError("bad %s %r (expected [vertex, level]): %s"
+                             % (op, arg, e))
     if op == "regular":
         return regular_module(alg)
     if op == "embed":
-        dims = {vkey[str(v)]: d for v, d in arg["dims"].items()}
-        for v in alg.quiver.vertices:
-            dims.setdefault(v, 0)
-        maps = {}
-        for a in alg.quiver.arrows:
-            rows = arg.get("maps", {}).get(a.name)
-            if rows is None:
-                maps[a.name] = Mat.zeros(dims[a.target], dims[a.source],
-                                         alg.field)
-            else:
-                data = [[alg.field.of(x) for x in row] for row in rows]
-                maps[a.name] = Mat(dims[a.target], dims[a.source], data,
-                                   alg.field)
         try:
+            dims = {vkey[str(v)]: d for v, d in arg["dims"].items()}
+            for v in alg.quiver.vertices:
+                dims.setdefault(v, 0)
+            maps = {}
+            for a in alg.quiver.arrows:
+                rows = arg.get("maps", {}).get(a.name)
+                if rows is None:
+                    maps[a.name] = Mat.zeros(dims[a.target], dims[a.source],
+                                             alg.field)
+                else:
+                    data = [[alg.field.of(x) for x in row] for row in rows]
+                    maps[a.name] = Mat(dims[a.target], dims[a.source], data,
+                                       alg.field)
             rep = Rep(alg.quiver, dims, maps, alg.field)
             return embed_level(alg, rep, arg["level"])
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise InputError("bad embed expression: %s" % e)
     if op == "sum":
+        if not isinstance(arg, list):
+            raise InputError("sum needs a list of module expressions: %r"
+                             % (arg,))
         total, _, _ = direct_sum(alg, [eval_module_expr(alg, e) for e in arg])
         return total
     if op == "syzygy":
@@ -104,22 +115,24 @@ def eval_module_expr(alg, expr):
     if op == "cosyzygy":
         return cosyzygy(eval_module_expr(alg, arg))
     if op in ("kernel", "cokernel"):
-        M = eval_module_expr(alg, arg["from"])
-        N = eval_module_expr(alg, arg["to"])
-        basis = hom_basis_r(M, N)
-        coeffs = arg["coeffs"]
-        if len(coeffs) != len(basis):
+        try:
+            source, target = arg["from"], arg["to"]
+            coeffs = [alg.field.of(c) for c in arg["coeffs"]]
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError("bad %s expression (expected from, to and "
+                             "coeffs): %s" % (op, e))
+        space = hom_space(eval_module_expr(alg, source),
+                          eval_module_expr(alg, target))
+        if len(coeffs) != len(space.basis):
             raise InputError("hom basis of dim %d, got %d coefficients"
-                             % (len(basis), len(coeffs)))
-        f = zero_rmap(M, N)
-        for c, h in zip(coeffs, basis):
-            f = f + h.scale(alg.field.of(c))
+                             % (len(space.basis), len(coeffs)))
+        f = space.combine(coeffs)
         part, _ = kernel(f) if op == "kernel" else cokernel(f)
         return part
     if op == "raw":
         try:
             return rmodule_from_json(alg, arg)
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise InputError("bad raw module: %s" % e)
     raise InputError("unknown module constructor %r" % op)
 
@@ -149,7 +162,7 @@ def cmd_check_tilting(args):
     from .homological import pd
     from .krullschmidt import basic_summands, delta_count
     from .tilting import coresolution, is_partial_tilting
-    alg = load_algebra(args.algebra, parse_field(args.field))
+    alg = load_algebra(args.algebra, load_field(args.field))
     M = load_module(alg, args.module)
     partial = is_partial_tilting(M)
     delta = delta_count(M) if partial else None
@@ -175,7 +188,7 @@ def cmd_check_tilting(args):
 def cmd_complements(args):
     from .krullschmidt import delta_count
     from .tilting import complement_fan, is_partial_tilting
-    alg = load_algebra(args.algebra, parse_field(args.field))
+    alg = load_algebra(args.algebra, load_field(args.field))
     T_bar = load_module(alg, args.module)
     if not is_partial_tilting(T_bar) or delta_count(T_bar) != alg.delta - 1:
         raise InputError("module is not almost complete partial tilting")
@@ -202,7 +215,7 @@ def cmd_tilting_quiver(args):
     from .arknit import is_dynkin
     from .tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
                              graph_to_json)
-    alg = load_algebra(args.algebra, parse_field(args.field))
+    alg = load_algebra(args.algebra, load_field(args.field))
     graph = explore(algebra=alg, max_vertices=args.max_nodes)
     if args.dot:
         _emit(args, export_dot(graph))

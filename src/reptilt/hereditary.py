@@ -376,13 +376,3 @@ def projective_connector(v, quiver, field=QQ):
                 pairing.data[iv_index[r]][j] = field.one
         comps[w] = pairing * dP.sect[w]
     return AMap(dP.rep, I, comps, check=False)
-
-
-# -- kernels, images, quotients of AMaps ------------------------------
-
-def amap_kernel_subspaces(f):
-    return {v: kernel_basis(f.components[v]) for v in f.source.quiver.vertices}
-
-
-def amap_image_subspaces(f):
-    return {v: column_space(f.components[v]) for v in f.source.quiver.vertices}

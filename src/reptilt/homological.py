@@ -6,8 +6,8 @@ from __future__ import annotations
 from .hereditary import AMap
 from .linalg import Mat, column_space, quotient_basis, rank, solve_matrix
 from .replicated import (cokernel, cotuple_map, direct_sum, hom_basis_r,
-                         injective, kernel, map_from_projective, projective,
-                         radical, regular_module, socle, top, zero_module,
+                         hom_space, injective, kernel, map_from_projective,
+                         projective, radical, regular_module, socle, top,
                          zero_rmap)
 
 
@@ -225,22 +225,14 @@ def injective_envelope_with_data(M):
         comp.data[soc_idx][c] = f.one
         g = _single_component_rmap(S, I, i, v, comp)
         sigma = sigma + incls[idx].compose(g)
-    # extend sigma over M: find h in Hom(M, E) with h o sincl = sigma
-    basis = hom_basis_r(M, E)
-    cond_cols = []
-    for h in basis:
-        cond_cols.append(_vectorize_rmap(h.compose(sincl)))
-    rhs = Mat.column(_vectorize_rmap(sigma), f)
-    sys = (Mat.hstack([Mat.column(c, f) for c in cond_cols], field=f)
-           if cond_cols else Mat.zeros(rhs.rows, 0, f))
-    sol = solve_matrix(sys, rhs)
+    # extend sigma over M: find h in Hom(M, E) with h o sincl = sigma,
+    # solved in Hom(S, E) coordinates
+    space = hom_space(M, E)
+    sol = hom_space(S, E).solve([h.compose(sincl) for h in space.basis],
+                                [sigma])
     if sol is None:
         raise RuntimeError("socle inclusion does not extend (not injective?)")
-    mono = zero_rmap(M, E)
-    for t, h in enumerate(basis):
-        c = sol.data[t][0]
-        if c:
-            mono = mono + h.scale(c)
+    mono = space.combine(sol.col(0))
     if not mono.is_mono():
         raise RuntimeError("injective envelope map is not injective")
     return E, mono, labels, incls, prjs
@@ -256,14 +248,6 @@ def _single_component_rmap(S, I, i, v, comp):
             comps[v] = comp
         level_maps.append(AMap(S.levels[lev], I.levels[lev], comps, check=False))
     return RMap(S, I, level_maps, check=False)
-
-
-def _vectorize_rmap(g):
-    out = []
-    for lev in g.level_maps:
-        for v in g.source.algebra.quiver.vertices:
-            out.extend(x for row in lev.components[v].data for x in row)
-    return out
 
 
 def cosyzygy(M):
@@ -324,42 +308,24 @@ def ext1_classes(X, Y):
     res = minimal_resolution(X)
     if res.length < 1:
         return []
-    P0 = res.modules[0]
     K, incl = kernel(res.augmentation)
-    hom_k = hom_basis_r(K, Y)
-    if not hom_k:
+    space = hom_space(K, Y)
+    if not space.basis:
         return []
     f = X.algebra.field
-    basis_mat = Mat.hstack([Mat.column(_vectorize_rmap(h), f) for h in hom_k],
-                           field=f)
-    # image of restriction Hom(P0, Y) -> Hom(K, Y)
-    img_cols = []
-    labels0 = res.summands[0]
-    dim0 = _hom_from_projectives_dim(labels0, Y)
+    # image of restriction Hom(P0, Y) -> Hom(K, Y), in Hom(K, Y) coordinates
+    dim0 = _hom_from_projectives_dim(res.summands[0], Y)
+    restrictions = []
     for t in range(dim0):
         coords = [f.zero] * dim0
         coords[t] = f.one
-        g = _map_from_tuple(res, 0, Y, coords)
-        restr = g.compose(incl)
-        vec = Mat.column(_vectorize_rmap(restr), f)
-        coord = solve_matrix(basis_mat, vec)
-        if coord is None:
-            raise RuntimeError("restriction left Hom(K, Y)")
-        img_cols.append(coord)
-    if img_cols:
-        sub = column_space(Mat.hstack(img_cols, field=f))
-    else:
-        sub = column_space(Mat.zeros(len(hom_k), 0, f))
-    proj, sect = quotient_basis(len(hom_k), sub)
-    out = []
-    for c in range(sect.cols):
-        h = zero_rmap(K, Y)
-        for t in range(len(hom_k)):
-            coef = sect.data[t][c]
-            if coef:
-                h = h + hom_k[t].scale(coef)
-        out.append(h)
-    return out
+        restrictions.append(_map_from_tuple(res, 0, Y, coords).compose(incl))
+    try:
+        img = space.matrix(restrictions)
+    except ValueError:
+        raise RuntimeError("restriction left Hom(K, Y)")
+    _, sect = quotient_basis(len(space.basis), column_space(img))
+    return [space.combine(sect.col(c)) for c in range(sect.cols)]
 
 
 def realize_extension(X, Y, h):

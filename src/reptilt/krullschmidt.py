@@ -7,16 +7,12 @@ import random
 
 import sympy
 
-from .linalg import Mat, column_space, kernel_basis, rank, solve_matrix
-from .replicated import (RMap, cotuple_map, direct_sum, hom_basis_r,
+from .linalg import Mat, kernel_basis, solve_matrix
+from .replicated import (RMap, cotuple_map, direct_sum, hom_basis_r, hom_space,
                          identity_rmap, image_subspaces, submodule, zero_rmap)
 
 SPLIT_TRIALS = 20
 SPLIT_SEED = 987654321
-
-
-def end_basis(M):
-    return hom_basis_r(M, M)
 
 
 def _power(f, n):
@@ -51,32 +47,18 @@ def _fitting_split(M, f):
 
 def _min_poly(M, f):
     """Minimal polynomial of an endomorphism, as a sympy Poly over QQ."""
-    basis = [identity_rmap(M)]
-    vecs = [_vec_endo(basis[0])]
+    space = hom_space(M, M)
+    powers = [identity_rmap(M)]
     g = f
     x = sympy.Symbol("x")
     while True:
-        vg = _vec_endo(g)
-        cols = Mat.hstack([Mat.column(v, M.algebra.field) for v in vecs],
-                          field=M.algebra.field)
-        sol = solve_matrix(cols, Mat.column(vg, M.algebra.field))
+        sol = space.solve(powers, [g])
         if sol is not None:
-            coeffs = [sympy.Rational(str(sol.data[t][0])) for t in range(len(vecs))]
-            poly = x ** len(vecs) - sum(c * x ** t for t, c in enumerate(coeffs))
+            coeffs = [sympy.Rational(str(c)) for c in sol.col(0)]
+            poly = x ** len(powers) - sum(c * x ** t for t, c in enumerate(coeffs))
             return sympy.Poly(poly, x)
-        vecs.append(vg)
-        basis.append(g)
+        powers.append(g)
         g = g.compose(f)
-
-
-def _vec_endo(f):
-    out = []
-    alg = f.source.algebra
-    for i in range(alg.m + 1):
-        for v in alg.quiver.vertices:
-            c = f.component(i, v)
-            out.extend(x for row in c.data for x in row)
-    return out
 
 
 def _eval_poly(M, f, poly):
@@ -108,24 +90,20 @@ def _minpoly_split(M, f):
     return parts
 
 
-def _random_endo(basis, rng, field):
-    f = zero_rmap(basis[0].source, basis[0].source)
-    for b in basis:
-        c = rng.randint(-4, 4)
-        if c:
-            f = f + b.scale(field.of(c))
-    return f
+def _random_endo(space, rng):
+    """A random endomorphism: one coefficient in [-4, 4] per basis element,
+    drawn in basis order."""
+    return space.combine([rng.randint(-4, 4) for _ in space.basis])
 
 
 def try_split(M):
     """One nontrivial direct-sum splitting [(part, inclusion), ...] or None."""
-    basis = end_basis(M)
-    if len(basis) == 1:
+    space = hom_space(M, M)
+    if len(space.basis) == 1:
         return None
-    candidates = list(basis)
+    candidates = list(space.basis)
     rng = random.Random(SPLIT_SEED + M.total_dim)
-    field = M.algebra.field
-    candidates += [_random_endo(basis, rng, field) for _ in range(SPLIT_TRIALS)]
+    candidates += [_random_endo(space, rng) for _ in range(SPLIT_TRIALS)]
     for f in candidates:
         split = _fitting_split(M, f)
         if split:
@@ -150,7 +128,8 @@ def end_radical_dim(M):
 
 def end_radical_basis(M):
     """Basis of rad End(M) = the radical of the trace form (valid over Q)."""
-    basis = end_basis(M)
+    space = hom_space(M, M)
+    basis = space.basis
     n = len(basis)
     field = M.algebra.field
     gram = Mat.zeros(n, n, field)
@@ -160,15 +139,7 @@ def end_radical_basis(M):
             gram.data[a][b] = field.of(t)
             gram.data[b][a] = field.of(t)
     ker = kernel_basis(gram)
-    out = []
-    for c in range(ker.basis.cols):
-        f = zero_rmap(M, M)
-        for t in range(n):
-            coef = ker.basis.data[t][c]
-            if coef:
-                f = f + basis[t].scale(coef)
-        out.append(f)
-    return out
+    return [space.combine(ker.basis.col(c)) for c in range(ker.dim)]
 
 
 def is_indecomposable(M):
@@ -176,8 +147,8 @@ def is_indecomposable(M):
     division ring (here: the ground field or a field extension of it)."""
     if M.is_zero():
         return False
-    basis = end_basis(M)
-    n = len(basis)
+    space = hom_space(M, M)
+    n = len(space.basis)
     if n == 1:
         return True
     if try_split(M) is not None:
@@ -190,9 +161,8 @@ def is_indecomposable(M):
     # degree (checked on the endomorphism itself, whose minimal polynomial
     # maps onto that of its image in the quotient)
     rng = random.Random(SPLIT_SEED)
-    field = M.algebra.field
     for _ in range(SPLIT_TRIALS):
-        f = _random_endo(basis, rng, field)
+        f = _random_endo(space, rng)
         poly = _min_poly(M, f)
         factors = sympy.factor_list(poly.as_expr())[1]
         irred = [g for g, _ in factors if sympy.Poly(g, poly.gen).degree() >= 1]
@@ -293,6 +263,15 @@ def _indec_isomorphic(a, b):
     return False
 
 
+def all_of_kind(parts, kind):
+    """True when each indecomposable in ``parts`` is isomorphic to some
+    ``kind(alg, v, i)``, for ``kind`` = ``projective`` or ``injective``."""
+    return all(any(is_isomorphic(p, kind(p.algebra, v, i))
+                   for v in p.algebra.quiver.vertices
+                   for i in range(p.algebra.m + 1))
+               for p in parts)
+
+
 def multiplicity(M, X):
     """Multiplicity of the indecomposable X as a summand of M."""
     return sum(1 for p in decompose(M) if _indec_isomorphic(p, X))
@@ -310,9 +289,3 @@ def basic_summands(M):
 def delta_count(M):
     """Number of pairwise non-isomorphic indecomposable summands."""
     return len(basic_summands(M))
-
-
-def basic_part(M):
-    """Direct sum of one copy of each summand class."""
-    S, _, _ = direct_sum(M.algebra, basic_summands(M))
-    return S

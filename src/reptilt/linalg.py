@@ -312,8 +312,3 @@ def quotient_basis(ambient_dim, sub):
         for j, pj in enumerate(sub.pivot_rows):
             proj.data[i][pj] = -sub.basis.data[ci][j]
     return proj, sect
-
-
-def in_span(cols, v):
-    """True if column vector ``v`` lies in the column span of ``cols``."""
-    return solve_matrix(cols, v if isinstance(v, Mat) else Mat.column(v)) is not None

@@ -129,15 +129,6 @@ class Quiver:
             raise ValueError("paths do not compose")
         return Path(p.source, q.target, p.arrows + q.arrows)
 
-    def opposite(self):
-        """The opposite quiver: same names, arrows reversed."""
-        return Quiver(self.vertices,
-                      [(a.name, a.target, a.source) for a in self.arrows])
-
-    def reverse_path(self, p):
-        """The corresponding path of the opposite quiver."""
-        return Path(p.target, p.source, tuple(reversed(p.arrows)))
-
     # -- serialization ------------------------------------------------
 
     def to_json(self):

@@ -13,11 +13,10 @@ import json
 
 from .field import QQ
 from .hereditary import (AMap, Rep, dual_tensor, dual_tensor_data,
-                         dual_tensor_map, hom_basis as base_hom_basis,
-                         injective_rep, projective_connector, projective_rep,
-                         simple_rep, zero_amap, zero_rep)
-from .linalg import (Mat, Subspace, column_space, kernel_basis, quotient_basis,
-                     rank, solve_matrix)
+                         dual_tensor_map, injective_rep, projective_connector,
+                         projective_rep, simple_rep, zero_amap, zero_rep)
+from .linalg import (Mat, column_space, kernel_basis, quotient_basis,
+                     solve_matrix)
 
 
 class ReplicatedAlgebra:
@@ -36,11 +35,7 @@ class ReplicatedAlgebra:
         self._base_proj = {}
         self._base_inj = {}
         self._proj_conn = {}
-        self._opposite = None
         self.cache = {}
-
-    def vertex_pairs(self):
-        return [(v, i) for i in range(self.m + 1) for v in self.quiver.vertices]
 
     def base_projective(self, v):
         if v not in self._base_proj:
@@ -62,14 +57,6 @@ class ReplicatedAlgebra:
             dt = dual_tensor_data(P)
             self._proj_conn[v] = AMap(dt.rep, I, conn.components, check=False)
         return self._proj_conn[v]
-
-    def opposite(self):
-        """The replicated algebra of the opposite quiver (used for duality)."""
-        if self._opposite is None:
-            self._opposite = ReplicatedAlgebra(self.quiver.opposite(), self.m,
-                                               self.field)
-            self._opposite._opposite = self
-        return self._opposite
 
     def __repr__(self):
         return "ReplicatedAlgebra(%r, m=%d)" % (self.quiver.vertices, self.m)
@@ -596,21 +583,116 @@ def top(M):
 
 # -- Hom over the replicated algebra ---------------------------------
 
-def hom_basis_r(M, N):
-    """Canonical basis of Hom(M, N) over the replicated algebra."""
-    alg = M.algebra
-    if N.algebra is not alg:
+def rmap_vector(g):
+    """The entries of g level by level, vertex by vertex, row-major: the
+    unknowns of the Hom systems solved by ``_hom_basis_r``."""
+    out = []
+    for lev in g.level_maps:
+        for v in g.source.algebra.quiver.vertices:
+            for row in lev.components[v].data:
+                out.extend(row)
+    return out
+
+
+def _rmap_from_vector(M, N, vec):
+    """The map M -> N whose ``rmap_vector`` is ``vec``."""
+    f = M.algebra.field
+    level_maps = []
+    pos = 0
+    for Mi, Ni in zip(M.levels, N.levels):
+        comps = {}
+        for v in M.algebra.quiver.vertices:
+            r, c = Ni.dims[v], Mi.dims[v]
+            comps[v] = Mat(r, c, [vec[pos + a * c:pos + (a + 1) * c]
+                                  for a in range(r)], f)
+            pos += r * c
+        level_maps.append(AMap(Mi, Ni, comps, check=False))
+    return RMap(M, N, level_maps, check=False)
+
+
+class HomSpace:
+    """Hom(M, N) with its canonical basis.
+
+    The basis is the reduced column echelon basis of the solution space of
+    the Hom system in ``rmap_vector`` coordinates, so basis element k is the
+    only one with a nonzero entry (a one) at ``pivots[k]``, and the
+    coordinates of a map are its entries at the pivots.
+    """
+
+    __slots__ = ("source", "target", "basis", "pivots", "ambient")
+
+    def __init__(self, source, target, basis, pivots, ambient):
+        self.source = source
+        self.target = target
+        self.basis = basis          # list of RMap
+        self.pivots = pivots
+        self.ambient = ambient      # length of rmap_vector of a map M -> N
+
+    def _combination(self, coeffs):
+        """``rmap_vector`` of sum_k coeffs[k] basis[k] (field elements)."""
+        out = [self.source.algebra.field.zero] * self.ambient
+        for c, b in zip(coeffs, self.basis):
+            if c:
+                for k, x in enumerate(rmap_vector(b)):
+                    if x:
+                        out[k] = out[k] + c * x
+        return out
+
+    def combine(self, coeffs):
+        """The map sum_k coeffs[k] basis[k]."""
+        if len(coeffs) != len(self.basis):
+            raise ValueError("%d coefficients for a Hom space of dimension %d"
+                             % (len(coeffs), len(self.basis)))
+        field = self.source.algebra.field
+        vec = self._combination([field.of(c) for c in coeffs])
+        return _rmap_from_vector(self.source, self.target, vec)
+
+    def coords(self, g):
+        """Coordinates of g in the basis.  Raises ValueError when g is not a
+        module map M -> N, checked by recombining the coordinates."""
+        vec = rmap_vector(g)
+        if len(vec) == self.ambient:
+            coeffs = [vec[p] for p in self.pivots]
+            if self._combination(coeffs) == vec:
+                return coeffs
+        raise ValueError("map is not in Hom(%s, %s)"
+                         % (self.source.dim_grid(), self.target.dim_grid()))
+
+    def solve(self, maps, targets):
+        """X with sum_k X[k][j] maps[k] == targets[j] for every j (free
+        unknowns zero, as in ``solve_matrix``), or None when some target is
+        not in the span of ``maps``.  All maps lie in this Hom space."""
+        return solve_matrix(self.matrix(maps), self.matrix(targets))
+
+    def matrix(self, maps):
+        """The dim Hom x len(maps) matrix whose columns are the coordinates
+        of ``maps``."""
+        cols = [self.coords(g) for g in maps]
+        return Mat(len(self.basis), len(cols),
+                   [[col[r] for col in cols] for r in range(len(self.basis))],
+                   self.source.algebra.field)
+
+
+def hom_space(M, N):
+    """The HomSpace of Hom(M, N), memoized on M per target module."""
+    if N.algebra is not M.algebra:
         raise ValueError("modules over different algebras")
     memo = M.cache.setdefault("hom", {})
     got = memo.get(id(N))
-    if got is not None and got[0] is N:
-        return got[1]
-    basis = _hom_basis_r(M, N)
-    memo[id(N)] = (N, basis)
-    return basis
+    if got is not None and got.target is N:
+        return got
+    space = _hom_basis_r(M, N)
+    memo[id(N)] = space
+    return space
+
+
+def hom_basis_r(M, N):
+    """Canonical basis of Hom(M, N) over the replicated algebra."""
+    return hom_space(M, N).basis
 
 
 def _hom_basis_r(M, N):
+    """Solve the Hom system for maps M -> N; returns their HomSpace."""
     alg = M.algebra
     quiver = alg.quiver
     f = alg.field
@@ -679,21 +761,8 @@ def _hom_basis_r(M, N):
                         rows.append(row)
     sysmat = Mat(len(rows), total, rows, f) if rows else Mat.zeros(0, total, f)
     ker = kernel_basis(sysmat)
-    out = []
-    for k in range(ker.dim):
-        vec = ker.basis.col(k)
-        level_maps = []
-        for i in range(alg.m + 1):
-            comps = {}
-            for v in quiver.vertices:
-                r_, c_ = N.levels[i].dims[v], M.levels[i].dims[v]
-                base = offsets[(i, v)]
-                comps[v] = Mat(r_, c_,
-                               [[vec[base + a * c_ + b] for b in range(c_)]
-                                for a in range(r_)], f)
-            level_maps.append(AMap(M.levels[i], N.levels[i], comps, check=False))
-        out.append(RMap(M, N, level_maps, check=False))
-    return out
+    basis = [_rmap_from_vector(M, N, ker.basis.col(k)) for k in range(ker.dim)]
+    return HomSpace(M, N, basis, ker.pivot_rows, total)
 
 
 def hom_dim(M, N):
@@ -734,23 +803,6 @@ def map_from_projective(alg, v, i, M, x):
         level_maps.append(AMap(P.levels[lev], M.levels[lev],
                                comps, check=False))
     return RMap(P, M, level_maps, check=False)
-
-
-# -- promotion to a higher replication degree ------------------------
-
-def promote(M, target_alg):
-    """View a module over A^(m) as a module over A^(t), t >= m, by padding
-    zero levels on top."""
-    alg = M.algebra
-    if target_alg.m < alg.m:
-        raise ValueError("target replication degree too small")
-    levels = list(M.levels)
-    conns = list(M.connectors)
-    for _ in range(target_alg.m - alg.m):
-        z = zero_rep(alg.quiver, alg.field)
-        conns.append(zero_amap(dual_tensor(z), levels[-1]))
-        levels.append(z)
-    return RModule(target_alg, levels, conns, check=False)
 
 
 # -- serialization ----------------------------------------------------

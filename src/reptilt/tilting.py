@@ -4,13 +4,13 @@ complement fans, and the duplicated-algebra (m = 1) classifiers."""
 from __future__ import annotations
 
 from .approx import left_approximation, right_approximation
-from .homological import (ext, ext1_classes, injective_envelope, is_faithful,
-                          pd, realize_extension)
-from .krullschmidt import (basic_summands, decompose, delta_count,
+from .homological import (ext, ext1_classes, injective_envelope, pd,
+                          realize_extension)
+from .krullschmidt import (all_of_kind, basic_summands, decompose, delta_count,
                            is_indecomposable, is_isomorphic)
 from .linalg import Mat, rank
-from .replicated import (cokernel, direct_sum, hom_basis_r, kernel, projective,
-                         regular_module, simple, zero_module)
+from .replicated import (cokernel, direct_sum, injective, kernel, projective,
+                         regular_module)
 
 SEARCH_LIMIT = 200
 
@@ -135,7 +135,7 @@ def find_complement(T_bar, candidates=None):
     """Seed complement search: projectives and injectives, then Bongartz
     (pd <= 1), then a caller-provided candidate list, then a bounded
     mutation search."""
-    from .replicated import embed_level, injective
+    from .replicated import embed_level
     alg = T_bar.algebra
     existing = basic_summands(T_bar)
     cheap = [projective(alg, v, i) for i in range(alg.m + 1)
@@ -265,10 +265,7 @@ def count_complements(T_bar, seed=None, candidates=None):
 
 
 def _module_is_projective(M):
-    return all(any(is_isomorphic(p, projective(M.algebra, v, i))
-                   for v in M.algebra.quiver.vertices
-                   for i in range(M.algebra.m + 1))
-               for p in decompose(M))
+    return all_of_kind(decompose(M), projective)
 
 
 def _base_rep_faithful(rep):
@@ -315,7 +312,8 @@ def classify_duplicated(T_bar, seed=None, candidates=None):
         report["pd2_dim_grid"] = str(pd2[0].dim_grid())
     # level-0 part of T_bar with the projective-injectives removed
     non_pi = [X for X in basic_summands(T_bar)
-              if not (_module_is_projective(X) and _is_injective_module(X))]
+              if not (all_of_kind([X], projective)
+                      and all_of_kind([X], injective))]
     level0 = [X for X in non_pi
               if all(X.dims(i, v) == 0
                      for i in range(1, alg.m + 1)
@@ -325,14 +323,6 @@ def classify_duplicated(T_bar, seed=None, candidates=None):
         report["level0_part_faithful"] = _base_rep_faithful(S.levels[0])
     report["fan"] = fan
     return report
-
-
-def _is_injective_module(M):
-    from .replicated import injective
-    return all(any(is_isomorphic(p, injective(M.algebra, v, i))
-                   for v in M.algebra.quiver.vertices
-                   for i in range(M.algebra.m + 1))
-               for p in decompose(M))
 
 
 def complete_partial_tilting(M, candidates=None):

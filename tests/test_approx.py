@@ -1,11 +1,17 @@
 import pytest
 
-from reptilt.catalog import duplicated, kronecker_quiver, linear_quiver
-from reptilt.approx import (is_cogenerated_by, is_generated_by,
-                            left_approximation, right_approximation)
+from reptilt.catalog import (duplicated, kronecker_almost_complete_pd1,
+                             kronecker_almost_complete_pd2,
+                             kronecker_almost_complete_pd3, kronecker_quiver,
+                             linear_quiver)
+from reptilt.approx import (_left_factor_maps, _right_factor_maps,
+                            _strip_redundant, is_cogenerated_by,
+                            is_generated_by, left_approximation,
+                            right_approximation)
+from reptilt.krullschmidt import basic_summands
 from reptilt.homological import injective_envelope, is_faithful, projective_cover
-from reptilt.replicated import (direct_sum, injective, projective,
-                                regular_module, simple)
+from reptilt.replicated import (direct_sum, hom_basis_r, injective,
+                                projective, regular_module, simple)
 
 
 def dgrid(M):
@@ -89,3 +95,40 @@ def test_approx_of_zero_summand_free_target(kron):
     appr = right_approximation(S, simple(kron, 2, 1))
     assert appr.map.source.is_zero()
     assert not appr.map.is_epi()
+
+
+def _restart_strip(pairs, factor_maps):
+    """Reference: restart the sweep from the first copy after each removal."""
+    changed = True
+    while changed:
+        changed = False
+        for c in range(len(pairs)):
+            space, maps = factor_maps(pairs[c], pairs[:c] + pairs[c + 1:])
+            if space.solve(maps, [pairs[c][1]]) is not None:
+                pairs.pop(c)
+                changed = True
+                break
+    return pairs
+
+
+def test_one_sweep_strip_matches_restart_loop(kron):
+    fixtures = [(kron, regular_module(kron))]
+    fixtures += [f() for f in (kronecker_almost_complete_pd1,
+                               kronecker_almost_complete_pd2,
+                               kronecker_almost_complete_pd3)]
+    removed = 0
+    for alg, T in fixtures:
+        summands = basic_summands(T)
+        mods = [fn(alg, v, i) for fn in (projective, injective, simple)
+                for v in (1, 2) for i in (0, 1)]
+        for M in mods:
+            right = [(Tj, f) for Tj in summands for f in hom_basis_r(Tj, M)]
+            left = [(Tj, f) for Tj in summands for f in hom_basis_r(M, Tj)]
+            for pairs, factor_maps in ((right, _right_factor_maps),
+                                       (left, _left_factor_maps)):
+                want = _restart_strip(list(pairs), factor_maps)
+                got = _strip_redundant(list(pairs), factor_maps)
+                assert [(id(a), id(b)) for a, b in got] == \
+                    [(id(a), id(b)) for a, b in want]
+                removed += len(pairs) - len(got)
+    assert removed > 0

@@ -62,7 +62,7 @@ def test_check_tilting_rejects_almost_complete(files):
     assert report["delta"] == 3 and report["delta_required"] == 4
 
 
-def test_input_errors_exit_2(files):
+def test_input_errors_exit_2(files, capsys):
     write, tmp_path = files
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -72,6 +72,27 @@ def test_input_errors_exit_2(files):
     assert main(["check-tilting", alg, mod]) == 2
     mod2 = write("mod2.json", {"proj": [7, 0]})
     assert main(["check-tilting", alg, mod2]) == 2
+    capsys.readouterr()
+    malformed = [
+        {"proj": [1]},
+        {"kernel": {"from": {"proj": [2, 0]}, "coeffs": [1]}},
+        {"embed": {"level": 0, "dims": {"9": 1}}},
+        {"embed": {"level": 0, "dims": {"1": 1, "2": 1},
+                   "maps": {"a1": [[1, 0]]}}},
+        {"embed": {"level": 0, "dims": {"1": 2, "2": 1},
+                   "maps": {"a1": [[1], [0, 1]]}}},
+        {"sum": 5},
+        {"raw": {"m": 1, "levels": 3, "connectors": []}},
+    ]
+    for k, expr in enumerate(malformed):
+        mod = write("malformed%d.json" % k, expr)
+        assert main(["check-tilting", alg, mod]) == 2, expr
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:"), err
+    mod = write("regular.json", {"regular": True})
+    assert main(["--field", "fp:4", "check-tilting", alg, mod]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:"), err
 
 
 def test_complements_fan(files):

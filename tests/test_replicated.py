@@ -1,15 +1,18 @@
+import random
+
 import pytest
 
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
-from reptilt.hereditary import hom_basis as base_hom_basis
+from reptilt.field import QQ, PrimeField
+from reptilt.hereditary import AMap, hom_basis as base_hom_basis
 from reptilt.linalg import Mat
-from reptilt.replicated import (ReplicatedAlgebra, cokernel, direct_sum,
-                                embed_level, hom_basis_r, injective, kernel,
-                                map_from_projective, projective, radical,
-                                regular_module, rmodule_from_json,
-                                rmodule_to_json, simple, socle, top,
-                                zero_rmap)
+from reptilt.replicated import (RMap, ReplicatedAlgebra, cokernel, direct_sum,
+                                embed_level, hom_basis_r, hom_space, injective,
+                                kernel, map_from_projective, projective,
+                                radical, regular_module, rmap_vector,
+                                rmodule_from_json, rmodule_to_json, simple,
+                                socle, top, zero_rmap)
 
 
 def dgrid(M):
@@ -185,3 +188,51 @@ def test_json_roundtrip():
     M2 = rmodule_from_json(alg, rmodule_to_json(M))
     assert dgrid(M2) == dgrid(M)
     assert len(hom_basis_r(M, M2)) == len(hom_basis_r(M, M))
+
+
+def _fixture_modules(alg):
+    mods = [fn(alg, v, i) for fn in (projective, injective, simple)
+            for v in alg.quiver.vertices for i in range(alg.m + 1)]
+    mods.append(direct_sum(alg, [projective(alg, 1, 1), simple(alg, 1, 0)])[0])
+    return mods
+
+
+@pytest.mark.parametrize("quiver", [kronecker_quiver, lambda: linear_quiver(3)],
+                         ids=["kronecker", "A3"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+def test_hom_space_coords_and_combine_invert(quiver, field):
+    alg = duplicated(quiver(), field)
+    mods = _fixture_modules(alg)
+    rng = random.Random(7)
+    nonzero = 0
+    for _ in range(60):
+        M, X, N = (rng.choice(mods) for _ in range(3))
+        space = hom_space(M, N)
+        assert space.basis is hom_basis_r(M, N)
+        # a random element built by RMap arithmetic and by composing
+        # through X, not by combine
+        g = zero_rmap(M, N)
+        terms = space.basis + [b2.compose(b1) for b1 in hom_basis_r(M, X)
+                               for b2 in hom_basis_r(X, N)]
+        for h in terms:
+            g = g + h.scale(field.of(rng.randint(-3, 3)))
+        assert rmap_vector(space.combine(space.coords(g))) == rmap_vector(g)
+        coeffs = [field.of(rng.randint(-3, 3)) for _ in space.basis]
+        assert space.coords(space.combine(coeffs)) == coeffs
+        nonzero += not g.is_zero()
+    assert nonzero >= 15
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+def test_hom_space_coords_refuse_non_module_maps(field):
+    alg = duplicated(kronecker_quiver(), field)
+    P = projective(alg, 2, 0)      # vertex 2 maps onto vertex 1 by a and b
+    ident = hom_space(P, P).combine([1])
+    # identity at vertex 2, zero at vertex 1: breaks commutation with a, b
+    level0 = AMap(P.levels[0], P.levels[0],
+                  {2: ident.component(0, 2)}, check=False)
+    bad = RMap(P, P, [level0] + ident.level_maps[1:], check=False)
+    with pytest.raises(ValueError):
+        bad.validate()
+    with pytest.raises(ValueError):
+        hom_space(P, P).coords(bad)
