@@ -2,7 +2,7 @@
 exports, and the bundled worked-example verification suite.
 
 Exit codes: 0 success/true, 1 false/mismatch, 2 input error, 3 seed error,
-4 exploration limit reached.
+4 exploration limit reached, 5 internal error or unsupported computation.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_SEED = 3
 EXIT_LIMIT = 4
+EXIT_INTERNAL = 5
 
 
 class InputError(Exception):
@@ -347,6 +348,9 @@ def main(argv=None):
     except InputError as e:
         sys.stderr.write("input error: %s\n" % e)
         return EXIT_INPUT
+    except (NotImplementedError, RuntimeError) as e:
+        sys.stderr.write("error: %s\n" % e)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,5 +1,13 @@
 """Krull-Schmidt decomposition, indecomposability certificates and
-isomorphism testing for modules over a replicated algebra."""
+isomorphism testing for modules over a replicated algebra.
+
+A ``direct_sum`` splits along its recorded summands; any other module is
+split by Fitting decompositions and minimal-polynomial factors of basis and
+seeded random endomorphisms, the MeatAxe idea (Parker 1984; Holt-Rees
+1994).  Over GF(p) only the Fitting split is supported: the
+minimal-polynomial split and the trace-form radical hold only in
+characteristic 0 and raise ``NotImplementedError`` there.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +15,9 @@ import random
 
 import sympy
 
-from .linalg import Mat, kernel_basis, solve_matrix
-from .replicated import (RMap, cotuple_map, direct_sum, hom_basis_r, hom_space,
+from .field import QQ
+from .linalg import Mat, kernel_basis
+from .replicated import (cotuple_map, direct_sum, hom_basis_r, hom_space,
                          identity_rmap, image_subspaces, submodule, zero_rmap)
 
 SPLIT_TRIALS = 20
@@ -74,8 +83,17 @@ def _eval_poly(M, f, poly):
     return out
 
 
+def _require_char_zero(M, step):
+    """Refuse ``step`` over a prime field (it holds only in characteristic 0)."""
+    if M.algebra.field != QQ:
+        raise NotImplementedError(
+            "%s is valid only in characteristic 0; Krull-Schmidt over %r "
+            "supports Fitting splits only" % (step, M.algebra.field))
+
+
 def _minpoly_split(M, f):
     """Split along coprime irreducible factors of the minimal polynomial."""
+    _require_char_zero(M, "the minimal-polynomial split")
     poly = _min_poly(M, f)
     factors = sympy.factor_list(poly.as_expr())[1]
     if len(factors) < 2:
@@ -104,14 +122,11 @@ def try_split(M):
     candidates = list(space.basis)
     rng = random.Random(SPLIT_SEED + M.total_dim)
     candidates += [_random_endo(space, rng) for _ in range(SPLIT_TRIALS)]
-    for f in candidates:
-        split = _fitting_split(M, f)
-        if split:
-            return split
-    for f in candidates:
-        split = _minpoly_split(M, f)
-        if split:
-            return split
+    for splitter in (_fitting_split, _minpoly_split):
+        for f in candidates:
+            split = splitter(M, f)
+            if split:
+                return split
     return None
 
 
@@ -128,6 +143,7 @@ def end_radical_dim(M):
 
 def end_radical_basis(M):
     """Basis of rad End(M) = the radical of the trace form (valid over Q)."""
+    _require_char_zero(M, "the trace-form radical of End")
     space = hom_space(M, M)
     basis = space.basis
     n = len(basis)
@@ -142,20 +158,17 @@ def end_radical_basis(M):
     return [space.combine(ker.basis.col(c)) for c in range(ker.dim)]
 
 
-def is_indecomposable(M):
-    """Certified indecomposability: End(M) modulo its radical must be a
-    division ring (here: the ground field or a field extension of it)."""
-    if M.is_zero():
-        return False
+def _certify_indecomposable(M):
+    """Certify a leaf that no splitter could split: End(M) modulo its
+    radical must be a division ring (here: the ground field or a field
+    extension of it).  Raises RuntimeError when that cannot be certified."""
     space = hom_space(M, M)
     n = len(space.basis)
     if n == 1:
-        return True
-    if try_split(M) is not None:
-        return False
+        return
     top_dim = n - end_radical_dim(M)
     if top_dim == 1:
-        return True
+        return
     # End/rad has dimension > 1: it is a division ring iff it is a field,
     # certified by a generic element whose minimal polynomial has the full
     # degree (checked on the endomorphism itself, whose minimal polynomial
@@ -167,33 +180,37 @@ def is_indecomposable(M):
         factors = sympy.factor_list(poly.as_expr())[1]
         irred = [g for g, _ in factors if sympy.Poly(g, poly.gen).degree() >= 1]
         if len(irred) == 1 and sympy.Poly(irred[0], poly.gen).degree() == top_dim:
-            return True
+            return
     raise RuntimeError("cannot certify indecomposability (End/rad dim %d)"
                        % top_dim)
 
 
+def is_indecomposable(M):
+    """Certified indecomposability (a nonzero module with one summand)."""
+    return not M.is_zero() and len(decompose(M)) == 1
+
+
 def decompose(M):
     """List of indecomposable summands (each certified)."""
-    if "decomposition" in M.cache:
-        return M.cache["decomposition"]
-    parts = [p for p, _ in decompose_with_inclusions(M)]
-    M.cache["decomposition"] = parts
-    return parts
+    return [p for p, _ in decompose_with_inclusions(M)]
 
 
 def decompose_with_inclusions(M):
-    """List of (indecomposable summand, inclusion into M)."""
-    if M.is_zero():
-        return []
-    split = try_split(M)
+    """List of (indecomposable summand, inclusion into M), memoized in
+    ``M.cache["decomposition"]``.  A recorded direct sum splits along its
+    summands; otherwise ``try_split`` splits M, and a leaf it cannot split
+    is certified indecomposable."""
+    cached = M.cache.get("decomposition")
+    if cached is not None:
+        return cached
+    split = [] if M.is_zero() else M.cache.get("summands") or try_split(M)
     if split is None:
-        if not is_indecomposable(M):
-            raise RuntimeError("splitting search failed on a decomposable module")
-        return [(M, identity_rmap(M))]
-    out = []
-    for part, incl in split:
-        for sub, subincl in decompose_with_inclusions(part):
-            out.append((sub, incl.compose(subincl)))
+        _certify_indecomposable(M)
+        out = [(M, identity_rmap(M))]
+    else:
+        out = [(sub, incl.compose(subincl)) for part, incl in split
+               for sub, subincl in decompose_with_inclusions(part)]
+    M.cache["decomposition"] = out
     return out
 
 
@@ -201,40 +218,22 @@ def decompose_with_maps(M):
     """(parts, inclusions, projections) realizing M as the direct sum."""
     pairs = decompose_with_inclusions(M)
     parts = [p for p, _ in pairs]
-    alg = M.algebra
-    S, sincls, sprojs = direct_sum(alg, parts)
-    iso = cotuple_map([incl for _, incl in pairs], S, sprojs)
+    incls = [incl for _, incl in pairs]
+    S, _, sprojs = direct_sum(M.algebra, parts)
+    iso = cotuple_map(incls, S, sprojs)
     if not iso.is_iso():
         raise RuntimeError("decomposition does not reassemble to the module")
-    inv = _invert(iso)
-    incls = [incl for _, incl in pairs]
-    projs = [sp.compose(inv) for sp in sprojs]
-    return parts, incls, projs
-
-
-def _invert(f):
-    from .hereditary import AMap
-    alg = f.source.algebra
-    comps = []
-    for i in range(alg.m + 1):
-        amap = {}
-        for v in alg.quiver.vertices:
-            c = f.component(i, v)
-            inv = solve_matrix(c, Mat.identity(c.rows, c.field))
-            if inv is None:
-                raise ValueError("map is not invertible")
-            amap[v] = inv
-        comps.append(AMap(f.target.levels[i], f.source.levels[i], amap,
-                          check=False))
-    return RMap(f.target, f.source, comps, check=False)
+    back = hom_space(M, S)
+    sol = hom_space(M, M).solve([iso.compose(h) for h in back.basis],
+                                [identity_rmap(M)])
+    inv = back.combine(sol.col(0))
+    return parts, incls, [sp.compose(inv) for sp in sprojs]
 
 
 def is_isomorphic(M, N):
     """Exact isomorphism test."""
     if M.dim_grid() != N.dim_grid():
         return False
-    if M.is_zero():
-        return True
     pm = decompose(M)
     pn = list(decompose(N))
     if len(pm) != len(pn):

@@ -297,11 +297,13 @@ def simple(alg, v, i):
 
 
 def regular_module(alg):
-    """The algebra as a module over itself: direct sum of all P(v, i)."""
+    """The algebra as a module over itself: direct sum of all P(v, i),
+    levels m..0 with the vertices reversed (this order numbers the tilting
+    quiver)."""
     key = ("regular",)
     if key not in alg.cache:
-        mods = [projective(alg, v, i) for i in range(alg.m + 1)
-                for v in alg.quiver.vertices]
+        mods = [projective(alg, v, i) for i in reversed(range(alg.m + 1))
+                for v in reversed(alg.quiver.vertices)]
         alg.cache[key] = direct_sum(alg, mods)[0]
     return alg.cache[key]
 
@@ -327,7 +329,9 @@ def _induced_connector_from_epi(t_epi_amaps, values, target_level):
 def direct_sum(alg, mods):
     """Direct sum with inclusion and projection maps.
 
-    Returns (sum_module, inclusions, projections).
+    Returns (sum_module, inclusions, projections).  The (summand,
+    inclusion) pairs are recorded in ``sum_module.cache["summands"]``, so
+    Krull-Schmidt splits the sum along them.
     """
     mods = list(mods)
     if not mods:
@@ -384,6 +388,7 @@ def direct_sum(alg, mods):
     S = RModule(alg, levels, conns, check=False)
     incls = [RMap(mods[k], S, incl_comps[k], check=False) for k in range(len(mods))]
     projs = [RMap(S, mods[k], proj_comps[k], check=False) for k in range(len(mods))]
+    S.cache["summands"] = list(zip(mods, incls))
     return S, incls, projs
 
 

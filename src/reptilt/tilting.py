@@ -16,11 +16,13 @@ SEARCH_LIMIT = 200
 
 
 class TiltingRecord:
-    def __init__(self, module, pieces, certified_by, pd_max):
+    """A certified tilting module with its basic summands and their pds."""
+
+    def __init__(self, module, parts):
         self.module = module
-        self.pieces = pieces
-        self.certified_by = certified_by
-        self.pd_max = pd_max
+        self.pieces = [(X, pd(X)) for X in parts]
+        self.certified_by = {"delta-criterion": True, "coresolution": True}
+        self.pd_max = max(p for _, p in self.pieces)
 
 
 class ComplementFan:
@@ -90,11 +92,7 @@ def certify_tilting(M):
         raise ValueError("module is not tilting")
     parts = basic_summands(M)
     basic, _, _ = direct_sum(M.algebra, parts)
-    pieces = [(X, pd(X)) for X in parts]
-    record = TiltingRecord(basic, pieces,
-                           {"delta-criterion": True, "coresolution": True},
-                           max(p for _, p in pieces))
-    return record
+    return TiltingRecord(basic, parts)
 
 
 def bongartz_complete(M):

@@ -70,10 +70,7 @@ def _record_from_parts(alg, parts, registry):
     total, _, _ = direct_sum(alg, parts)
     if not is_tilting(total):
         raise RuntimeError("exchange produced a non-tilting module")
-    pieces = [(X, pd(X)) for X in parts]
-    record = TiltingRecord(total, pieces,
-                           {"delta-criterion": True, "coresolution": True},
-                           max(p for _, p in pieces))
+    record = TiltingRecord(total, parts)
     registry.records[ckey] = record
     return record
 
@@ -179,14 +176,15 @@ def exhaustive_tilting_oracle(alg, nodes=None):
         return compat[(a, b)]
 
     target = alg.delta
-    found = []
+    records = []
 
     def extend(chosen, start):
         if len(chosen) == target:
-            total, _, _ = direct_sum(alg, [nodes[i] for i in chosen])
+            parts = [nodes[i] for i in chosen]
+            total, _, _ = direct_sum(alg, parts)
             # is_tilting internally asserts both certificates agree
             if is_tilting(total):
-                found.append(list(chosen))
+                records.append(TiltingRecord(total, parts))
             return
         if len(chosen) + (n - start) < target:
             return
@@ -197,14 +195,6 @@ def exhaustive_tilting_oracle(alg, nodes=None):
                 extend(chosen + [idx], idx + 1)
 
     extend([], 0)
-    records = []
-    for subset in found:
-        parts = [nodes[i] for i in subset]
-        total, _, _ = direct_sum(alg, parts)
-        pieces = [(X, pd(X)) for X in parts]
-        records.append(TiltingRecord(
-            total, pieces, {"delta-criterion": True, "coresolution": True},
-            max(p for _, p in pieces)))
     return records
 
 

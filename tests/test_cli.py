@@ -177,6 +177,21 @@ def test_prime_field_mode(files):
     assert json.loads(text)["verdict"] is True
 
 
+def test_unsupported_computation_exits_5(files, capsys):
+    # a tube module over GF(5): End has dimension 2 and no Fitting split,
+    # so Krull-Schmidt over a prime field refuses instead of answering
+    write, _ = files
+    alg = write("kron.json", KRONECKER)
+    mod = write("tube.json", {"embed": {
+        "dims": {"1": 2, "2": 2},
+        "maps": {"a": [[1, 0], [0, 1]], "b": [[1, 1], [0, 1]]},
+        "level": 0}})
+    assert main(["--field", "fp:5", "check-tilting", alg, mod]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "characteristic 0" in err[0]
+
+
 def test_module_expr_constructors():
     alg = duplicated(linear_quiver(2))
     M = eval_module_expr(alg, {"syzygy": {"simple": [2, 0]}})

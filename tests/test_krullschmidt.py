@@ -1,7 +1,10 @@
 import pytest
 
+from reptilt import krullschmidt
 from reptilt.catalog import (dtilde4_quiver, duplicated, general_position_rep,
                              kronecker_quiver, linear_quiver)
+from reptilt.field import PrimeField
+from reptilt.hereditary import Rep
 from reptilt.krullschmidt import (basic_summands, decompose,
                                   decompose_with_maps, delta_count,
                                   end_radical_dim, is_indecomposable,
@@ -147,3 +150,81 @@ def test_linear_quiver_regular_decomposition():
     assert len(parts) == 6
     for p in parts:
         assert is_indecomposable(p)
+
+
+def kronecker_module(alg, b_rows):
+    """Level-0 Kronecker module on k^2 -> k^2 with a = I and b = b_rows."""
+    f = alg.field
+    rep = Rep(alg.quiver, {1: 2, 2: 2},
+              {"a": Mat.identity(2, f), "b": Mat.from_rows(b_rows, field=f)},
+              f)
+    return embed_level(alg, rep, 0)
+
+
+TUBE = [[1, 1], [0, 1]]            # quasi-length 2, End local of dim 2
+SQRT2 = [[0, 2], [1, 0]]           # companion matrix of x^2 - 2
+
+
+def test_recorded_sum_splits_into_its_own_parts():
+    alg = duplicated(kronecker_quiver())
+    tube = kronecker_module(alg, TUBE)
+    inner, _, _ = direct_sum(alg, [projective(alg, 1, 0), tube])
+    parts = [inner, simple(alg, 2, 0), projective(alg, 2, 1)]
+    M, _, _ = direct_sum(alg, parts)
+    leaves = [projective(alg, 1, 0), tube, simple(alg, 2, 0),
+              projective(alg, 2, 1)]
+    got = decompose(M)
+    assert len(got) == len(leaves)
+    assert all(a is b for a, b in zip(got, leaves))
+    assert decompose(inner)[1] is tube
+    assert basic_summands(M)[1] is tube
+    assert is_indecomposable(tube) and not is_indecomposable(inner)
+
+
+def test_try_split_runs_once_per_leaf(monkeypatch):
+    alg = duplicated(kronecker_quiver())
+    tube = kronecker_module(alg, TUBE)
+    pair = kronecker_module(alg, [[1, 0], [0, 2]])
+    seen = []
+    real = krullschmidt.try_split
+
+    def counting(M):
+        seen.append(M)
+        return real(M)
+
+    monkeypatch.setattr(krullschmidt, "try_split", counting)
+    M, _, _ = direct_sum(alg, [projective(alg, 1, 0), tube, pair])
+    leaves = decompose(M)
+    assert len(leaves) == 4
+    # the recorded sum is not searched; `pair` is split once, then each
+    # indecomposable leaf is tried exactly once
+    assert seen[0] is projective(alg, 1, 0) and seen[1] is tube
+    assert seen[2] is pair
+    assert len(seen) == 5
+    assert seen[3] is leaves[2] and seen[4] is leaves[3]
+    # asking again reads the memo instead of searching
+    assert all(is_indecomposable(X) for X in leaves)
+    assert len(seen) == 5
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_refuses_tube_module(p):
+    alg = duplicated(kronecker_quiver(), field=PrimeField(p))
+    with pytest.raises(NotImplementedError, match="characteristic 0"):
+        decompose(kronecker_module(alg, TUBE))
+
+
+def test_prime_field_fitting_split_and_refusal():
+    # x^2 - 2 is irreducible mod 5 (End is GF(25): no Fitting split) and
+    # splits mod 7 (2 = 3^2), where a Fitting split finds the two parts
+    gf5 = duplicated(kronecker_quiver(), field=PrimeField(5))
+    with pytest.raises(NotImplementedError, match="characteristic 0"):
+        is_indecomposable(kronecker_module(gf5, SQRT2))
+    with pytest.raises(NotImplementedError, match="characteristic 0"):
+        end_radical_dim(kronecker_module(gf5, SQRT2))
+    gf7 = duplicated(kronecker_quiver(), field=PrimeField(7))
+    parts = decompose(kronecker_module(gf7, SQRT2))
+    assert len(parts) == 2
+    assert not is_isomorphic(parts[0], parts[1])
+    a2 = duplicated(linear_quiver(2), field=PrimeField(5))
+    assert len(decompose(regular_module(a2))) == 4

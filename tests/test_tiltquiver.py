@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from reptilt.replicated import ReplicatedAlgebra
 from reptilt.tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
                                 graph_from_json, graph_to_json, mutate_all,
                                 record_key, records_isomorphic)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -109,12 +112,18 @@ def test_json_export_is_deterministic(a2_graph):
     assert all(set(a) == {"from", "to", "witness"} for a in data["arrows"])
 
 
-def test_dot_export_golden(one_vertex_graph):
+def test_dot_export_golden(one_vertex_graph, a2_graph):
     text = export_dot(one_vertex_graph)
     lines = text.strip().splitlines()
     assert lines[0] == "digraph tilting {"
     assert lines[-1] == "}"
     assert sum(1 for l in lines if "->" in l) == 1
+    # byte-for-byte exports, vertex numbering included
+    for name, graph in (("one_vertex", one_vertex_graph),
+                        ("duplicated_a2", a2_graph)):
+        stem = GOLDEN / ("tilting_quiver_%s" % name)
+        assert graph_to_json(graph) == stem.with_suffix(".json").read_text()
+        assert export_dot(graph) == stem.with_suffix(".dot").read_text()
 
 
 def test_vertex_keys_are_sorted_multisets(a2_graph):
