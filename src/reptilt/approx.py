@@ -4,8 +4,8 @@ cogeneration tests built on them."""
 from __future__ import annotations
 
 from .krullschmidt import basic_summands
-from .replicated import (cotuple_map, direct_sum, hom_basis_r, hom_space,
-                         tuple_map, zero_module, zero_rmap)
+from .replicated import (block_map, direct_sum, hom_basis_r, hom_space,
+                         zero_module, zero_rmap)
 
 
 class ApproxResult:
@@ -58,8 +58,8 @@ def right_approximation(M, T):
         Z = zero_module(alg)
         return ApproxResult(zero_rmap(Z, M), [])
     mods = [p[0] for p in pairs]
-    X, _, projs = direct_sum(alg, mods)
-    total = cotuple_map([f for _, f in pairs], X, projs)
+    X, _, _ = direct_sum(alg, mods)
+    total = block_map(X, M, [[f for _, f in pairs]])
     return ApproxResult(total, mods)
 
 
@@ -72,8 +72,8 @@ def left_approximation(M, T):
         Z = zero_module(alg)
         return ApproxResult(zero_rmap(M, Z), [])
     mods = [p[0] for p in pairs]
-    X, incls, _ = direct_sum(alg, mods)
-    total = tuple_map([f for _, f in pairs], X, incls)
+    X, _, _ = direct_sum(alg, mods)
+    total = block_map(M, X, [[f] for _, f in pairs])
     return ApproxResult(total, mods)
 
 

@@ -9,8 +9,9 @@ from .homological import (cokernel, ext1_classes, injective_envelope_with_data,
 from .krullschmidt import (all_of_kind, end_radical_basis, is_indecomposable,
                            is_isomorphic)
 from .linalg import Mat, rank
-from .replicated import (RMap, direct_sum, hom_basis_r, hom_space, injective,
-                         kernel, map_from_projective, projective, zero_rmap)
+from .replicated import (RMap, block_map, blocks, direct_sum, hom_basis_r,
+                         hom_space, injective, kernel, map_from_projective,
+                         projective, zero_rmap)
 
 
 def iota_path_map(quiver, p, field):
@@ -85,18 +86,13 @@ def translate(M):
     res = minimal_resolution(M)
     if res.length == 0:
         raise ValueError("translation of a projective module")
-    d1 = res.maps[0]
-    nu0_mods = [injective(alg, w, j) for (w, j) in res.summands[0]]
-    nu1_mods = [injective(alg, v, i) for (v, i) in res.summands[1]]
-    nu0, incls0, _ = direct_sum(alg, nu0_mods)
-    nu1, _, prjs1 = direct_sum(alg, nu1_mods)
-    total = zero_rmap(nu1, nu0)
-    for k, (w, j) in enumerate(res.summands[0]):
-        for l, (v, i) in enumerate(res.summands[1]):
-            block = res.projections[0][k].compose(d1).compose(
-                res.inclusions[1][l])
-            nu_block = _nu_block(alg, block, v, i, w, j)
-            total = total + incls0[k].compose(nu_block).compose(prjs1[l])
+    nu0, nu1 = (direct_sum(alg, [injective(alg, v, i) for (v, i) in labels])[0]
+                for labels in res.summands[:2])
+    d1 = blocks(res.maps[0])
+    total = block_map(nu1, nu0, [
+        [_nu_block(alg, d1[k][l], v, i, w, j)
+         for l, (v, i) in enumerate(res.summands[1])]
+        for k, (w, j) in enumerate(res.summands[0])])
     K, _ = kernel(total)
     return K
 
@@ -127,22 +123,18 @@ def translate_inverse(M):
     """The inverse AR translation: cokernel of nu-inverse applied to a
     minimal injective copresentation."""
     alg = M.algebra
-    E0, mono, labels0, incls0, prjs0 = injective_envelope_with_data(M)
+    E0, mono, labels0 = injective_envelope_with_data(M)
     C, cproj = cokernel(mono)
     if C.is_zero():
         raise ValueError("inverse translation of an injective module")
-    E1, mono1, labels1, incls1, prjs1 = injective_envelope_with_data(C)
-    g = mono1.compose(cproj)
-    p0_mods = [projective(alg, v, i) for (v, i) in labels0]
-    p1_mods = [projective(alg, w, j) for (w, j) in labels1]
-    p0, _, pprjs0 = direct_sum(alg, p0_mods)
-    p1, pincls1, _ = direct_sum(alg, p1_mods)
-    total = zero_rmap(p0, p1)
-    for k, (w, j) in enumerate(labels1):
-        for l, (v, i) in enumerate(labels0):
-            block = prjs1[k].compose(g).compose(incls0[l])
-            inv_block = _nu_inverse_block(alg, block, v, i, w, j)
-            total = total + pincls1[k].compose(inv_block).compose(pprjs0[l])
+    E1, mono1, labels1 = injective_envelope_with_data(C)
+    g = blocks(mono1.compose(cproj))
+    p0 = direct_sum(alg, [projective(alg, v, i) for (v, i) in labels0])[0]
+    p1 = direct_sum(alg, [projective(alg, w, j) for (w, j) in labels1])[0]
+    total = block_map(p0, p1, [
+        [_nu_inverse_block(alg, g[k][l], v, i, w, j)
+         for l, (v, i) in enumerate(labels0)]
+        for k, (w, j) in enumerate(labels1)])
     C2, _ = cokernel(total)
     return C2
 

@@ -308,17 +308,6 @@ class DualTensorData:
             maps[b.name] = self.proj[w2] * big * self.sect[w]
         self.rep = Rep(quiver, dims, maps, f, check=False)
 
-    def class_of(self, w, p, vec):
-        """Quotient coordinates of p* (x) x for x a coordinate vector in
-        M at t(p)."""
-        f = self.M.field
-        amb = [f.zero] * len(self.amb_basis[w])
-        idx = self.amb_index[w]
-        for j, c in enumerate(vec):
-            if c:
-                amb[idx[(p, j)]] = c
-        return self.proj[w] * Mat.column(amb, f)
-
 
 def dual_tensor_data(M):
     if not hasattr(M, "_dual_tensor"):

@@ -5,18 +5,25 @@ from __future__ import annotations
 
 from .hereditary import AMap
 from .linalg import Mat, column_space, quotient_basis, rank, solve_matrix
-from .replicated import (cokernel, cotuple_map, direct_sum, hom_basis_r,
+from .replicated import (RMap, block_map, blocks, cokernel, direct_sum,
+                         factor_through_epi, generator_action, hom_basis_r,
                          hom_space, injective, kernel, map_from_projective,
-                         projective, radical, regular_module, socle, top,
-                         zero_rmap)
+                         projective, radical, regular_module, socle,
+                         summand_offsets, summands_of, top, zero_rmap)
 
 
 class Resolution:
     """A minimal projective resolution ... -> P_1 -> P_0 -> M -> 0.
 
-    ``summands[k]`` lists the (v, i) labels of the projective summands of
-    P_k in order; ``projections[k]`` are the direct-sum projections used to
-    evaluate maps out of P_k.
+    ``modules[k]`` is P_k, the direct sum of the P(v, i) labelled (v, i) in
+    ``summands[k]``, in that order.  ``maps[k]`` is d_{k+1}: P_{k+1} -> P_k
+    and ``augmentation`` is P_0 -> M.  ``syzygy`` is (K, incl, cover) for
+    K = ker(augmentation), its inclusion into P_0 and its projective cover
+    P_1 -> K (so maps[0] = incl o cover), or None when M is projective.
+
+    A map out of P_k is determined by its images of the generators of the
+    summands (Hom(P(v, i), N) = N at (i, v)); concatenated in summand order
+    they are its generator coordinates, in which Ext is computed.
     """
 
     def __init__(self, M):
@@ -24,9 +31,8 @@ class Resolution:
         self.modules = []
         self.maps = []            # maps[k]: P_{k+1} -> P_k
         self.summands = []
-        self.inclusions = []
-        self.projections = []
         self.augmentation = None
+        self.syzygy = None
 
     @property
     def length(self):
@@ -35,11 +41,13 @@ class Resolution:
 
 def projective_cover(M):
     """The projective cover (P, epi) of a nonzero module."""
-    P, epi, _, _, _ = _cover_with_data(M)
+    P, epi, _ = _cover_with_data(M)
     return P, epi
 
 
 def _cover_with_data(M):
+    """(P, epi, labels): one P(v, i) per basis vector of top(M) at (i, v),
+    its generator sent to a lift of that vector."""
     alg = M.algebra
     T, tproj = top(M)
     labels = []
@@ -58,48 +66,35 @@ def _cover_with_data(M):
                 gens.append(lifts.submatrix_cols([j]))
     if not labels:
         raise ValueError("projective cover of the zero module")
-    projs = [projective(alg, v, i) for (v, i) in labels]
-    P, incls, prjs = direct_sum(alg, projs)
-    comps = [map_from_projective(alg, v, i, M, x)
-             for (v, i), x in zip(labels, gens)]
-    epi = cotuple_map(comps, P, prjs)
+    P, _, _ = direct_sum(alg, [projective(alg, v, i) for (v, i) in labels])
+    epi = block_map(P, M, [[map_from_projective(alg, v, i, M, x)
+                            for (v, i), x in zip(labels, gens)]])
     if not epi.is_epi():
         raise RuntimeError("lifted cover map is not surjective")
-    return P, epi, labels, incls, prjs
+    return P, epi, labels
 
 
 def minimal_resolution(M):
     """Minimal projective resolution; must terminate within 2m+1 steps."""
     if "resolution" in M.cache:
         return M.cache["resolution"]
-    alg = M.algebra
     res = Resolution(M)
-    if M.is_zero():
-        M.cache["resolution"] = res
-        return res
-    bound = 2 * alg.m + 1
-    P, epi, labels, incls, prjs = _cover_with_data(M)
-    res.modules.append(P)
-    res.summands.append(labels)
-    res.inclusions.append(incls)
-    res.projections.append(prjs)
-    res.augmentation = epi
-    current_epi = epi
-    step = 0
-    while True:
-        K, incl = kernel(current_epi)
-        if K.is_zero():
-            break
-        step += 1
-        if step > bound:
-            raise RuntimeError("resolution exceeded the global dimension bound")
-        P1, epi1, labels1, incls1, prjs1 = _cover_with_data(K)
-        res.modules.append(P1)
-        res.summands.append(labels1)
-        res.inclusions.append(incls1)
-        res.projections.append(prjs1)
-        res.maps.append(incl.compose(epi1))
-        current_epi = epi1
+    if not M.is_zero():
+        P, epi, labels = _cover_with_data(M)
+        res.augmentation = epi
+        while True:
+            res.modules.append(P)
+            res.summands.append(labels)
+            K, incl = kernel(epi)
+            if K.is_zero():
+                break
+            if len(res.modules) > 2 * M.algebra.m + 1:
+                raise RuntimeError(
+                    "resolution exceeded the global dimension bound")
+            P, epi, labels = _cover_with_data(K)
+            if res.syzygy is None:
+                res.syzygy = (K, incl, epi)
+            res.maps.append(incl.compose(epi))
     M.cache["resolution"] = res
     return res
 
@@ -109,54 +104,41 @@ def pd(M):
     return minimal_resolution(M).length if not M.is_zero() else 0
 
 
-def _hom_from_projectives_dim(labels, N):
-    return sum(N.dims(i, v) for (v, i) in labels)
-
-
-def _map_from_tuple(res, k, N, coords):
-    """The map P_k -> N determined by generator images ``coords``."""
-    alg = N.algebra
-    total = zero_rmap(res.modules[k], N)
-    pos = 0
-    for (v, i), prj in zip(res.summands[k], res.projections[k]):
-        d = N.dims(i, v)
-        x = coords[pos:pos + d]
-        pos += d
-        if any(x):
-            total = total + map_from_projective(alg, v, i, N, x).compose(prj)
-    return total
-
-
-def _generator_images(res, k, f):
-    """Coordinates of a map P_k -> N at the canonical generators.
-
-    The generator of P(v, i) is e_v, the sole basis vector of its top level
-    at vertex v; its image is read off through the direct-sum inclusion.
-    """
-    out = []
-    for (v, i), inc in zip(res.summands[k], res.inclusions[k]):
-        comp = f.compose(inc).component(i, v)
-        out.extend(comp.data[r][0] for r in range(comp.rows))
-    return out
+def _at_generators(f, labels):
+    """The images under f: P -> N of the generators of P's summands
+    P(v, i), labelled in ``labels``, as columns of N at (i, v)."""
+    parts = summands_of(f.source)
+    cuts = {(v, i): summand_offsets(parts, i, v) for (v, i) in set(labels)}
+    return [f.component(i, v).submatrix_cols([cuts[(v, i)][l]])
+            for l, (v, i) in enumerate(labels)]
 
 
 def _ext_differential(res, k, N):
-    """Matrix of precomposition with d_k: Hom(P_{k-1}, N) -> Hom(P_k, N)."""
-    alg = N.algebra
-    f = alg.field
-    dim_src = _hom_from_projectives_dim([lbl for lbl in res.summands[k - 1]], N)
-    dim_tgt = _hom_from_projectives_dim([lbl for lbl in res.summands[k]], N)
-    cols = []
-    for t in range(dim_src):
-        coords = [f.zero] * dim_src
-        coords[t] = f.one
-        g = _map_from_tuple(res, k - 1, N, coords)
-        comp = g.compose(res.maps[k - 1])
-        cols.append(_generator_images(res, k, comp))
-    out = Mat.zeros(dim_tgt, dim_src, f)
-    for c, col in enumerate(cols):
-        for r, val in enumerate(col):
-            out.data[r][c] = val
+    """Matrix of g -> g o d_k: Hom(P_{k-1}, N) -> Hom(P_k, N) in generator
+    coordinates.  d_k is read at the generators of P_k only: the block of
+    a target summand P(v, i) and a source summand P(w, j) is the generator
+    action of the P(w, j) part of d_k's image of the generator of P(v, i)."""
+    src, tgt = res.summands[k - 1], res.summands[k]
+    parts = summands_of(res.modules[k - 1])
+    col_off = [0]
+    for (w, j) in src:
+        col_off.append(col_off[-1] + N.dims(j, w))
+    out = Mat.zeros(sum(N.dims(i, v) for (v, i) in tgt), col_off[-1],
+                    N.algebra.field)
+    cuts = {(v, i): summand_offsets(parts, i, v) for (v, i) in set(tgt)}
+    r0 = 0
+    for (v, i), x in zip(tgt, _at_generators(res.maps[k - 1], tgt)):
+        rows = cuts[(v, i)]
+        for c, (w, j) in enumerate(src):
+            piece = [x.data[t][0] for t in range(rows[c], rows[c + 1])]
+            if not any(piece):
+                continue
+            block = sum((a.scale(e) for e, a in
+                         zip(piece, generator_action(N, w, j, i, v)) if e),
+                        Mat.zeros(N.dims(i, v), N.dims(j, w), N.algebra.field))
+            for r, row in enumerate(block.data):
+                out.data[r0 + r][col_off[c]:col_off[c + 1]] = row
+        r0 += N.dims(i, v)
     return out
 
 
@@ -193,13 +175,13 @@ def syzygy(M):
 def injective_envelope(M):
     """The injective envelope (E, mono), with the mono extending the socle
     inclusion (solved as a linear system; solvability is injectivity)."""
-    E, mono, _, _, _ = injective_envelope_with_data(M)
+    E, mono, _ = injective_envelope_with_data(M)
     return E, mono
 
 
 def injective_envelope_with_data(M):
-    """Envelope plus its summand labels and direct-sum inclusion/projection
-    maps: (E, mono, labels, inclusions, projections)."""
+    """Envelope plus the (v, i) labels of its summands I(v, i), in the order
+    of the direct sum E: (E, mono, labels)."""
     alg = M.algebra
     f = alg.field
     S, sincl = socle(M)
@@ -210,21 +192,20 @@ def injective_envelope_with_data(M):
     if not labels:
         raise ValueError("injective envelope of the zero module")
     injs = [injective(alg, v, i) for (v, i) in labels]
-    E, incls, prjs = direct_sum(alg, injs)
+    E, _, _ = direct_sum(alg, injs)
     # canonical map S -> E hitting the socle of each injective copy
     counters = {}
-    sigma = zero_rmap(S, E)
-    for idx, (v, i) in enumerate(labels):
+    column = []
+    for (v, i), I in zip(labels, injs):
         c = counters.get((v, i), 0)
         counters[(v, i)] = c + 1
-        I = injs[idx]
         # socle coordinate of I: the e_v functional at (level i, vertex v)
         soc_idx = next(j for j, p in enumerate(I.levels[i].path_basis[v])
                        if not p.arrows)
         comp = Mat.zeros(I.levels[i].dims[v], S.dims(i, v), f)
         comp.data[soc_idx][c] = f.one
-        g = _single_component_rmap(S, I, i, v, comp)
-        sigma = sigma + incls[idx].compose(g)
+        column.append([_single_component_rmap(S, I, i, v, comp)])
+    sigma = block_map(S, E, column)
     # extend sigma over M: find h in Hom(M, E) with h o sincl = sigma,
     # solved in Hom(S, E) coordinates
     space = hom_space(M, E)
@@ -235,12 +216,11 @@ def injective_envelope_with_data(M):
     mono = space.combine(sol.col(0))
     if not mono.is_mono():
         raise RuntimeError("injective envelope map is not injective")
-    return E, mono, labels, incls, prjs
+    return E, mono, labels
 
 
 def _single_component_rmap(S, I, i, v, comp):
     """RMap S -> I with a single nonzero component at (level i, vertex v)."""
-    from .replicated import RMap
     level_maps = []
     for lev in range(S.algebra.m + 1):
         comps = {}
@@ -308,21 +288,20 @@ def ext1_classes(X, Y):
     res = minimal_resolution(X)
     if res.length < 1:
         return []
-    K, incl = kernel(res.augmentation)
+    K, _, cover = res.syzygy
     space = hom_space(K, Y)
     if not space.basis:
         return []
-    f = X.algebra.field
-    # image of restriction Hom(P0, Y) -> Hom(K, Y), in Hom(K, Y) coordinates
-    dim0 = _hom_from_projectives_dim(res.summands[0], Y)
-    restrictions = []
-    for t in range(dim0):
-        coords = [f.zero] * dim0
-        coords[t] = f.one
-        restrictions.append(_map_from_tuple(res, 0, Y, coords).compose(incl))
-    try:
-        img = space.matrix(restrictions)
-    except ValueError:
+    # h -> h o cover embeds Hom(K, Y) in Hom(P_1, Y), and there the
+    # restrictions of Hom(P_0, Y) to K are the image of d_1: solving gives
+    # that image in Hom(K, Y) coordinates
+    gens = _at_generators(cover, res.summands[1])
+    embed = Mat.hstack(
+        [Mat.vstack([h.component(i, v) * x
+                     for (v, i), x in zip(res.summands[1], gens)])
+         for h in space.basis], field=X.algebra.field)
+    img = solve_matrix(embed, _ext_differential(res, 1, Y))
+    if img is None:
         raise RuntimeError("restriction left Hom(K, Y)")
     _, sect = quotient_basis(len(space.basis), column_space(img))
     return [space.combine(sect.col(c)) for c in range(sect.cols)]
@@ -333,24 +312,16 @@ def realize_extension(X, Y, h):
     h: syzygy(X) -> Y.  Returns (E, incl_Y, proj_X)."""
     res = minimal_resolution(X)
     P0 = res.modules[0]
-    K, incl = kernel(res.augmentation)
+    K, incl = res.syzygy[:2] if res.syzygy else kernel(res.augmentation)
     alg = X.algebra
-    S, incls, prjs = direct_sum(alg, [P0, Y])
-    t_map = incls[0].compose(incl) - incls[1].compose(h)
-    E, eproj = cokernel(t_map)
-    iY = eproj.compose(incls[1])
+    S, _, _ = direct_sum(alg, [P0, Y])
+    E, eproj = cokernel(block_map(K, S, [[incl], [h.scale(-1)]]))
+    iY = blocks(eproj)[0][1]
     # the augmentation P0 (+) Y -> X (zero on Y) factors through E
-    g = res.augmentation.compose(prjs[0])
-    comps = []
-    for i in range(alg.m + 1):
-        amap_comps = {}
-        for v in alg.quiver.vertices:
-            sol = solve_matrix(eproj.component(i, v).transpose(),
-                               g.component(i, v).transpose())
-            if sol is None:
-                raise RuntimeError("extension projection does not factor")
-            amap_comps[v] = sol.transpose()
-        comps.append(AMap(E.levels[i], X.levels[i], amap_comps, check=False))
-    from .replicated import RMap
-    pX = RMap(E, X, comps, check=False)
+    g = block_map(S, X, [[res.augmentation, zero_rmap(Y, X)]])
+    pX = RMap(E, X, [AMap(E.levels[i], X.levels[i],
+                          factor_through_epi(eproj.level_maps[i].components,
+                                             g.level_maps[i].components),
+                          check=False)
+                     for i in range(alg.m + 1)], check=False)
     return E, iY, pX

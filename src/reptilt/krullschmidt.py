@@ -17,8 +17,9 @@ import sympy
 
 from .field import QQ
 from .linalg import Mat, kernel_basis
-from .replicated import (cotuple_map, direct_sum, hom_basis_r, hom_space,
-                         identity_rmap, image_subspaces, submodule, zero_rmap)
+from .replicated import (block_map, blocks, direct_sum, hom_basis_r, hom_space,
+                         identity_rmap, image_subspaces, kernel_subspaces,
+                         submodule, zero_rmap)
 
 SPLIT_TRIALS = 20
 SPLIT_SEED = 987654321
@@ -36,20 +37,15 @@ def _power(f, n):
     return result if result is not None else identity_rmap(f.source)
 
 
-def _kernel_subspaces(f):
-    alg = f.source.algebra
-    return {(i, v): kernel_basis(f.component(i, v))
-            for i in range(alg.m + 1) for v in alg.quiver.vertices}
-
-
 def _fitting_split(M, f):
     """Fitting decomposition M = ker(f^N) (+) im(f^N); None when trivial."""
     n = M.total_dim
     fn = _power(f, n if n else 1)
-    kdim = sum(s.dim for s in _kernel_subspaces(fn).values())
+    ker = kernel_subspaces(fn)
+    kdim = sum(s.dim for s in ker.values())
     if kdim == 0 or kdim == M.total_dim:
         return None
-    A, ia = submodule(M, _kernel_subspaces(fn))
+    A, ia = submodule(M, ker)
     B, ib = submodule(M, image_subspaces(fn))
     return [(A, ia), (B, ib)]
 
@@ -101,10 +97,11 @@ def _minpoly_split(M, f):
     parts = []
     for g, mult in factors:
         gf = _eval_poly(M, f, sympy.Poly(g ** mult, poly.gen))
-        kdim = sum(s.dim for s in _kernel_subspaces(gf).values())
+        ker = kernel_subspaces(gf)
+        kdim = sum(s.dim for s in ker.values())
         if kdim == 0 or kdim == M.total_dim:
             return None
-        parts.append(submodule(M, _kernel_subspaces(gf)))
+        parts.append(submodule(M, ker))
     return parts
 
 
@@ -208,8 +205,14 @@ def decompose_with_inclusions(M):
         _certify_indecomposable(M)
         out = [(M, identity_rmap(M))]
     else:
-        out = [(sub, incl.compose(subincl)) for part, incl in split
-               for sub, subincl in decompose_with_inclusions(part)]
+        out = []
+        for part, incl in split:
+            subs = decompose_with_inclusions(part)
+            if len(subs) == 1 and subs[0][0] is part:
+                out.append((part, incl))    # a leaf: incl o identity = incl
+            else:
+                out.extend((sub, incl.compose(subincl))
+                           for sub, subincl in subs)
     M.cache["decomposition"] = out
     return out
 
@@ -219,15 +222,16 @@ def decompose_with_maps(M):
     pairs = decompose_with_inclusions(M)
     parts = [p for p, _ in pairs]
     incls = [incl for _, incl in pairs]
-    S, _, sprojs = direct_sum(M.algebra, parts)
-    iso = cotuple_map(incls, S, sprojs)
+    S, _, _ = direct_sum(M.algebra, parts)
+    iso = block_map(S, M, [incls])
     if not iso.is_iso():
         raise RuntimeError("decomposition does not reassemble to the module")
     back = hom_space(M, S)
     sol = hom_space(M, M).solve([iso.compose(h) for h in back.basis],
                                 [identity_rmap(M)])
     inv = back.combine(sol.col(0))
-    return parts, incls, [sp.compose(inv) for sp in sprojs]
+    return parts, incls, [block_map(M, part, [row])
+                          for part, row in zip(parts, blocks(inv))]
 
 
 def is_isomorphic(M, N):

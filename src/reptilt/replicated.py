@@ -310,20 +310,33 @@ def regular_module(alg):
 
 # -- direct sums ------------------------------------------------------
 
-def _induced_connector_from_epi(t_epi_amaps, values, target_level):
-    """Solve phi with phi o g = value where g (per vertex) is surjective
-    onto the dual-tensor of the new level."""
-    comps = {}
-    quiver = target_level.quiver
-    for v in quiver.vertices:
-        g = t_epi_amaps.components[v]
-        val = values.components[v]
-        # phi * g = val  <=>  g^T phi^T = val^T
-        sol = solve_matrix(g.transpose(), val.transpose())
+def factor_through_epi(epi, value):
+    """{v: phi_v} with phi_v * epi[v] == value[v] at every vertex v, where
+    ``epi`` and ``value`` are {vertex: Mat} and each epi[v] is surjective:
+    solved per vertex as epi^T phi^T = value^T.  Raises ValueError when
+    ``value`` does not factor."""
+    out = {}
+    for v, g in epi.items():
+        sol = solve_matrix(g.transpose(), value[v].transpose())
         if sol is None:
-            raise ValueError("induced connector does not exist")
-        comps[v] = sol.transpose()
-    return comps
+            raise ValueError("map does not factor through the epimorphism")
+        out[v] = sol.transpose()
+    return out
+
+
+def summands_of(M):
+    """The modules M was built from by ``direct_sum``, or [M]."""
+    recorded = M.cache.get("summands")
+    return [part for part, _ in recorded] if recorded else [M]
+
+
+def summand_offsets(mods, i, v):
+    """Where each of ``mods`` starts in their direct sum at (level i,
+    vertex v), followed by the total dimension there."""
+    out = [0]
+    for M in mods:
+        out.append(out[-1] + M.levels[i].dims[v])
+    return out
 
 
 def direct_sum(alg, mods):
@@ -351,20 +364,19 @@ def direct_sum(alg, mods):
     incl_comps = [[] for _ in mods]
     proj_comps = [[] for _ in mods]
     for i in range(alg.m + 1):
-        offs = {v: 0 for v in quiver.vertices}
+        cuts = {v: summand_offsets(mods, i, v) for v in quiver.vertices}
         for k, M in enumerate(mods):
             ic, pc = {}, {}
             for v in quiver.vertices:
                 d = M.levels[i].dims[v]
                 D = levels[i].dims[v]
-                o = offs[v]
+                o = cuts[v][k]
                 inc = Mat.zeros(D, d, f)
                 prj = Mat.zeros(d, D, f)
                 for t in range(d):
                     inc.data[o + t][t] = f.one
                     prj.data[t][o + t] = f.one
                 ic[v], pc[v] = inc, prj
-                offs[v] += d
             incl_comps[k].append(AMap(M.levels[i], levels[i], ic, check=False))
             proj_comps[k].append(AMap(levels[i], M.levels[i], pc, check=False))
     # connectors: determined by commuting with the level inclusions
@@ -378,12 +390,7 @@ def direct_sum(alg, mods):
             [incl_comps[k][j].components[v] * mods[k].connectors[j].components[v]
              for k in range(len(mods))], field=f)
             for v in quiver.vertices}
-        comps = {}
-        for v in quiver.vertices:
-            sol = solve_matrix(gen[v].transpose(), val[v].transpose())
-            if sol is None:
-                raise ValueError("direct sum connector construction failed")
-            comps[v] = sol.transpose()
+        comps = factor_through_epi(gen, val)
         conns.append(AMap(dtS.rep, levels[j], comps, check=False))
     S = RModule(alg, levels, conns, check=False)
     incls = [RMap(mods[k], S, incl_comps[k], check=False) for k in range(len(mods))]
@@ -392,23 +399,62 @@ def direct_sum(alg, mods):
     return S, incls, projs
 
 
-def tuple_map(maps_to_summands, sum_module, inclusions):
-    """The map M -> (+) T_k with the given components."""
-    total = zero_rmap(maps_to_summands[0].source, sum_module)
-    for f, inc in zip(maps_to_summands, inclusions):
-        total = total + inc.compose(f)
-    return total
+def block_map(source, target, blocks):
+    """The map (+)_l T_l -> (+)_k U_k with block (k, l) blocks[k][l]: T_l ->
+    U_k, laid out as ``direct_sum`` lays out the sums.  The layout is read
+    off the blocks (the targets of a row, the sources of a column), so a
+    recorded sum may stand as one block."""
+    alg = source.algebra
+    level_maps = []
+    for i in range(alg.m + 1):
+        comps = {}
+        for v in alg.quiver.vertices:
+            data = []
+            for row in blocks:
+                mats = [b.component(i, v) for b in row]
+                data.extend(sum((m.data[r] for m in mats), [])
+                            for r in range(mats[0].rows))
+            comps[v] = Mat(target.levels[i].dims[v], source.levels[i].dims[v],
+                           data, alg.field)
+        level_maps.append(AMap(source.levels[i], target.levels[i], comps,
+                               check=False))
+    return RMap(source, target, level_maps, check=False)
 
 
-def cotuple_map(maps_from_summands, sum_module, projections):
-    """The map (+) T_k -> M with the given components."""
-    total = zero_rmap(sum_module, maps_from_summands[0].target)
-    for f, prj in zip(maps_from_summands, projections):
-        total = total + f.compose(prj)
-    return total
+def blocks(f):
+    """The blocks f[k][l]: T_l -> U_k of f along ``summands_of(f.source)``
+    (the T_l) and ``summands_of(f.target)`` (the U_k)."""
+    alg = f.source.algebra
+    rows, cols = summands_of(f.target), summands_of(f.source)
+    cuts = {(i, v): (summand_offsets(rows, i, v), summand_offsets(cols, i, v))
+            for i in range(alg.m + 1) for v in alg.quiver.vertices}
+
+    def block(k, l):
+        level_maps = []
+        for i in range(alg.m + 1):
+            comps = {}
+            for v in alg.quiver.vertices:
+                ro, co = cuts[(i, v)]
+                comps[v] = Mat(ro[k + 1] - ro[k], co[l + 1] - co[l],
+                               [row[co[l]:co[l + 1]] for row in
+                                f.component(i, v).data[ro[k]:ro[k + 1]]],
+                               alg.field)
+            level_maps.append(AMap(cols[l].levels[i], rows[k].levels[i], comps,
+                                   check=False))
+        return RMap(cols[l], rows[k], level_maps, check=False)
+
+    return [[block(k, l) for l in range(len(cols))] for k in range(len(rows))]
 
 
 # -- sub and quotient modules ----------------------------------------
+
+def _all_subspaces(M, subspaces):
+    """``subspaces``, with the zero subspace at each missing (level, vertex)."""
+    alg = M.algebra
+    return {(i, v): subspaces.get((i, v)) or column_space(
+                Mat.zeros(M.levels[i].dims[v], 0, alg.field))
+            for i in range(alg.m + 1) for v in alg.quiver.vertices}
+
 
 def submodule(M, subspaces):
     """Submodule spanned by vertex-level subspaces (must be closed under
@@ -416,13 +462,7 @@ def submodule(M, subspaces):
     alg = M.algebra
     quiver = alg.quiver
     f = alg.field
-    subs = {}
-    for i in range(alg.m + 1):
-        for v in quiver.vertices:
-            s = subspaces.get((i, v))
-            if s is None:
-                s = column_space(Mat.zeros(M.levels[i].dims[v], 0, f))
-            subs[(i, v)] = s
+    subs = _all_subspaces(M, subspaces)
     levels = []
     incl_amaps = []
     for i in range(alg.m + 1):
@@ -461,13 +501,7 @@ def quotient_module(M, subspaces):
     alg = M.algebra
     quiver = alg.quiver
     f = alg.field
-    subs = {}
-    for i in range(alg.m + 1):
-        for v in quiver.vertices:
-            s = subspaces.get((i, v))
-            if s is None:
-                s = column_space(Mat.zeros(M.levels[i].dims[v], 0, f))
-            subs[(i, v)] = s
+    subs = _all_subspaces(M, subspaces)
     proj_mats = {}
     sect_mats = {}
     for i in range(alg.m + 1):
@@ -494,7 +528,7 @@ def quotient_module(M, subspaces):
         dtQ = dual_tensor_data(levels[j + 1])
         t_proj = dual_tensor_map(proj_amaps[j + 1])
         val = proj_amaps[j].compose(M.connectors[j])
-        comps = _induced_connector_from_epi(t_proj, val, levels[j])
+        comps = factor_through_epi(t_proj.components, val.components)
         conns.append(AMap(dtQ.rep, levels[j], comps, check=False))
     Q = RModule(alg, levels, conns, check=False)
     return Q, RMap(M, Q, proj_amaps, check=False)
@@ -502,10 +536,13 @@ def quotient_module(M, subspaces):
 
 def kernel(f):
     """Kernel of an RMap.  Returns (K, inclusion)."""
-    subs = {(i, v): kernel_basis(f.component(i, v))
+    return submodule(f.source, kernel_subspaces(f))
+
+
+def kernel_subspaces(f):
+    return {(i, v): kernel_basis(f.component(i, v))
             for i in range(f.source.algebra.m + 1)
             for v in f.source.algebra.quiver.vertices}
-    return submodule(f.source, subs)
 
 
 def image_subspaces(f):
@@ -539,10 +576,7 @@ def radical(M):
             if i < alg.m:
                 pieces.append(M.connectors[i].components[w])
             if pieces:
-                stacked = Mat.hstack(pieces, field=f) if pieces else None
-                subs[(i, w)] = column_space(stacked)
-            else:
-                subs[(i, w)] = column_space(Mat.zeros(M.levels[i].dims[w], 0, f))
+                subs[(i, w)] = column_space(Mat.hstack(pieces, field=f))
     return submodule(M, subs)
 
 
@@ -554,26 +588,17 @@ def socle(M):
     f = alg.field
     subs = {}
     for i in range(alg.m + 1):
-        dt = dual_tensor_data(M.levels[i]) if i >= 1 else None
         for w in quiver.vertices:
-            d = M.levels[i].dims[w]
             rows = [M.levels[i].maps[a.name] for a in quiver.arrows_from(w)]
             if i >= 1:
-                conn = M.connectors[i - 1]
-                for p in quiver.paths_into(w):
-                    # columns: x -> phi_i(class of p* (x) x)
-                    cols = []
-                    for j in range(d):
-                        e = [f.zero] * d
-                        e[j] = f.one
-                        cols.append(conn.components[p.source]
-                                    * dt.class_of(p.source, p, e))
-                    if cols:
-                        rows.append(Mat.hstack(cols, field=f))
+                # x -> phi_i(class of p* (x) x) for each path p into w: the
+                # action of P(w, i) on x down at level i - 1
+                rows += [a for u in quiver.vertices
+                         for a in generator_action(M, w, i, i - 1, u)]
             if rows:
                 subs[(i, w)] = kernel_basis(Mat.vstack(rows, field=f))
             else:
-                subs[(i, w)] = column_space(Mat.identity(d, f))
+                subs[(i, w)] = column_space(Mat.identity(M.dims(i, w), f))
     return submodule(M, subs)
 
 
@@ -776,35 +801,46 @@ def hom_dim(M, N):
 
 # -- maps out of projectives -----------------------------------------
 
+def generator_action(M, v, i, lev, w):
+    """The matrices A_b, one per basis vector b of P(v, i) at (lev, w), with
+    A_b * x == g_x(b) for g_x: P(v, i) -> M the map sending the canonical
+    generator to x in M at (i, v).  Memoized in ``M.cache["action"]``."""
+    memo = M.cache.setdefault("action", {})
+    key = (v, i, lev, w)
+    if key not in memo:
+        alg = M.algebra
+        if lev == i:
+            # the paths from v to w act on x through the arrow maps
+            memo[key] = [M.levels[i].path_action(p)
+                         for p in alg.base_projective(v).path_basis[w]]
+        elif lev == i - 1:
+            # the functional r* pairs with x in DA (x) M_i, then the
+            # connector takes the class down to level i - 1
+            dt = dual_tensor_data(M.levels[i])
+            idx = dt.amb_index[w]
+            conn = M.connectors[i - 1].components[w]
+            memo[key] = [conn * dt.proj[w].submatrix_cols(
+                             [idx[(r, t)] for t in range(M.levels[i].dims[v])])
+                         for r in alg.base_injective(v).path_basis[w]]
+        else:
+            memo[key] = []
+    return memo[key]
+
+
 def map_from_projective(alg, v, i, M, x):
     """The module map P(v, i) -> M sending the canonical generator to the
     element with coordinates ``x`` in M at level i, vertex v."""
     P = projective(alg, v, i)
-    quiver = alg.quiver
-    f = alg.field
-    xcol = x if isinstance(x, Mat) else Mat.column(x, f)
+    xcol = x if isinstance(x, Mat) else Mat.column(x, alg.field)
     if xcol.rows != M.levels[i].dims[v]:
         raise ValueError("generator image has wrong dimension")
     level_maps = []
     for lev in range(alg.m + 1):
         comps = {}
-        if lev == i:
-            Pv = alg.base_projective(v)
-            for w in quiver.vertices:
-                cols = [M.levels[i].path_action(p) * xcol
-                        for p in Pv.path_basis[w]]
-                comps[w] = (Mat.hstack(cols, field=f) if cols
-                            else Mat.zeros(M.levels[i].dims[w], 0, f))
-        elif lev == i - 1 and i >= 1:
-            Iv = alg.base_injective(v)
-            dt = dual_tensor_data(M.levels[i])
-            conn = M.connectors[i - 1]
-            for w in quiver.vertices:
-                cols = [conn.components[w]
-                        * dt.class_of(w, r, xcol.col(0))
-                        for r in Iv.path_basis[w]]
-                comps[w] = (Mat.hstack(cols, field=f) if cols
-                            else Mat.zeros(M.levels[i - 1].dims[w], 0, f))
+        for w in alg.quiver.vertices:
+            acts = generator_action(M, v, i, lev, w)
+            if acts:
+                comps[w] = Mat.hstack([a * xcol for a in acts], field=alg.field)
         level_maps.append(AMap(P.levels[lev], M.levels[lev],
                                comps, check=False))
     return RMap(P, M, level_maps, check=False)

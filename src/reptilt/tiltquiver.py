@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import json
 
-from .homological import ext, pd
 from .krullschmidt import is_indecomposable, is_isomorphic
 from .replicated import direct_sum
-from .tilting import (TiltingRecord, _down_step, _up_step, certify_tilting,
-                      is_tilting)
+from .tilting import (TiltingRecord, _down_step, _ext_orthogonal, _up_step,
+                      certify_tilting, is_tilting)
 
 
 class Registry:
@@ -162,17 +161,13 @@ def exhaustive_tilting_oracle(alg, nodes=None):
     if nodes is None:
         nodes = enumerate_indecomposables(alg)
     n = len(nodes)
-    self_ok = [all(ext(i, X, X) == 0 for i in range(1, pd(X) + 1))
-               for X in nodes]
+    self_ok = [_ext_orthogonal(X, X) for X in nodes]
     compat = {}
 
     def ok(a, b):
         if (a, b) not in compat:
-            compat[(a, b)] = all(
-                ext(i, nodes[a], nodes[b]) == 0
-                for i in range(1, pd(nodes[a]) + 1)) and all(
-                ext(i, nodes[b], nodes[a]) == 0
-                for i in range(1, pd(nodes[b]) + 1))
+            compat[(a, b)] = (_ext_orthogonal(nodes[a], nodes[b])
+                              and _ext_orthogonal(nodes[b], nodes[a]))
         return compat[(a, b)]
 
     target = alg.delta

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ A2 = {
     "m": 1,
 }
 ONE_VERTEX = {"vertices": [1], "arrows": [], "m": 1}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -209,3 +211,4 @@ def test_verify_examples_passes(files):
     code, text = run(files, ["verify-examples"])
     assert code == 0
     assert "FAIL" not in text
+    assert text == (GOLDEN / "verify_examples.txt").read_text()

@@ -2,13 +2,17 @@ import pytest
 
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
-from reptilt.homological import (cosyzygy, ext, ext1_classes,
-                                 injective_envelope, is_radical_valued,
-                                 minimal_resolution, pd, projective_cover,
-                                 realize_extension, sigma_set, syzygy)
-from reptilt.replicated import (ReplicatedAlgebra, direct_sum, hom_dim,
-                                injective, projective, radical,
-                                regular_module, simple, zero_rmap)
+from reptilt.field import QQ, PrimeField
+from reptilt.homological import (_ext_differential, cosyzygy, ext,
+                                 ext1_classes, injective_envelope,
+                                 is_radical_valued, minimal_resolution, pd,
+                                 projective_cover, realize_extension,
+                                 sigma_set, syzygy)
+from reptilt.linalg import Mat, solve_matrix
+from reptilt.replicated import (ReplicatedAlgebra, block_map, direct_sum,
+                                hom_dim, injective, map_from_projective,
+                                projective, radical, regular_module, simple,
+                                summand_offsets, summands_of, zero_rmap)
 
 
 def dgrid(M):
@@ -209,3 +213,136 @@ def test_m2_a2_stays_below_bound():
            for v in alg.quiver.vertices for i in range(3)]
     assert max(pds) == 3
     assert pd(simple(alg, 1, 0)) == 0
+
+
+EULER_ALGEBRAS = {"kronecker-m1": (kronecker_quiver, 1),
+                  "a3-m1": (lambda: linear_quiver(3), 1),
+                  "a2-m2": (lambda: linear_quiver(2), 2)}
+
+
+def _euler_modules(alg):
+    """Sums of simples, injectives, projectives and a cosyzygy, spread over
+    the first and the last level."""
+    v, w = alg.quiver.vertices[0], alg.quiver.vertices[-1]
+    m = alg.m
+
+    def total(mods):
+        return direct_sum(alg, mods)[0]
+
+    omega = cosyzygy(simple(alg, w, 0))
+    return [total([simple(alg, v, 0), simple(alg, w, m)]),
+            total([injective(alg, v, 0), injective(alg, w, m)]),
+            omega,
+            total([omega, simple(alg, w, 0), projective(alg, v, m)]),
+            total([simple(alg, w, m - 1), injective(alg, v, m),
+                   projective(alg, w, 0)])]
+
+
+def _ext_table(alg):
+    mods = _euler_modules(alg)
+    return mods, [[ext(i, M, N) for i in range(pd(M) + 1)]
+                  for M in mods for N in mods]
+
+
+@pytest.mark.parametrize("name", list(EULER_ALGEBRAS))
+def test_euler_form_matches_cartan_matrix(name):
+    quiver, m = EULER_ALGEBRAS[name]
+    alg = ReplicatedAlgebra(quiver(), m)
+    labels = all_vertex_levels(alg)
+
+    def dim(M):
+        return [M.dims(i, v) for v, i in labels]
+
+    # row a is dim P(labels[a]): this is C^T, and <P(a), N> = dim N at a
+    # makes the Euler form dim(M)^T C^-T dim(N)
+    n = len(labels)
+    inv = solve_matrix(Mat.from_rows([dim(projective(alg, v, i))
+                                      for v, i in labels]),
+                       Mat.identity(n)).data
+    mods, table = _ext_table(alg)
+    pairs = [(M, N) for M in mods for N in mods]
+    nonzero_higher = 0
+    for (M, N), exts in zip(pairs, table):
+        dm, dn = dim(M), dim(N)
+        form = sum(dm[a] * inv[a][b] * dn[b]
+                   for a in range(n) for b in range(n))
+        assert sum((-1) ** i * e for i, e in enumerate(exts)) == form
+        nonzero_higher += any(exts[1:])
+    assert max(pd(M) for M in mods) >= 2
+    assert nonzero_higher >= 3
+
+
+def _ext_by_dimension_shift(i, M, N):
+    """dim Ext^i(M, N) from Hom dimensions alone: Ext^i(M, N) = Ext^1(L, N)
+    for L the (i-1)-th syzygy, and 0 -> Hom(L, N) -> Hom(P, N) ->
+    Hom(syzygy L, N) -> Ext^1(L, N) -> 0 is exact for P the cover of L."""
+    L = M
+    for _ in range(i - 1):
+        L = syzygy(L)
+    if L.is_zero():
+        return 0
+    P, _ = projective_cover(L)
+    return hom_dim(syzygy(L), N) - hom_dim(P, N) + hom_dim(L, N)
+
+
+@pytest.mark.parametrize("name", list(EULER_ALGEBRAS))
+def test_ext_table_matches_dimension_shift(name):
+    # the Euler form cannot see the Ext differentials (the alternating sum
+    # telescopes to that of dim Hom(P_i, N)); this check can
+    quiver, m = EULER_ALGEBRAS[name]
+    mods, table = _ext_table(ReplicatedAlgebra(quiver(), m))
+    pairs = [(M, N) for M in mods for N in mods]
+    for (M, N), exts in zip(pairs, table):
+        assert exts[0] == hom_dim(M, N)
+        assert exts[1:] == [_ext_by_dimension_shift(i, M, N)
+                            for i in range(1, len(exts))]
+
+
+def _ext_differential_by_composition(res, k, N):
+    """The reference for _ext_differential: for each unit vector of the
+    generator coordinates of Hom(P_{k-1}, N), build that map P_{k-1} -> N,
+    compose it with d_k and read the result at the generators of P_k."""
+    alg = N.algebra
+    src, tgt = res.summands[k - 1], res.summands[k]
+    sizes = [N.dims(j, w) for (w, j) in src]
+    parts = summands_of(res.modules[k])
+    cols = []
+    for c, size in enumerate(sizes):
+        for t in range(size):
+            row = []
+            for c2, (w, j) in enumerate(src):
+                x = [alg.field.zero] * sizes[c2]
+                if c2 == c:
+                    x[t] = alg.field.one
+                row.append(map_from_projective(alg, w, j, N, x))
+            g = block_map(res.modules[k - 1], N, [row])
+            comp = g.compose(res.maps[k - 1])
+            cols.append([e for l, (v, i) in enumerate(tgt)
+                         for e in comp.component(i, v).col(
+                             summand_offsets(parts, i, v)[l])])
+    return Mat(len(cols[0]), len(cols),
+               [list(r) for r in zip(*cols)], alg.field) if cols else None
+
+
+@pytest.mark.parametrize("name", list(EULER_ALGEBRAS))
+def test_ext_differential_matches_composition(name):
+    quiver, m = EULER_ALGEBRAS[name]
+    mods = _euler_modules(ReplicatedAlgebra(quiver(), m))
+    checked = 0
+    for M in mods:
+        res = minimal_resolution(M)
+        for N in mods:
+            for k in range(1, res.length + 1):
+                want = _ext_differential_by_composition(res, k, N)
+                if want is not None and want.rows:
+                    assert _ext_differential(res, k, N) == want
+                    checked += not want.is_zero()
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("name", list(EULER_ALGEBRAS))
+def test_ext_table_over_fp101_equals_qq(name):
+    quiver, m = EULER_ALGEBRAS[name]
+    _, over_q = _ext_table(ReplicatedAlgebra(quiver(), m, QQ))
+    _, over_p = _ext_table(ReplicatedAlgebra(quiver(), m, PrimeField(101)))
+    assert over_p == over_q

@@ -7,12 +7,13 @@ from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
 from reptilt.field import QQ, PrimeField
 from reptilt.hereditary import AMap, hom_basis as base_hom_basis
 from reptilt.linalg import Mat
-from reptilt.replicated import (RMap, ReplicatedAlgebra, cokernel, direct_sum,
-                                embed_level, hom_basis_r, hom_space, injective,
-                                kernel, map_from_projective, projective,
-                                radical, regular_module, rmap_vector,
-                                rmodule_from_json, rmodule_to_json, simple,
-                                socle, top, zero_rmap)
+from reptilt.homological import minimal_resolution
+from reptilt.replicated import (RMap, ReplicatedAlgebra, block_map, blocks,
+                                cokernel, direct_sum, embed_level, hom_basis_r,
+                                hom_space, identity_rmap, injective, kernel,
+                                map_from_projective, projective, radical,
+                                regular_module, rmap_vector, rmodule_from_json,
+                                rmodule_to_json, simple, socle, top, zero_rmap)
 
 
 def dgrid(M):
@@ -236,3 +237,77 @@ def test_hom_space_coords_refuse_non_module_maps(field):
         bad.validate()
     with pytest.raises(ValueError):
         hom_space(P, P).coords(bad)
+
+
+def _compose_reference(grid, S, incls, T, projs):
+    """sum_kl incls[k] o grid[k][l] o projs[l], the assembly through the
+    direct-sum inclusions and projections that block_map replaces."""
+    total = zero_rmap(S, T)
+    for k, row in enumerate(grid):
+        for l, g in enumerate(row):
+            total = total + incls[k].compose(g).compose(projs[l])
+    return total
+
+
+def _random_map(M, N, rng):
+    space = hom_space(M, N)
+    return space.combine([rng.randint(-3, 3) for _ in space.basis])
+
+
+@pytest.mark.parametrize("quiver", [kronecker_quiver, lambda: linear_quiver(3)],
+                         ids=["kronecker", "A3"])
+def test_block_map_matches_inclusion_projection_sums(quiver):
+    alg = duplicated(quiver())
+    mods = _fixture_modules(alg)
+    rng = random.Random(11)
+    nonzero = 0
+    for _ in range(12):
+        cols = [rng.choice(mods) for _ in range(rng.randint(1, 3))]
+        rows = [rng.choice(mods) for _ in range(rng.randint(1, 3))]
+        S, _, projs = direct_sum(alg, cols)
+        T, incls, _ = direct_sum(alg, rows)
+        grid = [[_random_map(X, Y, rng) for X in cols] for Y in rows]
+        f = block_map(S, T, grid)
+        f.validate()
+        assert rmap_vector(f) == rmap_vector(
+            _compose_reference(grid, S, incls, T, projs))
+        got = blocks(f)
+        assert [[rmap_vector(g) for g in row] for row in got] == \
+            [[rmap_vector(g) for g in row] for row in grid]
+        assert all(g.source is X and g.target is Y
+                   for Y, row in zip(rows, got) for X, g in zip(cols, row))
+        nonzero += not f.is_zero()
+    assert nonzero >= 6
+
+
+def test_block_map_takes_a_recorded_sum_as_one_block():
+    # the layout comes from the blocks: the regular module, itself a
+    # recorded sum, stands as the one source block of a left approximation
+    alg = duplicated(kronecker_quiver())
+    reg = regular_module(alg)
+    targets = [injective(alg, 1, 1), simple(alg, 2, 1), projective(alg, 2, 0)]
+    rng = random.Random(5)
+    grid = [[_random_map(reg, Y, rng)] for Y in targets]
+    T, incls, _ = direct_sum(alg, targets)
+    f = block_map(reg, T, grid)
+    f.validate()
+    ref = _compose_reference(grid, reg, incls, T, [identity_rmap(reg)])
+    assert rmap_vector(f) == rmap_vector(ref)
+    assert not f.is_zero()
+
+
+@pytest.mark.parametrize("quiver", [kronecker_quiver, lambda: linear_quiver(3)],
+                         ids=["kronecker", "A3"])
+def test_blocks_reassemble_resolution_differentials(quiver):
+    alg = duplicated(quiver())
+    seen = 0
+    for v in alg.quiver.vertices:
+        for i in range(alg.m + 1):
+            for d in minimal_resolution(simple(alg, v, i)).maps:
+                grid = blocks(d)
+                assert len(grid) == len(d.target.cache["summands"])
+                assert len(grid[0]) == len(d.source.cache["summands"])
+                again = block_map(d.source, d.target, grid)
+                assert rmap_vector(again) == rmap_vector(d)
+                seen += 1
+    assert seen >= 4
