@@ -1,5 +1,8 @@
 """Minimal right and left add(T)-approximations, and the generation /
-cogeneration tests built on them."""
+cogeneration tests built on them.
+
+add(T) is given by ``parts``, the basic summands of T: pairwise
+non-isomorphic indecomposables, as ``basic_summands(T)`` returns them."""
 
 from __future__ import annotations
 
@@ -49,10 +52,10 @@ def _left_factor_maps(cand, rest):
                                       for b in hom_basis_r(Tl, Tc)]
 
 
-def right_approximation(M, T):
-    """Minimal right add(T)-approximation of M."""
+def right_approximation(M, parts):
+    """Minimal right add(T)-approximation of M, T = (+) parts."""
     alg = M.algebra
-    pairs = [(Tj, f) for Tj in basic_summands(T) for f in hom_basis_r(Tj, M)]
+    pairs = [(Tj, f) for Tj in parts for f in hom_basis_r(Tj, M)]
     pairs = _strip_redundant(pairs, _right_factor_maps)
     if not pairs:
         Z = zero_module(alg)
@@ -63,10 +66,10 @@ def right_approximation(M, T):
     return ApproxResult(total, mods)
 
 
-def left_approximation(M, T):
-    """Minimal left add(T)-approximation of M."""
+def left_approximation(M, parts):
+    """Minimal left add(T)-approximation of M, T = (+) parts."""
     alg = M.algebra
-    pairs = [(Tj, f) for Tj in basic_summands(T) for f in hom_basis_r(M, Tj)]
+    pairs = [(Tj, f) for Tj in parts for f in hom_basis_r(M, Tj)]
     pairs = _strip_redundant(pairs, _left_factor_maps)
     if not pairs:
         Z = zero_module(alg)
@@ -81,11 +84,11 @@ def is_generated_by(M, T):
     """True when M is a quotient of a module in add(T)."""
     if M.is_zero():
         return True
-    return right_approximation(M, T).map.is_epi()
+    return right_approximation(M, basic_summands(T)).map.is_epi()
 
 
 def is_cogenerated_by(M, T):
     """True when M embeds into a module in add(T)."""
     if M.is_zero():
         return True
-    return left_approximation(M, T).map.is_mono()
+    return left_approximation(M, basic_summands(T)).map.is_mono()

@@ -161,24 +161,24 @@ def _dump(args, data):
 
 def cmd_check_tilting(args):
     from .homological import pd
-    from .krullschmidt import basic_summands, delta_count
-    from .tilting import coresolution, is_partial_tilting
+    from .krullschmidt import basic_summands
+    from .tilting import certify, is_partial_tilting
     alg = load_algebra(args.algebra, load_field(args.field))
     M = load_module(alg, args.module)
+    parts = basic_summands(M)
     partial = is_partial_tilting(M)
-    delta = delta_count(M) if partial else None
-    cores = coresolution(M) if partial else None
-    verdict = bool(partial and delta == alg.delta)
+    # certify raises on a disagreement, so the coresolution agrees with it
+    verdict = certify(alg, parts) is not None
     pieces = None
     if partial:
         pieces = sorted(({"dim_grid": str(X.dim_grid()), "pd": pd(X)}
-                         for X in basic_summands(M)),
+                         for X in parts),
                         key=lambda p: (p["dim_grid"], p["pd"]))
     report = {
         "delta_required": alg.delta,
         "partial_tilting": partial,
-        "delta": delta,
-        "coresolution_certificate": cores is not None,
+        "delta": len(parts) if partial else None,
+        "coresolution_certificate": verdict,
         "pieces": pieces,
         "verdict": verdict,
     }

@@ -6,10 +6,10 @@ from __future__ import annotations
 from .hereditary import AMap
 from .linalg import Mat, column_space, quotient_basis, rank, solve_matrix
 from .replicated import (RMap, block_map, blocks, cokernel, direct_sum,
-                         factor_through_epi, generator_action, hom_basis_r,
-                         hom_space, injective, kernel, map_from_projective,
-                         projective, radical, regular_module, socle,
-                         summand_offsets, summands_of, top, zero_rmap)
+                         factor_through_epi, generator_action, hom_space,
+                         injective, kernel, map_from_projective, projective,
+                         radical, regular_module, socle, summand_offsets,
+                         summands_of, top, zero_rmap)
 
 
 class Resolution:
@@ -143,24 +143,31 @@ def _ext_differential(res, k, N):
 
 
 def ext(i, M, N):
-    """dim Ext^i(M, N), computed from a minimal projective resolution of M."""
+    """dim Ext^i(M, N), read off the table of ``_ext_table``."""
     if i < 0:
         raise ValueError("negative Ext degree")
-    if M.is_zero() or N.is_zero():
-        return 0
-    if i == 0:
-        return len(hom_basis_r(M, N))
-    res = minimal_resolution(M)
-    if i > res.length:
-        return 0
-    d_in = _ext_differential(res, i, N)          # Hom(P_{i-1}) -> Hom(P_i)
-    rk_in = rank(d_in)
-    if i < res.length:
-        d_out = _ext_differential(res, i + 1, N)  # Hom(P_i) -> Hom(P_{i+1})
-        dim_ker = d_out.cols - rank(d_out)
-    else:
-        dim_ker = d_in.rows
-    return dim_ker - rk_in
+    table = _ext_table(M, N)
+    return table[i] if i < len(table) else 0
+
+
+def _ext_table(M, N):
+    """[dim Ext^i(M, N) for i = 0..pd M] from a minimal projective
+    resolution of M, memoized on M per target module like the Hom memo.
+    With r_k the rank of g -> g o d_k (r_0 = r_{pd M + 1} = 0),
+    Ext^i = dim Hom(P_i, N) - r_i - r_{i+1}; each d_k is built once."""
+    memo = M.cache.setdefault("ext", {})
+    got = memo.get(id(N))
+    if got is not None and got[0] is N:
+        return got[1]
+    table = []
+    if not (M.is_zero() or N.is_zero()):
+        res = minimal_resolution(M)
+        r = [0] + [rank(_ext_differential(res, k, N))
+                   for k in range(1, res.length + 1)] + [0]
+        table = [sum(N.dims(j, v) for (v, j) in res.summands[i])
+                 - r[i] - r[i + 1] for i in range(res.length + 1)]
+    memo[id(N)] = (N, table)
+    return table
 
 
 def syzygy(M):
@@ -271,10 +278,10 @@ def is_faithful(M):
     """Faithfulness via the regular module embedding into a power of M:
     the minimal left add(M)-approximation of the algebra is injective."""
     from .approx import left_approximation
-    reg = regular_module(M.algebra)
+    from .krullschmidt import basic_summands
     if M.is_zero():
         return False
-    appr = left_approximation(reg, M)
+    appr = left_approximation(regular_module(M.algebra), basic_summands(M))
     return appr.map.is_mono()
 
 

@@ -16,13 +16,11 @@ SEARCH_LIMIT = 200
 
 
 class TiltingRecord:
-    """A certified tilting module with its basic summands and their pds."""
+    """A certified tilting module: its basic summands and their pds."""
 
-    def __init__(self, module, parts):
-        self.module = module
+    def __init__(self, algebra, parts):
+        self.algebra = algebra
         self.pieces = [(X, pd(X)) for X in parts]
-        self.certified_by = {"delta-criterion": True, "coresolution": True}
-        self.pd_max = max(p for _, p in self.pieces)
 
 
 class ComplementFan:
@@ -44,27 +42,28 @@ def _ext_orthogonal(X, Y):
     return True
 
 
-def is_partial_tilting(M):
-    """Self-orthogonality in all positive degrees (pd is always finite)."""
-    if M.is_zero():
-        return True
-    parts = basic_summands(M)
+def _self_orthogonal(parts):
     return all(_ext_orthogonal(X, Y) for X in parts for Y in parts)
 
 
-def coresolution(T):
-    """Iterated minimal left add(T)-approximations of the regular module.
+def is_partial_tilting(M):
+    """Self-orthogonality in all positive degrees (pd is always finite)."""
+    return M.is_zero() or _self_orthogonal(basic_summands(M))
+
+
+def coresolution(alg, parts):
+    """Iterated minimal left add(T)-approximations of the regular module,
+    T = (+) parts.
 
     Returns the list of add(T) terms when every step is injective and zero
     is reached within 2m+1 steps; None otherwise.
     """
-    alg = T.algebra
     current = regular_module(alg)
     terms = []
     for _ in range(2 * alg.m + 2):
         if current.is_zero():
             return terms
-        appr = left_approximation(current, T)
+        appr = left_approximation(current, parts)
         if not appr.map.is_mono():
             return None
         terms.append(appr.map.target)
@@ -72,27 +71,32 @@ def coresolution(T):
     return terms if current.is_zero() else None
 
 
-def is_tilting(M):
-    """Tilting test with dual certificates; disagreement is fatal."""
-    alg = M.algebra
-    partial = is_partial_tilting(M)
-    delta_ok = partial and delta_count(M) == alg.delta
-    cores = coresolution(M) if partial else None
-    cores_ok = partial and cores is not None
+def certify(alg, parts):
+    """The TiltingRecord of T = (+) parts, or None when T is not tilting;
+    ``parts`` are pairwise non-isomorphic indecomposables.  Both the delta
+    criterion and the coresolution certificate run on a partial tilting T,
+    and their disagreement is fatal."""
+    partial = _self_orthogonal(parts)
+    delta_ok = partial and len(parts) == alg.delta
+    cores_ok = partial and coresolution(alg, parts) is not None
     if delta_ok != cores_ok:
         raise RuntimeError(
             "certificate disagreement: delta criterion %s, coresolution %s"
             % (delta_ok, cores_ok))
-    return delta_ok
+    return TiltingRecord(alg, parts) if delta_ok else None
+
+
+def is_tilting(M):
+    """Tilting test with dual certificates; disagreement is fatal."""
+    return certify(M.algebra, basic_summands(M)) is not None
 
 
 def certify_tilting(M):
     """TiltingRecord for a tilting module (raises when M is not tilting)."""
-    if not is_tilting(M):
+    record = certify(M.algebra, basic_summands(M))
+    if record is None:
         raise ValueError("module is not tilting")
-    parts = basic_summands(M)
-    basic, _, _ = direct_sum(M.algebra, parts)
-    return TiltingRecord(basic, parts)
+    return record
 
 
 def bongartz_complete(M):
@@ -119,20 +123,19 @@ def bongartz_complete(M):
     return certify_tilting(total)
 
 
-def _is_complement(T_bar, X):
-    """X indecomposable, not in add(T_bar), and T_bar (+) X tilting."""
+def _is_complement(parts, X):
+    """X indecomposable, not in add(T_bar), and T_bar (+) X tilting, for
+    ``parts`` the basic summands of T_bar."""
     if X.is_zero() or not is_indecomposable(X):
         return False
-    if any(is_isomorphic(X, Y) for Y in basic_summands(T_bar)):
+    if any(is_isomorphic(X, Y) for Y in parts):
         return False
-    total, _, _ = direct_sum(T_bar.algebra, [T_bar, X])
-    return is_tilting(total)
+    return certify(X.algebra, parts + [X]) is not None
 
 
-def find_complement(T_bar, candidates=None):
+def find_complement(T_bar):
     """Seed complement search: projectives and injectives, then Bongartz
-    (pd <= 1), then a caller-provided candidate list, then a bounded
-    mutation search."""
+    (pd <= 1), then a bounded mutation search."""
     from .replicated import embed_level
     alg = T_bar.algebra
     existing = basic_summands(T_bar)
@@ -143,23 +146,16 @@ def find_complement(T_bar, candidates=None):
               for i in range(alg.m + 1) for v in alg.quiver.vertices
               for rep in (alg.base_projective(v), alg.base_injective(v))]
     for P in cheap:
-        if not any(is_isomorphic(P, Y) for Y in existing):
-            if _is_complement(T_bar, P):
-                return P
+        if _is_complement(existing, P):
+            return P
     if pd(T_bar) <= 1:
-        record = bongartz_complete(T_bar)
-        for X, _ in record.pieces:
-            if not any(is_isomorphic(X, Y) for Y in existing):
-                if _is_complement(T_bar, X):
-                    return X
-    if candidates:
-        for X in candidates:
-            if _is_complement(T_bar, X):
+        for X, _ in bongartz_complete(T_bar).pieces:
+            if _is_complement(existing, X):
                 return X
     return _mutation_seed_search(T_bar)
 
 
-def _mutation_seed_search(T_bar, limit=SEARCH_LIMIT):
+def _mutation_seed_search(T_bar):
     """Walk the tilting quiver from the regular module looking for a vertex
     that contains T_bar; justified by the connectivity of the quiver."""
     from .tiltquiver import explore
@@ -177,7 +173,7 @@ def _mutation_seed_search(T_bar, limit=SEARCH_LIMIT):
         return None
 
     graph = explore(certify_tilting(regular_module(alg)),
-                    max_vertices=limit)
+                    max_vertices=SEARCH_LIMIT)
     for record in graph.vertices:
         X = contains_t_bar(record)
         if X is not None:
@@ -185,10 +181,11 @@ def _mutation_seed_search(T_bar, limit=SEARCH_LIMIT):
     raise RuntimeError("no seed complement found within the search limit")
 
 
-def _down_step(T_bar, X):
+def _down_step(parts, X):
     """Kernel of the minimal right add(T_bar)-approximation of X, with the
-    exchange sequence 0 -> K -> B -> X -> 0; None when X is the bottom."""
-    appr = right_approximation(X, T_bar)
+    exchange sequence 0 -> K -> B -> X -> 0; None when X is the bottom.
+    ``parts`` are the basic summands of T_bar."""
+    appr = right_approximation(X, parts)
     if not appr.map.is_epi():
         return None
     K, incl = kernel(appr.map)
@@ -198,9 +195,9 @@ def _down_step(T_bar, X):
                "incl": incl, "proj": appr.map}
 
 
-def _up_step(T_bar, X):
+def _up_step(parts, X):
     """Cokernel of the minimal left add(T_bar)-approximation, dually."""
-    appr = left_approximation(X, T_bar)
+    appr = left_approximation(X, parts)
     if not appr.map.is_mono():
         return None
     C, proj = cokernel(appr.map)
@@ -210,30 +207,31 @@ def _up_step(T_bar, X):
                "incl": appr.map, "proj": proj}
 
 
-def complement_fan(T_bar, seed=None, candidates=None):
+def complement_fan(T_bar, seed=None):
     """All complements of an almost complete partial tilting module,
     reported bottom-up (cosyzygy order) with their projective dimensions."""
     alg = T_bar.algebra
     cached = T_bar.cache.get("fan")
     if cached is not None:
         return cached
-    if not is_partial_tilting(T_bar):
+    parts = basic_summands(T_bar)
+    if not _self_orthogonal(parts):
         raise ValueError("input is not partial tilting")
-    if delta_count(T_bar) != alg.delta - 1:
+    if len(parts) != alg.delta - 1:
         raise ValueError("input is not almost complete")
     if seed is None:
-        seed = find_complement(T_bar, candidates)
-    elif not _is_complement(T_bar, seed):
+        seed = find_complement(T_bar)
+    elif not _is_complement(parts, seed):
         raise ValueError("provided seed is not a complement")
     watchdog = 2 * alg.m + 3
     # walk down to the bottom complement
     bottom = seed
     for _ in range(watchdog):
-        step = _down_step(T_bar, bottom)
+        step = _down_step(parts, bottom)
         if step is None:
             break
         bottom = step[0]
-        if not _is_complement(T_bar, bottom):
+        if not _is_complement(parts, bottom):
             raise RuntimeError("down-walk produced a non-complement")
     else:
         raise RuntimeError("complement chain exceeded its length bound")
@@ -242,11 +240,11 @@ def complement_fan(T_bar, seed=None, candidates=None):
     witnesses = []
     X = bottom
     for _ in range(watchdog):
-        step = _up_step(T_bar, X)
+        step = _up_step(parts, X)
         if step is None:
             break
         X = step[0]
-        if not _is_complement(T_bar, X):
+        if not _is_complement(parts, X):
             raise RuntimeError("up-walk produced a non-complement")
         chain.append((X, pd(X)))
         witnesses.append(step[1])
@@ -258,8 +256,8 @@ def complement_fan(T_bar, seed=None, candidates=None):
     return fan
 
 
-def count_complements(T_bar, seed=None, candidates=None):
-    return len(complement_fan(T_bar, seed, candidates).complements)
+def count_complements(T_bar):
+    return len(complement_fan(T_bar).complements)
 
 
 def _module_is_projective(M):
@@ -289,13 +287,13 @@ def _base_rep_faithful(rep):
     return rank(m) == len(q.paths)
 
 
-def classify_duplicated(T_bar, seed=None, candidates=None):
+def classify_duplicated(T_bar):
     """Report for the m = 1 classification: fan shape, the envelope of the
     pd-2 complement, pd-3 existence, and level-0 faithfulness."""
     alg = T_bar.algebra
     if alg.m != 1:
         raise ValueError("classification applies to the duplicated case only")
-    fan = complement_fan(T_bar, seed, candidates)
+    fan = complement_fan(T_bar)
     pds = fan.pds
     report = {
         "pd_almost_complete": pd(T_bar),
@@ -350,10 +348,7 @@ def complete_partial_tilting(M, candidates=None):
 
     def extend(chosen, start):
         if len(chosen) == target:
-            total, _, _ = direct_sum(alg, chosen)
-            if is_tilting(total):
-                return chosen
-            return None
+            return certify(alg, chosen)
         for idx in range(start, len(pool)):
             X = pool[idx]
             if any(is_isomorphic(X, Y) for Y in chosen):
@@ -364,8 +359,7 @@ def complete_partial_tilting(M, candidates=None):
                     return got
         return None
 
-    got = extend(current, 0)
-    if got is None:
+    record = extend(current, 0)
+    if record is None:
         raise RuntimeError("no completion found among the candidates")
-    total, _, _ = direct_sum(alg, got)
-    return certify_tilting(total)
+    return record

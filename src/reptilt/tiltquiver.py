@@ -6,9 +6,8 @@ from __future__ import annotations
 import json
 
 from .krullschmidt import is_indecomposable, is_isomorphic
-from .replicated import direct_sum
-from .tilting import (TiltingRecord, _down_step, _ext_orthogonal, _up_step,
-                      certify_tilting, is_tilting)
+from .tilting import (_down_step, _ext_orthogonal, _up_step, certify,
+                      certify_tilting)
 
 
 class Registry:
@@ -66,10 +65,9 @@ def _record_from_parts(alg, parts, registry):
     cached = registry.records.get(ckey)
     if cached is not None:
         return cached
-    total, _, _ = direct_sum(alg, parts)
-    if not is_tilting(total):
+    record = certify(alg, parts)
+    if record is None:
         raise RuntimeError("exchange produced a non-tilting module")
-    record = TiltingRecord(total, parts)
     registry.records[ckey] = record
     return record
 
@@ -83,13 +81,12 @@ def mutate_all(record, registry=None):
     giving (rest (+) X) -> (rest (+) Y).
     """
     registry = registry or Registry()
-    alg = record.module.algebra
+    alg = record.algebra
     parts = [registry.canonical(X) for X, _ in record.pieces]
     out = []
     for idx, X in enumerate(parts):
         rest = parts[:idx] + parts[idx + 1:]
-        T_bar, _, _ = direct_sum(alg, rest)
-        down = _down_step(T_bar, X)
+        down = _down_step(rest, X)
         if down is not None:
             K = registry.canonical(down[0])
             if any(K is r for r in rest) or not is_indecomposable(K):
@@ -97,7 +94,7 @@ def mutate_all(record, registry=None):
             neighbor = _record_from_parts(alg, rest + [K], registry)
             # witness 0 -> K -> B -> X -> 0: arrow (rest+K) -> (rest+X)
             out.append((neighbor, "in", down[1]))
-        up = _up_step(T_bar, X)
+        up = _up_step(rest, X)
         if up is not None:
             C = registry.canonical(up[0])
             if any(C is r for r in rest) or not is_indecomposable(C):
@@ -118,7 +115,7 @@ def explore(seed=None, algebra=None, max_vertices=None, max_radius=None):
     if seed is None:
         from .replicated import regular_module
         seed = certify_tilting(regular_module(algebra))
-    seed = _record_from_parts(seed.module.algebra,
+    seed = _record_from_parts(seed.algebra,
                               [X for X, _ in seed.pieces], registry)
     vertices = [seed]
     index_of = {registry.parts_key([X for X, _ in seed.pieces]): 0}
@@ -154,40 +151,31 @@ def explore(seed=None, algebra=None, max_vertices=None, max_radius=None):
                               limit_hit=limit_hit)
 
 
-def exhaustive_tilting_oracle(alg, nodes=None):
+def exhaustive_tilting_oracle(alg):
     """All basic tilting modules, by checking every delta-sized
     ext-orthogonal subset of the enumerated indecomposables."""
     from .arknit import enumerate_indecomposables
-    if nodes is None:
-        nodes = enumerate_indecomposables(alg)
+    nodes = enumerate_indecomposables(alg)
     n = len(nodes)
-    self_ok = [_ext_orthogonal(X, X) for X in nodes]
-    compat = {}
-
-    def ok(a, b):
-        if (a, b) not in compat:
-            compat[(a, b)] = (_ext_orthogonal(nodes[a], nodes[b])
-                              and _ext_orthogonal(nodes[b], nodes[a]))
-        return compat[(a, b)]
-
     target = alg.delta
     records = []
 
+    def orthogonal(X, Y):
+        return _ext_orthogonal(X, Y) and _ext_orthogonal(Y, X)
+
     def extend(chosen, start):
         if len(chosen) == target:
-            parts = [nodes[i] for i in chosen]
-            total, _, _ = direct_sum(alg, parts)
-            # is_tilting internally asserts both certificates agree
-            if is_tilting(total):
-                records.append(TiltingRecord(total, parts))
+            # certify asserts that both certificates agree
+            record = certify(alg, chosen)
+            if record is not None:
+                records.append(record)
             return
         if len(chosen) + (n - start) < target:
             return
         for idx in range(start, n):
-            if not self_ok[idx]:
-                continue
-            if all(ok(c, idx) for c in chosen):
-                extend(chosen + [idx], idx + 1)
+            X = nodes[idx]
+            if all(orthogonal(X, Y) for Y in [X] + chosen):
+                extend(chosen + [X], idx + 1)
 
     extend([], 0)
     return records

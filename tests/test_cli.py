@@ -194,6 +194,20 @@ def test_unsupported_computation_exits_5(files, capsys):
     assert "characteristic 0" in err[0]
 
 
+def test_certificate_disagreement_exits_5(files, capsys, monkeypatch):
+    # check-tilting takes its verdict from the cross-checked certificate, so
+    # a coresolution that fails on a tilting module is an internal error
+    import reptilt.tilting
+    monkeypatch.setattr(reptilt.tilting, "coresolution", lambda *args: None)
+    write, _ = files
+    alg = write("alg.json", KRONECKER)
+    mod = write("mod.json", {"regular": True})
+    code, _ = run(files, ["check-tilting", alg, mod])
+    assert code == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 def test_module_expr_constructors():
     alg = duplicated(linear_quiver(2))
     M = eval_module_expr(alg, {"syzygy": {"simple": [2, 0]}})

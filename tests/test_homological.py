@@ -10,9 +10,10 @@ from reptilt.homological import (_ext_differential, cosyzygy, ext,
                                  sigma_set, syzygy)
 from reptilt.linalg import Mat, solve_matrix
 from reptilt.replicated import (ReplicatedAlgebra, block_map, direct_sum,
-                                hom_dim, injective, map_from_projective,
-                                projective, radical, regular_module, simple,
-                                summand_offsets, summands_of, zero_rmap)
+                                hom_basis_r, hom_dim, injective,
+                                map_from_projective, projective, radical,
+                                regular_module, simple, summand_offsets,
+                                summands_of, zero_rmap)
 
 
 def dgrid(M):
@@ -152,6 +153,7 @@ def test_ext1_classes_count_matches_ext(kron):
     for X in mods:
         for Y in mods:
             assert len(ext1_classes(X, Y)) == ext(1, X, Y)
+            assert ext(0, X, Y) == len(hom_basis_r(X, Y))
 
 
 def test_realized_extension_is_exact(a2):
@@ -238,10 +240,14 @@ def _euler_modules(alg):
                    projective(alg, w, 0)])]
 
 
+def _ext_table_of(mods):
+    return [[ext(i, M, N) for i in range(pd(M) + 1)]
+            for M in mods for N in mods]
+
+
 def _ext_table(alg):
     mods = _euler_modules(alg)
-    return mods, [[ext(i, M, N) for i in range(pd(M) + 1)]
-                  for M in mods for N in mods]
+    return mods, _ext_table_of(mods)
 
 
 @pytest.mark.parametrize("name", list(EULER_ALGEBRAS))
@@ -338,6 +344,29 @@ def test_ext_differential_matches_composition(name):
                     assert _ext_differential(res, k, N) == want
                     checked += not want.is_zero()
     assert checked >= 10
+
+
+@pytest.mark.parametrize("name", list(EULER_ALGEBRAS))
+def test_ext_table_builds_each_differential_once(name, monkeypatch):
+    import reptilt.homological as homological
+    builds = {}
+    build = homological._ext_differential
+
+    def counted(res, k, N):
+        key = (id(res), k, id(N))
+        builds[key] = builds.get(key, 0) + 1
+        return build(res, k, N)
+
+    monkeypatch.setattr(homological, "_ext_differential", counted)
+    quiver, m = EULER_ALGEBRAS[name]
+    mods, table = _ext_table(ReplicatedAlgebra(quiver(), m))
+    # pd >= 2 occurs, so some differential is interior to a table
+    assert max(len(exts) for exts in table) >= 3
+    assert builds and set(builds.values()) == {1}
+    # a second pass over the same pairs is answered by the memo
+    built = len(builds)
+    assert _ext_table_of(mods) == table
+    assert len(builds) == built and set(builds.values()) == {1}
 
 
 @pytest.mark.parametrize("name", list(EULER_ALGEBRAS))

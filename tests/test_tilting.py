@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from reptilt.arknit import enumerate_indecomposables
@@ -11,7 +13,7 @@ from reptilt.krullschmidt import (basic_summands, decompose, is_isomorphic)
 from reptilt.quiver import Quiver
 from reptilt.replicated import (ReplicatedAlgebra, direct_sum, embed_level,
                                 injective, projective, regular_module, simple)
-from reptilt.tilting import (bongartz_complete, certify_tilting,
+from reptilt.tilting import (bongartz_complete, certify, certify_tilting,
                              classify_duplicated, complement_fan,
                              complete_partial_tilting, count_complements,
                              is_partial_tilting, is_tilting)
@@ -47,6 +49,31 @@ def test_almost_complete_is_not_tilting(a2):
     for drop in range(len(parts)):
         rest, _, _ = direct_sum(a2, parts[:drop] + parts[drop + 1:])
         assert not is_tilting(rest)
+
+
+def test_certify_agrees_with_is_tilting_of_the_sum(a2, a2_oracle):
+    """certify on parts gives the verdict of is_tilting on their direct sum:
+    on the tilting modules, on their almost complete parts, and on the
+    delta-sized sets of indecomposables that are not Ext-orthogonal."""
+    def total(parts):
+        return direct_sum(a2, list(parts))[0]
+
+    tilting = [[X for X, _ in record.pieces] for record in a2_oracle]
+    almost = [list(c) for parts in tilting
+              for c in combinations(parts, len(parts) - 1)]
+    assert all(is_partial_tilting(total(c)) for c in almost)
+    clashing = [list(c) for c in combinations(enumerate_indecomposables(a2),
+                                              a2.delta)
+                if not is_partial_tilting(total(c))]
+    assert len(tilting) == 9 and clashing
+    for parts in tilting + almost + clashing:
+        record = certify(a2, parts)
+        assert (record is not None) == is_tilting(total(parts))
+        assert (record is not None) == (parts in tilting)
+        if record is not None:
+            assert record.algebra is a2
+            assert len(record.pieces) == len(parts)
+            assert all(X is Y for (X, _), Y in zip(record.pieces, parts))
 
 
 def test_certify_raises_on_non_tilting(a2):
