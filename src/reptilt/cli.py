@@ -63,7 +63,13 @@ def eval_module_expr(alg, expr):
       {"cosyzygy": expr}          cokernel of the injective envelope
       {"kernel": {"from": expr, "to": expr, "coeffs": [c, ...]}}
       {"cokernel": {...}}         coefficients over the canonical hom basis
-      {"raw": <RModule JSON>}     explicit levels and connectors
+      {"raw": <RModule JSON>}     explicit levels and connectors:
+          {"m": m, "levels": [{"dims": [[v, d], ...],
+                               "maps": {arrow: matrix}}, ...],
+           "connectors": [[matrix per path in quiver.paths order], ...]}
+          with matrix = {"rows": r, "cols": c, "entries": [[str]]}; the
+          matrix of path p: w -> u in connector j maps level j+1 at u to
+          level j at w, and the module axioms are checked
     """
     from .hereditary import Rep
     from .homological import cosyzygy, syzygy

@@ -18,14 +18,9 @@ class Rationals:
     """The field of rational numbers (default ground field)."""
 
     name = "Q"
-
-    @property
-    def zero(self):
-        return _mpq(0)
-
-    @property
-    def one(self):
-        return _mpq(1)
+    # scalars are never mutated in place, so one zero and one one serve all
+    zero = _mpq(0)
+    one = _mpq(1)
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -93,14 +88,8 @@ class PrimeField:
             raise ValueError("p must be prime, got %r" % (p,))
         self.p = p
         self.name = "F%d" % p
-
-    @property
-    def zero(self):
-        return GFElement(self.p, 0)
-
-    @property
-    def one(self):
-        return GFElement(self.p, 1)
+        self.zero = GFElement(p, 0)
+        self.one = GFElement(p, 1)
 
     def of(self, x):
         if isinstance(x, GFElement):

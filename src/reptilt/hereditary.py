@@ -1,5 +1,5 @@
-"""Representations of the base quiver: morphism spaces, projectives,
-injectives, and the dual-of-algebra tensor functor.
+"""Representations of the base quiver: morphisms, Hom spaces, projectives,
+injectives and simples.
 
 Left modules over the path algebra are quiver representations: an arrow
 a: u -> w acts as a matrix of shape dims[w] x dims[u].
@@ -8,8 +8,7 @@ a: u -> w acts as a matrix of shape dims[w] x dims[u].
 from __future__ import annotations
 
 from .field import QQ
-from .linalg import (Mat, Subspace, column_space, kernel_basis, quotient_basis,
-                     rank)
+from .linalg import Mat, kernel_basis, rank
 from .quiver import Path
 
 
@@ -230,138 +229,3 @@ def simple_rep(v, quiver, field=QQ):
 
 def zero_rep(quiver, field=QQ):
     return Rep(quiver, {}, {}, field, check=False)
-
-
-# -- the functor DA (x)_A -  ------------------------------------------
-
-class DualTensorData:
-    """Canonical model of DA (x)_A M for a representation M.
-
-    The ambient space at vertex w has basis (p, j) over paths p with source w
-    and basis indices j of M at t(p); the canonical echelon quotient by the
-    bimodule relations gives the representation ``rep`` together with
-    projection/section matrices per vertex.
-    """
-
-    def __init__(self, M):
-        quiver = M.quiver
-        f = M.field
-        self.M = M
-        self.amb_basis = {}
-        self.amb_index = {}
-        self.proj = {}
-        self.sect = {}
-        for w in quiver.vertices:
-            basis = []
-            for p in quiver.paths_from(w):
-                for j in range(M.dims[p.target]):
-                    basis.append((p, j))
-            self.amb_basis[w] = basis
-            self.amb_index[w] = {bj: i for i, bj in enumerate(basis)}
-        rel_cols = {w: [] for w in quiver.vertices}
-        for a in quiver.arrows:
-            u, u2 = a.source, a.target
-            Ma = M.maps[a.name]
-            for p in quiver.paths:
-                if p.target != u2:
-                    continue
-                w = p.source
-                amb = self.amb_index[w]
-                n_amb = len(self.amb_basis[w])
-                for j in range(M.dims[u]):
-                    col = [f.zero] * n_amb
-                    # (p* . a) (x) m_j  =  q* (x) m_j  when p = (q then a)
-                    if p.arrows and p.arrows[-1] == a.name:
-                        q = Path(w, u, p.arrows[:-1])
-                        col[amb[(q, j)]] = col[amb[(q, j)]] + f.one
-                    # minus p* (x) (a . m_j)
-                    for k in range(M.dims[u2]):
-                        if Ma.data[k][j]:
-                            col[amb[(p, k)]] = col[amb[(p, k)]] - Ma.data[k][j]
-                    if any(col):
-                        rel_cols[w].append(col)
-        dims = {}
-        for w in quiver.vertices:
-            n_amb = len(self.amb_basis[w])
-            if rel_cols[w]:
-                relmat = Mat(n_amb, len(rel_cols[w]),
-                             [[rel_cols[w][c][r] for c in range(len(rel_cols[w]))]
-                              for r in range(n_amb)], f)
-                sub = column_space(relmat)
-            else:
-                sub = Subspace(n_amb, Mat.zeros(n_amb, 0, f), [])
-            proj, sect = quotient_basis(n_amb, sub)
-            self.proj[w] = proj
-            self.sect[w] = sect
-            dims[w] = proj.rows
-        maps = {}
-        for b in quiver.arrows:
-            w, w2 = b.source, b.target
-            amb_src = self.amb_basis[w]
-            amb_tgt_index = self.amb_index[w2]
-            big = Mat.zeros(len(self.amb_basis[w2]), len(amb_src), f)
-            for j, (p, mj) in enumerate(amb_src):
-                # b . p* = (p minus leading arrow)* when p starts with b
-                if p.arrows and p.arrows[0] == b.name:
-                    q = Path(w2, p.target, p.arrows[1:])
-                    big.data[amb_tgt_index[(q, mj)]][j] = f.one
-            maps[b.name] = self.proj[w2] * big * self.sect[w]
-        self.rep = Rep(quiver, dims, maps, f, check=False)
-
-
-def dual_tensor_data(M):
-    if not hasattr(M, "_dual_tensor"):
-        M._dual_tensor = DualTensorData(M)
-    return M._dual_tensor
-
-
-def dual_tensor(M):
-    """The representation DA (x)_A M."""
-    return dual_tensor_data(M).rep
-
-
-def dual_tensor_map(f):
-    """Functorial action of DA (x)_A - on a morphism."""
-    M, N = f.source, f.target
-    dM, dN = dual_tensor_data(M), dual_tensor_data(N)
-    comps = {}
-    for w in M.quiver.vertices:
-        big = Mat.zeros(len(dN.amb_basis[w]), len(dM.amb_basis[w]), M.field)
-        idxN = dN.amb_index[w]
-        for j, (p, mj) in enumerate(dM.amb_basis[w]):
-            fc = f.components[p.target]
-            for k in range(N.dims[p.target]):
-                if fc.data[k][mj]:
-                    big.data[idxN[(p, k)]][j] = fc.data[k][mj]
-        comps[w] = dN.proj[w] * big * dM.sect[w]
-    return AMap(dM.rep, dN.rep, comps, check=False)
-
-
-def projective_connector(v, quiver, field=QQ):
-    """The canonical isomorphism DA (x)_A (A e_v) -> D(e_v A).
-
-    Sends the class of p* (x) q (q a path from v) to the functional r* with
-    p = (r then q), when such r exists.
-    """
-    P = projective_rep(v, quiver, field)
-    I = injective_rep(v, quiver, field)
-    dP = dual_tensor_data(P)
-    comps = {}
-    for w in quiver.vertices:
-        amb = dP.amb_basis[w]
-        iv_basis = I.path_basis[w]
-        iv_index = {p: i for i, p in enumerate(iv_basis)}
-        pairing = Mat.zeros(len(iv_basis), len(amb), field)
-        for j, (p, qj) in enumerate(amb):
-            q = P.path_basis[p.target][qj]  # path v -> t(p)
-            nq = len(q.arrows)
-            if nq == 0:
-                r = p
-            elif len(p.arrows) >= nq and p.arrows[-nq:] == q.arrows:
-                r = Path(p.source, v, p.arrows[:-nq])
-            else:
-                continue
-            if r.target == v:
-                pairing.data[iv_index[r]][j] = field.one
-        comps[w] = pairing * dP.sect[w]
-    return AMap(dP.rep, I, comps, check=False)

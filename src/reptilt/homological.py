@@ -6,10 +6,10 @@ from __future__ import annotations
 from .hereditary import AMap
 from .linalg import Mat, column_space, quotient_basis, rank, solve_matrix
 from .replicated import (RMap, block_map, blocks, cokernel, direct_sum,
-                         factor_through_epi, generator_action, hom_space,
-                         injective, kernel, map_from_projective, projective,
-                         radical, regular_module, socle, summand_offsets,
-                         summands_of, top, zero_rmap)
+                         generator_action, hom_space, injective, kernel,
+                         map_from_projective, projective, radical,
+                         regular_module, socle, summand_offsets, summands_of,
+                         top, zero_rmap)
 
 
 class Resolution:
@@ -312,6 +312,20 @@ def ext1_classes(X, Y):
         raise RuntimeError("restriction left Hom(K, Y)")
     _, sect = quotient_basis(len(space.basis), column_space(img))
     return [space.combine(sect.col(c)) for c in range(sect.cols)]
+
+
+def factor_through_epi(epi, value):
+    """{v: phi_v} with phi_v * epi[v] == value[v] at every vertex v, where
+    ``epi`` and ``value`` are {vertex: Mat} and each epi[v] is surjective:
+    solved per vertex as epi^T phi^T = value^T.  Raises ValueError when
+    ``value`` does not factor."""
+    out = {}
+    for v, g in epi.items():
+        sol = solve_matrix(g.transpose(), value[v].transpose())
+        if sol is None:
+            raise ValueError("map does not factor through the epimorphism")
+        out[v] = sol.transpose()
+    return out
 
 
 def realize_extension(X, Y, h):

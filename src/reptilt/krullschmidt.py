@@ -275,11 +275,6 @@ def all_of_kind(parts, kind):
                for p in parts)
 
 
-def multiplicity(M, X):
-    """Multiplicity of the indecomposable X as a summand of M."""
-    return sum(1 for p in decompose(M) if _indec_isomorphic(p, X))
-
-
 def basic_summands(M):
     """One representative per isomorphism class of summands of M."""
     reps = []

@@ -1,22 +1,27 @@
 """The m-replicated algebra of a hereditary path algebra and its modules.
 
-A module is stored as a tuple of base-quiver representations M_0..M_m (one
-per level) together with connector maps phi_i from DA (x) M_i down to
-M_{i-1}.  Level 0 is the copy whose projectives stay projective over the
-replicated algebra; connectors point downward, so a projective-injective
-P(v,i) has its top at level i and its socle at level i-1.
+The replicated algebra is the triangular matrix algebra with m + 1 copies of
+A on the diagonal and DA below it, so a module is a tuple of base-quiver
+representations M_0..M_m (one per level) together with connectors
+phi_j: DA (x)_A M_{j+1} -> M_j.  A connector is stored as the action of the
+basis of DA: one matrix per path p: w -> u of the base quiver, from
+(M_{j+1})_u to (M_j)_w, the image of p* (x) x.  Level 0 is the copy whose
+projectives stay projective over the replicated algebra; connectors point
+downward, so a projective-injective P(v,i) has its top at level i and its
+socle at level i-1.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .field import QQ
-from .hereditary import (AMap, Rep, dual_tensor, dual_tensor_data,
-                         dual_tensor_map, injective_rep, projective_connector,
-                         projective_rep, simple_rep, zero_amap, zero_rep)
+from .hereditary import (AMap, Rep, injective_rep, projective_rep, simple_rep,
+                         zero_amap, zero_rep)
 from .linalg import (Mat, column_space, kernel_basis, quotient_basis,
                      solve_matrix)
+from .quiver import Path
 
 
 class ReplicatedAlgebra:
@@ -34,7 +39,6 @@ class ReplicatedAlgebra:
         self.dim = (m + 1) * dim_a + m * dim_a
         self._base_proj = {}
         self._base_inj = {}
-        self._proj_conn = {}
         self.cache = {}
 
     def base_projective(self, v):
@@ -47,52 +51,75 @@ class ReplicatedAlgebra:
             self._base_inj[v] = injective_rep(v, self.quiver, self.field)
         return self._base_inj[v]
 
-    def projective_conn(self, v):
-        """Canonical iso DA (x) (A e_v) -> D(e_v A), with the cached
-        projective and injective as source/target data."""
-        if v not in self._proj_conn:
-            conn = projective_connector(v, self.quiver, self.field)
-            # rebuild against the cached base reps so object identity works
-            P, I = self.base_projective(v), self.base_injective(v)
-            dt = dual_tensor_data(P)
-            self._proj_conn[v] = AMap(dt.rep, I, conn.components, check=False)
-        return self._proj_conn[v]
-
     def __repr__(self):
         return "ReplicatedAlgebra(%r, m=%d)" % (self.quiver.vertices, self.m)
 
 
 class RModule:
     """A module over a replicated algebra: level representations plus
-    downward connector maps."""
+    downward connectors, ``connectors[j][p]`` the action of p* from level
+    j + 1 to level j.  A missing path acts as zero."""
 
     def __init__(self, algebra, levels, connectors, check=True):
         self.algebra = algebra
         self.levels = list(levels)
-        self.connectors = list(connectors)  # connectors[j]: T(levels[j+1]) -> levels[j]
         if len(self.levels) != algebra.m + 1:
             raise ValueError("expected %d levels" % (algebra.m + 1))
-        if len(self.connectors) != algebra.m:
+        if len(connectors) != algebra.m:
             raise ValueError("expected %d connectors" % algebra.m)
+        f = algebra.field
+        self.connectors = [
+            {p: conn[p] if p in conn else
+             Mat.zeros(lo.dims[p.source], hi.dims[p.target], f)
+             for p in algebra.quiver.paths}
+            for conn, lo, hi in zip(connectors, self.levels, self.levels[1:])]
         self.cache = {}
         if check:
             self.validate()
 
     def validate(self):
+        """The module axioms: connector shapes, the right rule
+        (p* a = (p minus a)* when p ends with a, else 0), the left rule
+        (a p* = (p minus a)* when p starts with a, else 0) and DA.DA = 0."""
+        quiver = self.algebra.quiver
         for j, conn in enumerate(self.connectors):
-            dt = dual_tensor_data(self.levels[j + 1])
-            if conn.source is not dt.rep and conn.source.dims != dt.rep.dims:
-                raise ValueError("connector %d source mismatch" % j)
-            if conn.target is not self.levels[j] and \
-                    conn.target.dims != self.levels[j].dims:
-                raise ValueError("connector %d target mismatch" % j)
-            conn.validate()
-        # composite vanishing: phi_j o T(phi_{j+1}) = 0  (DA.DA = 0)
+            lo, hi = self.levels[j], self.levels[j + 1]
+            for p, c in conn.items():
+                want = (lo.dims[p.source], hi.dims[p.target])
+                if (c.rows, c.cols) != want:
+                    raise ValueError(
+                        "connector %d at path %s has shape %dx%d, want %dx%d"
+                        % ((j, _path_name(p), c.rows, c.cols) + want))
+            for a in quiver.arrows:
+                for p in quiver.paths_into(a.target):
+                    got = conn[p] * hi.maps[a.name]
+                    if p.arrows[-1:] == (a.name,):
+                        q = Path(p.source, a.source, p.arrows[:-1])
+                        ok = got == conn[q]
+                    else:
+                        ok = got.is_zero()
+                    if not ok:
+                        raise ValueError("connector %d breaks the right rule "
+                                         "at path %s and arrow %s"
+                                         % (j, _path_name(p), a.name))
+                for p in quiver.paths_from(a.source):
+                    got = lo.maps[a.name] * conn[p]
+                    if p.arrows[:1] == (a.name,):
+                        q = Path(a.target, p.target, p.arrows[1:])
+                        ok = got == conn[q]
+                    else:
+                        ok = got.is_zero()
+                    if not ok:
+                        raise ValueError("connector %d breaks the left rule "
+                                         "at arrow %s and path %s"
+                                         % (j, a.name, _path_name(p)))
         for j in range(1, self.algebra.m):
-            comp = self.connectors[j - 1].compose(
-                dual_tensor_map(self.connectors[j]))
-            if not comp.is_zero():
-                raise ValueError("connector composite does not vanish at %d" % j)
+            lower, upper = self.connectors[j - 1], self.connectors[j]
+            for p in quiver.paths:
+                for q in quiver.paths_from(p.target):
+                    if not (lower[p] * upper[q]).is_zero():
+                        raise ValueError("connector composite does not "
+                                         "vanish at %d" % j)
 
     @property
     def total_dim(self):
@@ -112,6 +139,10 @@ class RModule:
 
     def __repr__(self):
         return "RModule(%s)" % self.dim_grid()
+
+
+def _path_name(p):
+    return ".".join(p.arrows) if p.arrows else "e%s" % (p.source,)
 
 
 class DimGrid:
@@ -173,12 +204,13 @@ class RMap:
                     raise ValueError("level %d component shape mismatch" % i)
             f.validate()
         for j in range(alg.m):
-            lhs = self.level_maps[j].compose(self.source.connectors[j])
-            rhs = self.target.connectors[j].compose(
-                dual_tensor_map(self.level_maps[j + 1]))
-            for v in alg.quiver.vertices:
-                if lhs.components[v] != rhs.components[v]:
-                    raise ValueError("map does not commute with connector %d" % j)
+            low, high = self.level_maps[j], self.level_maps[j + 1]
+            for p, phi in self.source.connectors[j].items():
+                psi = self.target.connectors[j][p]
+                if (low.components[p.source] * phi
+                        != psi * high.components[p.target]):
+                    raise ValueError("map does not commute with connector %d"
+                                     % j)
 
     def component(self, i, v):
         return self.level_maps[i].components[v]
@@ -237,8 +269,7 @@ def identity_rmap(M):
 
 def zero_module(alg):
     z = [zero_rep(alg.quiver, alg.field) for _ in range(alg.m + 1)]
-    conns = [zero_amap(dual_tensor(z[j + 1]), z[j]) for j in range(alg.m)]
-    return RModule(alg, z, conns, check=False)
+    return RModule(alg, z, [{}] * alg.m, check=False)
 
 
 def embed_level(alg, rep, i):
@@ -247,9 +278,7 @@ def embed_level(alg, rep, i):
         raise ValueError("level out of range")
     levels = [zero_rep(alg.quiver, alg.field) for _ in range(alg.m + 1)]
     levels[i] = rep
-    conns = [zero_amap(dual_tensor(levels[j + 1]), levels[j])
-             for j in range(alg.m)]
-    return RModule(alg, levels, conns, check=False)
+    return RModule(alg, levels, [{}] * alg.m, check=False)
 
 
 def projective(alg, v, i):
@@ -264,11 +293,20 @@ def projective(alg, v, i):
         mod = embed_level(alg, alg.base_projective(v), 0)
     else:
         levels = [zero_rep(alg.quiver, alg.field) for _ in range(alg.m + 1)]
-        levels[i] = alg.base_projective(v)
-        levels[i - 1] = alg.base_injective(v)
-        conns = [zero_amap(dual_tensor(levels[j + 1]), levels[j])
-                 for j in range(alg.m)]
-        conns[i - 1] = alg.projective_conn(v)
+        levels[i] = P = alg.base_projective(v)
+        levels[i - 1] = I = alg.base_injective(v)
+        conns = [{} for _ in range(alg.m)]
+        # p* sends the basis path q of A e_v to r* when p = (r then q)
+        for p in alg.quiver.paths:
+            phi = Mat.zeros(I.dims[p.source], P.dims[p.target], alg.field)
+            index = {r: k for k, r in enumerate(I.path_basis[p.source])}
+            for c, q in enumerate(P.path_basis[p.target]):
+                cut = len(p.arrows) - len(q.arrows)
+                if cut >= 0 and p.arrows[cut:] == q.arrows:
+                    k = index.get(Path(p.source, v, p.arrows[:cut]))
+                    if k is not None:
+                        phi.data[k][c] = alg.field.one
+            conns[i - 1][p] = phi
         mod = RModule(alg, levels, conns, check=False)
     alg.cache[key] = mod
     return mod
@@ -309,20 +347,6 @@ def regular_module(alg):
 
 
 # -- direct sums ------------------------------------------------------
-
-def factor_through_epi(epi, value):
-    """{v: phi_v} with phi_v * epi[v] == value[v] at every vertex v, where
-    ``epi`` and ``value`` are {vertex: Mat} and each epi[v] is surjective:
-    solved per vertex as epi^T phi^T = value^T.  Raises ValueError when
-    ``value`` does not factor."""
-    out = {}
-    for v, g in epi.items():
-        sol = solve_matrix(g.transpose(), value[v].transpose())
-        if sol is None:
-            raise ValueError("map does not factor through the epimorphism")
-        out[v] = sol.transpose()
-    return out
-
 
 def summands_of(M):
     """The modules M was built from by ``direct_sum``, or [M]."""
@@ -379,19 +403,9 @@ def direct_sum(alg, mods):
                 ic[v], pc[v] = inc, prj
             incl_comps[k].append(AMap(M.levels[i], levels[i], ic, check=False))
             proj_comps[k].append(AMap(levels[i], M.levels[i], pc, check=False))
-    # connectors: determined by commuting with the level inclusions
-    conns = []
-    for j in range(alg.m):
-        dtS = dual_tensor_data(levels[j + 1])
-        t_incls = [dual_tensor_map(incl_comps[k][j + 1]) for k in range(len(mods))]
-        gen = {v: Mat.hstack([t.components[v] for t in t_incls], field=f)
-               for v in quiver.vertices}
-        val = {v: Mat.hstack(
-            [incl_comps[k][j].components[v] * mods[k].connectors[j].components[v]
-             for k in range(len(mods))], field=f)
-            for v in quiver.vertices}
-        comps = factor_through_epi(gen, val)
-        conns.append(AMap(dtS.rep, levels[j], comps, check=False))
+    conns = [{p: Mat.block_diag([M.connectors[j][p] for M in mods], field=f)
+              for p in quiver.paths}
+             for j in range(alg.m)]
     S = RModule(alg, levels, conns, check=False)
     incls = [RMap(mods[k], S, incl_comps[k], check=False) for k in range(len(mods))]
     projs = [RMap(S, mods[k], proj_comps[k], check=False) for k in range(len(mods))]
@@ -482,15 +496,14 @@ def submodule(M, subspaces):
                                check=False))
     conns = []
     for j in range(alg.m):
-        t_incl = dual_tensor_map(incl_amaps[j + 1])
-        val = M.connectors[j].compose(t_incl)
-        comps = {}
-        for v in quiver.vertices:
-            sol = solve_matrix(subs[(j, v)].basis, val.components[v])
+        conn = {}
+        for p, phi in M.connectors[j].items():
+            img = phi * subs[(j + 1, p.target)].basis
+            sol = solve_matrix(subs[(j, p.source)].basis, img)
             if sol is None:
                 raise ValueError("subspaces not closed under connector %d" % j)
-            comps[v] = sol
-        conns.append(AMap(t_incl.source, levels[j], comps, check=False))
+            conn[p] = sol
+        conns.append(conn)
     S = RModule(alg, levels, conns, check=False)
     return S, RMap(S, M, incl_amaps, check=False)
 
@@ -523,13 +536,9 @@ def quotient_module(M, subspaces):
         proj_amaps.append(AMap(M.levels[i], rep,
                                {v: proj_mats[(i, v)] for v in quiver.vertices},
                                check=False))
-    conns = []
-    for j in range(alg.m):
-        dtQ = dual_tensor_data(levels[j + 1])
-        t_proj = dual_tensor_map(proj_amaps[j + 1])
-        val = proj_amaps[j].compose(M.connectors[j])
-        comps = factor_through_epi(t_proj.components, val.components)
-        conns.append(AMap(dtQ.rep, levels[j], comps, check=False))
+    conns = [{p: proj_mats[(j, p.source)] * phi * sect_mats[(j + 1, p.target)]
+              for p, phi in M.connectors[j].items()}
+             for j in range(alg.m)]
     Q = RModule(alg, levels, conns, check=False)
     return Q, RMap(M, Q, proj_amaps, check=False)
 
@@ -564,8 +573,8 @@ def cokernel(f):
 # -- radical, socle, top ---------------------------------------------
 
 def radical(M):
-    """rad M: arrow images within each level plus the image of the
-    connector from the level above.  Returns (R, inclusion)."""
+    """rad M: arrow images within each level plus the images of the
+    connector matrices from the level above.  Returns (R, inclusion)."""
     alg = M.algebra
     quiver = alg.quiver
     f = alg.field
@@ -574,7 +583,7 @@ def radical(M):
         for w in quiver.vertices:
             pieces = [M.levels[i].maps[a.name] for a in quiver.arrows_into(w)]
             if i < alg.m:
-                pieces.append(M.connectors[i].components[w])
+                pieces += [M.connectors[i][p] for p in quiver.paths_from(w)]
             if pieces:
                 subs[(i, w)] = column_space(Mat.hstack(pieces, field=f))
     return submodule(M, subs)
@@ -591,8 +600,8 @@ def socle(M):
         for w in quiver.vertices:
             rows = [M.levels[i].maps[a.name] for a in quiver.arrows_from(w)]
             if i >= 1:
-                # x -> phi_i(class of p* (x) x) for each path p into w: the
-                # action of P(w, i) on x down at level i - 1
+                # x -> p* x for each path p into w: the action of
+                # P(w, i) on x down at level i - 1
                 rows += [a for u in quiver.vertices
                          for a in generator_action(M, w, i, i - 1, u)]
             if rows:
@@ -721,12 +730,35 @@ def hom_basis_r(M, N):
     return hom_space(M, N).basis
 
 
+def _commutation_rows(x_n, x_m, src, tgt, offsets, total, zero):
+    """The nonzero rows of x_n f_src - f_tgt x_m = 0, for x acting from
+    (level, vertex) ``src`` to ``tgt`` as x_m on M and x_n on N, in the
+    ``rmap_vector`` unknowns of a map f: M -> N laid out at ``offsets``."""
+    m_src, m_tgt = x_m.cols, x_m.rows
+    rows = []
+    for r in range(x_n.rows):
+        for c in range(m_src):
+            row = [zero] * total
+            for k, e in enumerate(x_n.data[r]):
+                if e:
+                    row[offsets[src] + k * m_src + c] = e
+            for l in range(m_tgt):
+                e = x_m.data[l][c]
+                if e:
+                    idx = offsets[tgt] + r * m_tgt + l
+                    row[idx] = row[idx] - e
+            if any(row):
+                rows.append(row)
+    return rows
+
+
 def _hom_basis_r(M, N):
-    """Solve the Hom system for maps M -> N; returns their HomSpace."""
+    """Solve the Hom system for maps M -> N; returns their HomSpace.  A map
+    commutes with every arrow at every level and with every connector
+    matrix p*."""
     alg = M.algebra
     quiver = alg.quiver
     f = alg.field
-    zero = f.zero
     offsets = {}
     total = 0
     for i in range(alg.m + 1):
@@ -734,61 +766,17 @@ def _hom_basis_r(M, N):
             offsets[(i, v)] = total
             total += N.levels[i].dims[v] * M.levels[i].dims[v]
     rows = []
-    # level-wise arrow commutation
     for i in range(alg.m + 1):
-        Mi, Ni = M.levels[i], N.levels[i]
         for a in quiver.arrows:
-            u, w = a.source, a.target
-            Na, Ma = Ni.maps[a.name], Mi.maps[a.name]
-            cu, cw = Mi.dims[u], Mi.dims[w]
-            for r in range(Ni.dims[w]):
-                for j in range(cu):
-                    row = [zero] * total
-                    for k in range(Ni.dims[u]):
-                        if Na.data[r][k]:
-                            row[offsets[(i, u)] + k * cu + j] = Na.data[r][k]
-                    for l in range(cw):
-                        if Ma.data[l][j]:
-                            idx = offsets[(i, w)] + r * cw + l
-                            row[idx] = row[idx] - Ma.data[l][j]
-                    rows.append(row)
-    # connector commutation: phi^N o T(f_{j+1}) = f_j o phi^M
+            rows += _commutation_rows(N.levels[i].maps[a.name],
+                                      M.levels[i].maps[a.name],
+                                      (i, a.source), (i, a.target),
+                                      offsets, total, f.zero)
     for j in range(alg.m):
-        Mi, Ni = M.levels[j + 1], N.levels[j + 1]
-        dtM = dual_tensor_data(Mi)
-        dtN = dual_tensor_data(Ni)
-        phiM, phiN = M.connectors[j], N.connectors[j]
-        for w in quiver.vertices:
-            a_mat = phiN.components[w] * dtN.proj[w]  # rows x ambient_N
-            b_mat = dtM.sect[w]                       # ambient_M x cols
-            n_rows = N.levels[j].dims[w]
-            n_cols = dtM.rep.dims[w]
-            idxN = dtN.amb_index[w]
-            amb_M = dtM.amb_basis[w]
-            for r in range(n_rows):
-                for c in range(n_cols):
-                    row = [zero] * total
-                    # phi^N o T(f) term
-                    for bi, (p, l) in enumerate(amb_M):
-                        b_val = b_mat.data[bi][c]
-                        if not b_val:
-                            continue
-                        u = p.target
-                        cu = Mi.dims[u]
-                        for k in range(Ni.dims[u]):
-                            a_val = a_mat.data[r][idxN[(p, k)]]
-                            if a_val:
-                                idx = offsets[(j + 1, u)] + k * cu + l
-                                row[idx] = row[idx] + a_val * b_val
-                    # minus f_j o phi^M term
-                    cw = M.levels[j].dims[w]
-                    for s in range(cw):
-                        pm = phiM.components[w].data[s][c]
-                        if pm:
-                            idx = offsets[(j, w)] + r * cw + s
-                            row[idx] = row[idx] - pm
-                    if any(row):
-                        rows.append(row)
+        for p, phi in M.connectors[j].items():
+            rows += _commutation_rows(N.connectors[j][p], phi,
+                                      (j + 1, p.target), (j, p.source),
+                                      offsets, total, f.zero)
     sysmat = Mat(len(rows), total, rows, f) if rows else Mat.zeros(0, total, f)
     ker = kernel_basis(sysmat)
     basis = [_rmap_from_vector(M, N, ker.basis.col(k)) for k in range(ker.dim)]
@@ -814,13 +802,9 @@ def generator_action(M, v, i, lev, w):
             memo[key] = [M.levels[i].path_action(p)
                          for p in alg.base_projective(v).path_basis[w]]
         elif lev == i - 1:
-            # the functional r* pairs with x in DA (x) M_i, then the
-            # connector takes the class down to level i - 1
-            dt = dual_tensor_data(M.levels[i])
-            idx = dt.amb_index[w]
-            conn = M.connectors[i - 1].components[w]
-            memo[key] = [conn * dt.proj[w].submatrix_cols(
-                             [idx[(r, t)] for t in range(M.levels[i].dims[v])])
+            # the functionals r* on the paths r: w -> v act on x through
+            # the connector
+            memo[key] = [M.connectors[i - 1][r]
                          for r in alg.base_injective(v).path_basis[w]]
         else:
             memo[key] = []
@@ -854,16 +838,13 @@ def _mat_to_json(m):
 
 
 def _mat_from_json(obj, field):
-    data = [[field.of(Fractionish(x)) for x in row] for row in obj["entries"]]
+    data = [[field.of(Fraction(x)) for x in row] for row in obj["entries"]]
     return Mat(obj["rows"], obj["cols"], data, field)
 
 
-def Fractionish(s):
-    from fractions import Fraction
-    return Fraction(s)
-
-
 def rmodule_to_json(M):
+    """Levels as dims and arrow matrices; each connector as one matrix per
+    path, in ``quiver.paths`` order."""
     alg = M.algebra
     out = {"m": alg.m, "levels": [], "connectors": []}
     for rep in M.levels:
@@ -872,8 +853,8 @@ def rmodule_to_json(M):
             "maps": {a.name: _mat_to_json(rep.maps[a.name])
                      for a in alg.quiver.arrows}})
     for conn in M.connectors:
-        out["connectors"].append({str(v): _mat_to_json(conn.components[v])
-                                  for v in alg.quiver.vertices})
+        out["connectors"].append([_mat_to_json(conn[p])
+                                  for p in alg.quiver.paths])
     return out
 
 
@@ -889,10 +870,12 @@ def rmodule_from_json(alg, obj):
         maps = {name: _mat_from_json(mj, alg.field)
                 for name, mj in lev["maps"].items()}
         levels.append(Rep(alg.quiver, dims, maps, alg.field))
+    paths = alg.quiver.paths
     conns = []
-    for j, cj in enumerate(obj["connectors"]):
-        dt = dual_tensor_data(levels[j + 1])
-        comps = {vkey[v]: _mat_from_json(mj, alg.field)
-                 for v, mj in cj.items()}
-        conns.append(AMap(dt.rep, levels[j], comps, check=False))
+    for cj in obj["connectors"]:
+        if len(cj) != len(paths):
+            raise ValueError("a connector needs one matrix per path (%d), "
+                             "got %d" % (len(paths), len(cj)))
+        conns.append({p: _mat_from_json(mj, alg.field)
+                      for p, mj in zip(paths, cj)})
     return RModule(alg, levels, conns, check=True)

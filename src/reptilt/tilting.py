@@ -119,8 +119,15 @@ def bongartz_complete(M):
         guard += 1
         if guard > 10 * alg.delta * M.total_dim:
             raise RuntimeError("universal extension did not terminate")
-    total, _, _ = direct_sum(alg, [E, M])
-    return certify_tilting(total)
+    # the basic summands of E (+) M, read off E and M without forming it
+    parts = basic_summands(E)
+    for X in basic_summands(M):
+        if not any(is_isomorphic(X, Y) for Y in parts):
+            parts.append(X)
+    record = certify(alg, parts)
+    if record is None:
+        raise ValueError("module is not tilting")
+    return record
 
 
 def _is_complement(parts, X):
@@ -254,10 +261,6 @@ def complement_fan(T_bar, seed=None):
     # the chain is unique regardless of the seed, so it is safe to cache
     T_bar.cache["fan"] = fan
     return fan
-
-
-def count_complements(T_bar):
-    return len(complement_fan(T_bar).complements)
 
 
 def _module_is_projective(M):

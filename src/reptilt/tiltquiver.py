@@ -200,11 +200,6 @@ def graph_to_json(graph):
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def graph_from_json(text):
-    """Parse an exported graph back into its plain data form."""
-    return json.loads(text)
-
-
 def export_dot(graph):
     lines = ["digraph tilting {"]
     for i, rec in enumerate(graph.vertices):

@@ -6,7 +6,8 @@ import pytest
 from reptilt.catalog import duplicated, kronecker_quiver, linear_quiver
 from reptilt.cli import eval_module_expr, main
 from reptilt.krullschmidt import is_isomorphic
-from reptilt.replicated import radical, projective, simple
+from reptilt.replicated import (projective, radical, rmodule_to_json,
+                                simple)
 
 KRONECKER = {
     "vertices": [1, 2],
@@ -64,6 +65,19 @@ def test_check_tilting_rejects_almost_complete(files):
     assert report["delta"] == 3 and report["delta_required"] == 4
 
 
+def _raw_a2(v, path=None, entries=None):
+    """{"raw": ...} of P(v, 1) over duplicated A2, with the connector matrix
+    of ``path`` (e1, e2 or a1) replaced by ``entries``."""
+    alg = duplicated(linear_quiver(2))
+    obj = rmodule_to_json(projective(alg, v, 1))
+    if path is not None:
+        names = [".".join(p.arrows) or "e%s" % p.source
+                 for p in alg.quiver.paths]
+        obj["connectors"][0][names.index(path)] = {
+            "rows": len(entries), "cols": len(entries[0]), "entries": entries}
+    return {"raw": obj}
+
+
 def test_input_errors_exit_2(files, capsys):
     write, tmp_path = files
     bad = tmp_path / "bad.json"
@@ -86,11 +100,38 @@ def test_input_errors_exit_2(files, capsys):
         {"sum": 5},
         {"raw": {"m": 1, "levels": 3, "connectors": []}},
     ]
+    # raw modules that break one module axiom each: e2* must equal a1* a1
+    # (right rule), a1 a1* must equal e1* (left rule), plus a shape and the
+    # number of connector matrices
+    too_few = _raw_a2(2)
+    too_few["raw"]["connectors"][0].pop()
+    broken = [(_raw_a2(2, "e2", [["0"]]), "right rule"),
+              (_raw_a2(1, "e1", [["0"]]), "left rule"),
+              (_raw_a2(2, "e2", [["1"], ["0"]]), "shape"),
+              (too_few, "one matrix per path")]
     for k, expr in enumerate(malformed):
         mod = write("malformed%d.json" % k, expr)
         assert main(["check-tilting", alg, mod]) == 2, expr
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("input error:"), err
+    assert main(["check-tilting", alg, write("ok.json", _raw_a2(2))]) == 1
+    capsys.readouterr()
+    for k, (expr, why) in enumerate(broken):
+        mod = write("broken%d.json" % k, expr)
+        assert main(["check-tilting", alg, mod]) == 2, why
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:"), err
+        assert why in err[0], err
+    # DA.DA = 0: over one vertex with m = 2, e1* e1* must vanish
+    one = {"rows": 1, "cols": 1, "entries": [["1"]]}
+    level = {"dims": [["1", 1]], "maps": {}}
+    alg2 = write("one_m2.json", dict(ONE_VERTEX, m=2))
+    mod = write("composite.json", {"raw": {
+        "m": 2, "levels": [level] * 3, "connectors": [[one], [one]]}})
+    assert main(["check-tilting", alg2, mod]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:"), err
+    assert "does not vanish" in err[0], err
     mod = write("regular.json", {"regular": True})
     assert main(["--field", "fp:4", "check-tilting", alg, mod]) == 2
     err = capsys.readouterr().err.splitlines()

@@ -1,10 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
-from reptilt.hereditary import (AMap, Rep, dual_tensor, dual_tensor_map,
-                                hom_basis, injective_rep, projective_connector,
-                                projective_rep, simple_rep, zero_rep)
+from reptilt.hereditary import (AMap, Rep, hom_basis, injective_rep,
+                                projective_rep, simple_rep)
 from reptilt.linalg import Mat
 from reptilt.quiver import Quiver
 
@@ -75,49 +72,6 @@ def test_hom_additive_in_direct_sums():
                   {n: Mat.block_diag([p2.maps[n], p2.maps[n]])
                    for n in ("a", "b")})
     assert len(hom_basis(s1, doubled)) == 2 * len(hom_basis(s1, p2))
-
-
-def test_dual_tensor_of_projectives():
-    q = kronecker()
-    assert dual_tensor(projective_rep(1, q)).dims == {1: 1, 2: 2}
-    assert dual_tensor(projective_rep(2, q)).dims == {1: 0, 2: 1}
-    assert dual_tensor(zero_rep(q)).dims == {1: 0, 2: 0}
-
-
-def test_dual_tensor_dim_counts_paths_into_vertex():
-    q = kronecker()
-    for v in q.vertices:
-        dt = dual_tensor(projective_rep(v, q))
-        assert dt.total_dim == len(q.paths_into(v))
-
-
-def test_projective_connector_is_iso():
-    for q in (kronecker(), a2()):
-        for v in q.vertices:
-            conn = projective_connector(v, q)
-            conn.validate()
-            assert conn.is_iso()
-
-
-def test_dual_tensor_right_exact():
-    q = a2()
-    p2 = projective_rep(2, q)
-    s2 = simple_rep(2, q)
-    # the cover P2 ->> S2
-    epi = AMap(p2, s2, {2: Mat.identity(1)})
-    assert epi.is_epi()
-    t_epi = dual_tensor_map(epi)
-    assert t_epi.is_epi()
-
-
-def test_dual_tensor_functorial():
-    q = kronecker()
-    p2 = projective_rep(2, q)
-    endos = hom_basis(p2, p2)
-    f = endos[0]
-    g = f.compose(f)
-    assert (dual_tensor_map(g).components ==
-            dual_tensor_map(f).compose(dual_tensor_map(f)).components)
 
 
 def test_amap_rejects_noncommuting():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,8 +7,9 @@ from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
 from reptilt.field import QQ, PrimeField
 from reptilt.hereditary import AMap, hom_basis as base_hom_basis
-from reptilt.linalg import Mat
-from reptilt.homological import minimal_resolution
+from reptilt.krullschmidt import is_isomorphic
+from reptilt.linalg import Mat, rank
+from reptilt.homological import cosyzygy, minimal_resolution
 from reptilt.replicated import (RMap, ReplicatedAlgebra, block_map, blocks,
                                 cokernel, direct_sum, embed_level, hom_basis_r,
                                 hom_space, identity_rmap, injective, kernel,
@@ -181,6 +183,85 @@ def test_hom_additivity_over_sums():
     M = projective(alg, 2, 1)
     assert len(hom_basis_r(M, S)) == \
         len(hom_basis_r(M, A)) + len(hom_basis_r(M, B))
+
+
+def test_projective_connector_is_onto():
+    # p* sends q to r* when p = (r then q): at each w the connector matrices
+    # of P(v, 1) together hit every functional r* on a path r: w -> v
+    for q in (kronecker_quiver(), linear_quiver(2)):
+        alg = duplicated(q)
+        for v in q.vertices:
+            P = projective(alg, v, 1)
+            P.validate()
+            hit = 0
+            for w in q.vertices:
+                stacked = Mat.hstack([P.connectors[0][p]
+                                      for p in q.paths_from(w)])
+                assert rank(stacked) == P.dims(0, w) == len(
+                    [p for p in q.paths_from(w) if p.target == v])
+                hit += rank(stacked)
+            assert hit == len(q.paths_into(v))
+
+
+REPLICATED = [(kronecker_quiver, 1), (lambda: linear_quiver(3), 2),
+              (dtilde4_quiver, 2)]
+REPLICATED_IDS = ["kronecker-m1", "a3-m2", "dtilde4-m2"]
+
+
+def _named_modules(alg):
+    """Every P(v, i), I(v, i) and simple, the cosyzygy of each simple, and
+    one recorded sum."""
+    q = alg.quiver
+    mods = [fn(alg, v, i) for fn in (projective, injective, simple)
+            for v in q.vertices for i in range(alg.m + 1)]
+    mods += [cosyzygy(simple(alg, v, i)) for v in q.vertices
+             for i in range(alg.m + 1)]
+    parts = [projective(alg, q.vertices[-1], 1),
+             cosyzygy(simple(alg, q.vertices[0], 0)),
+             simple(alg, q.vertices[0], 0)]
+    mods.append(direct_sum(alg, parts)[0])
+    return mods
+
+
+@pytest.mark.parametrize("quiver,m", REPLICATED, ids=REPLICATED_IDS)
+def test_named_modules_satisfy_the_module_axioms(quiver, m):
+    alg = ReplicatedAlgebra(quiver(), m)
+    mods = _named_modules(alg)
+    for M in mods:
+        M.validate()
+    assert any(not phi.is_zero() for M in mods for conn in M.connectors
+               for phi in conn.values())
+
+
+@pytest.mark.parametrize("quiver,m", REPLICATED, ids=REPLICATED_IDS)
+def test_sum_connectors_are_block_diagonal(quiver, m):
+    alg = ReplicatedAlgebra(quiver(), m)
+    q = alg.quiver
+    parts = [projective(alg, q.vertices[0], 1), simple(alg, q.vertices[-1], 0),
+             cosyzygy(simple(alg, q.vertices[0], 0)),
+             projective(alg, q.vertices[-1], m)]
+    S, incls, projs = direct_sum(alg, parts)
+    S.validate()
+    for f in incls + projs:
+        f.validate()
+    for j in range(m):
+        for p in q.paths:
+            assert S.connectors[j][p] == Mat.block_diag(
+                [X.connectors[j][p] for X in parts])
+
+
+@pytest.mark.parametrize("quiver,m", REPLICATED, ids=REPLICATED_IDS)
+def test_raw_round_trip_of_a_cosyzygy(quiver, m):
+    alg = ReplicatedAlgebra(quiver(), m)
+    C = cosyzygy(simple(alg, alg.quiver.vertices[0], 0))
+    assert any(not phi.is_zero() for conn in C.connectors
+               for phi in conn.values())
+    raw = json.loads(json.dumps(rmodule_to_json(C)))
+    assert all(len(conn) == len(alg.quiver.paths)
+               for conn in raw["connectors"])
+    C2 = rmodule_from_json(alg, raw)
+    assert C2.connectors == C.connectors
+    assert is_isomorphic(C2, C)
 
 
 def test_json_roundtrip():

@@ -8,8 +8,8 @@ from reptilt.krullschmidt import is_isomorphic
 from reptilt.quiver import Quiver
 from reptilt.replicated import ReplicatedAlgebra
 from reptilt.tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
-                                graph_from_json, graph_to_json, mutate_all,
-                                record_key, records_isomorphic)
+                                graph_to_json, mutate_all, record_key,
+                                records_isomorphic)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -106,7 +106,7 @@ def test_json_export_is_deterministic(a2_graph):
     text1 = graph_to_json(a2_graph)
     text2 = graph_to_json(a2_graph)
     assert text1 == text2
-    data = graph_from_json(text1)
+    data = json.loads(text1)
     assert len(data["vertices"]) == 9
     assert data["exhausted"] is True
     assert all(set(a) == {"from", "to", "witness"} for a in data["arrows"])
