@@ -1,9 +1,10 @@
 import pytest
 
 from reptilt.hereditary import (AMap, Rep, hom_basis, injective_rep,
-                                projective_rep, simple_rep)
-from reptilt.linalg import Mat
+                                projective_rep, simple_rep, zero_rep)
+from reptilt.linalg import Mat, rank
 from reptilt.quiver import Quiver
+from reptilt.replicated import ReplicatedAlgebra, embed_level, projective
 
 
 def kronecker():
@@ -72,6 +73,46 @@ def test_hom_additive_in_direct_sums():
                   {n: Mat.block_diag([p2.maps[n], p2.maps[n]])
                    for n in ("a", "b")})
     assert len(hom_basis(s1, doubled)) == 2 * len(hom_basis(s1, p2))
+
+
+def connector_image_dims(M):
+    """At each vertex w, the rank of the level-1 to level-0 connector
+    matrices of M stacked over the paths from w: the dims of DA (x) M_1
+    as it lands in level 0."""
+    q = M.algebra.quiver
+    return {w: rank(Mat.hstack([M.connectors[0][p] for p in q.paths_from(w)]))
+            for w in q.vertices}
+
+
+def test_dual_tensor_of_projectives():
+    q = kronecker()
+    alg = ReplicatedAlgebra(q, 1)
+    assert connector_image_dims(projective(alg, 1, 1)) == {1: 1, 2: 2}
+    assert connector_image_dims(projective(alg, 2, 1)) == {1: 0, 2: 1}
+    assert connector_image_dims(embed_level(alg, zero_rep(q), 1)) == {1: 0,
+                                                                      2: 0}
+
+
+def test_dual_tensor_dim_counts_paths_into_vertex():
+    q = kronecker()
+    alg = ReplicatedAlgebra(q, 1)
+    for v in q.vertices:
+        dims = connector_image_dims(projective(alg, v, 1))
+        assert sum(dims.values()) == len(q.paths_into(v))
+
+
+def test_projective_connector_is_iso():
+    # the connector of P(v, 1) maps DA (x) A e_v onto D(e_v A) = I(v), and
+    # both sides have dimension #paths w -> v at each w
+    for q in (kronecker(), a2()):
+        alg = ReplicatedAlgebra(q, 1)
+        for v in q.vertices:
+            P = projective(alg, v, 1)
+            P.validate()
+            assert P.levels[0].dims == injective_rep(v, q).dims
+            assert connector_image_dims(P) == {
+                w: len([p for p in q.paths_from(w) if p.target == v])
+                for w in q.vertices}
 
 
 def test_amap_rejects_noncommuting():
