@@ -97,14 +97,12 @@ def eval_module_expr(alg, expr):
             dims = {vkey[str(v)]: d for v, d in arg["dims"].items()}
             for v in alg.quiver.vertices:
                 dims.setdefault(v, 0)
-            maps = {}
+            given = arg.get("maps", {})
+            maps = dict.fromkeys(given)   # Rep rejects names of no arrow
             for a in alg.quiver.arrows:
-                rows = arg.get("maps", {}).get(a.name)
-                if rows is None:
-                    maps[a.name] = Mat.zeros(dims[a.target], dims[a.source],
-                                             alg.field)
-                else:
-                    data = [[alg.field.of(x) for x in row] for row in rows]
+                if given.get(a.name) is not None:
+                    data = [[alg.field.of(x) for x in row]
+                            for row in given[a.name]]
                     maps[a.name] = Mat(dims[a.target], dims[a.source], data,
                                        alg.field)
             rep = Rep(alg.quiver, dims, maps, alg.field)

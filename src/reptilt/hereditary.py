@@ -26,6 +26,8 @@ class Rep:
                 m = Mat.zeros(self.dims[a.target], self.dims[a.source], field)
             self.maps[a.name] = m
         if check:
+            for name in sorted(set(maps) - set(self.maps), key=str):
+                raise ValueError("no arrow named %r in the quiver" % (name,))
             for a in quiver.arrows:
                 m = self.maps[a.name]
                 if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):

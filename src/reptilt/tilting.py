@@ -10,7 +10,7 @@ from .krullschmidt import (all_of_kind, basic_summands, decompose, delta_count,
                            is_indecomposable, is_isomorphic)
 from .linalg import Mat, rank
 from .replicated import (cokernel, direct_sum, injective, kernel, projective,
-                         regular_module)
+                         regular_module, summands_of)
 
 SEARCH_LIMIT = 200
 
@@ -52,23 +52,25 @@ def is_partial_tilting(M):
 
 
 def coresolution(alg, parts):
-    """Iterated minimal left add(T)-approximations of the regular module,
-    T = (+) parts.
-
-    Returns the list of add(T) terms when every step is injective and zero
-    is reached within 2m+1 steps; None otherwise.
+    """Iterated minimal left add(T)-approximations of each P(v, i), T = (+)
+    parts; A has a finite add(T)-coresolution iff every P(v, i) has one
+    (Miyashita, *Tilting modules of finite projective dimension*, Math. Z.
+    1986).  Returns the add(T) terms when every step is injective and each
+    chain reaches zero within 2m+1 steps; None otherwise.
     """
-    current = regular_module(alg)
     terms = []
-    for _ in range(2 * alg.m + 2):
-        if current.is_zero():
-            return terms
-        appr = left_approximation(current, parts)
-        if not appr.map.is_mono():
+    for current in summands_of(regular_module(alg)):
+        for _ in range(2 * alg.m + 2):
+            if current.is_zero():
+                break
+            appr = left_approximation(current, parts)
+            if not appr.map.is_mono():
+                return None
+            terms.append(appr.map.target)
+            current, _ = cokernel(appr.map)
+        if not current.is_zero():
             return None
-        terms.append(appr.map.target)
-        current, _ = cokernel(appr.map)
-    return terms if current.is_zero() else None
+    return terms
 
 
 def certify(alg, parts):

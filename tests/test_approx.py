@@ -4,14 +4,13 @@ from reptilt.catalog import (duplicated, kronecker_almost_complete_pd1,
                              kronecker_almost_complete_pd2,
                              kronecker_almost_complete_pd3, kronecker_quiver,
                              linear_quiver)
-from reptilt.approx import (_left_factor_maps, _right_factor_maps,
-                            _strip_redundant, is_cogenerated_by,
+from reptilt.approx import (_kept_copies, is_cogenerated_by,
                             is_generated_by, left_approximation,
                             right_approximation)
 from reptilt.krullschmidt import basic_summands
 from reptilt.homological import injective_envelope, is_faithful, projective_cover
-from reptilt.replicated import (direct_sum, hom_basis_r, injective,
-                                projective, regular_module, simple)
+from reptilt.replicated import (direct_sum, hom_basis_r, hom_space,
+                                injective, projective, regular_module, simple)
 
 
 def dgrid(M):
@@ -97,8 +96,23 @@ def test_approx_of_zero_summand_free_target(kron):
     assert not appr.map.is_epi()
 
 
+def _right_factor_maps(cand, rest):
+    """Hom(T_c, M) and the maps T_c -> T_l -> M through the other copies."""
+    Tc, fc = cand
+    return hom_space(Tc, fc.target), [fl.compose(b) for Tl, fl in rest
+                                      for b in hom_basis_r(Tc, Tl)]
+
+
+def _left_factor_maps(cand, rest):
+    """Hom(M, T_c) and the maps M -> T_l -> T_c through the other copies."""
+    Tc, gc = cand
+    return hom_space(gc.source, Tc), [b.compose(gl) for Tl, gl in rest
+                                      for b in hom_basis_r(Tl, Tc)]
+
+
 def _restart_strip(pairs, factor_maps):
-    """Reference: restart the sweep from the first copy after each removal."""
+    """Reference: restart the sweep from the first copy after each removal,
+    composing every map afresh and solving one Hom system per copy."""
     changed = True
     while changed:
         changed = False
@@ -124,11 +138,14 @@ def test_one_sweep_strip_matches_restart_loop(kron):
         for M in mods:
             right = [(Tj, f) for Tj in summands for f in hom_basis_r(Tj, M)]
             left = [(Tj, f) for Tj in summands for f in hom_basis_r(M, Tj)]
-            for pairs, factor_maps in ((right, _right_factor_maps),
-                                       (left, _left_factor_maps)):
+            for pairs, factor_maps, is_left, approx in (
+                    (right, _right_factor_maps, False, right_approximation),
+                    (left, _left_factor_maps, True, left_approximation)):
                 want = _restart_strip(list(pairs), factor_maps)
-                got = _strip_redundant(list(pairs), factor_maps)
+                got = _kept_copies(M, summands, is_left)
                 assert [(id(a), id(b)) for a, b in got] == \
                     [(id(a), id(b)) for a, b in want]
+                assert [id(X) for X in approx(M, summands).summands] == \
+                    [id(X) for X, _ in want]
                 removed += len(pairs) - len(got)
     assert removed > 0

@@ -116,6 +116,18 @@ def test_input_errors_exit_2(files, capsys):
         assert len(err) == 1 and err[0].startswith("input error:"), err
     assert main(["check-tilting", alg, write("ok.json", _raw_a2(2))]) == 1
     capsys.readouterr()
+    # a map named after no arrow is an input error, not a zero map
+    stray = _raw_a2(2)
+    stray["raw"]["levels"][0]["maps"]["zz"] = {
+        "rows": 1, "cols": 1, "entries": [["1"]]}
+    misspelled = [{"embed": {"level": 0, "dims": {"1": 1, "2": 1},
+                             "maps": {"zz": [[1]]}}}, stray]
+    for k, expr in enumerate(misspelled):
+        mod = write("misspelled%d.json" % k, expr)
+        assert main(["check-tilting", alg, mod]) == 2, expr
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:"), err
+        assert "'zz'" in err[0], err
     for k, (expr, why) in enumerate(broken):
         mod = write("broken%d.json" % k, expr)
         assert main(["check-tilting", alg, mod]) == 2, why

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from reptilt.approx import left_approximation
 from reptilt.arknit import enumerate_indecomposables
 from reptilt.catalog import (d4_almost_complete_pd1, d4_almost_complete_pd2,
                              duplicated, kronecker_almost_complete_pd1,
@@ -11,12 +12,13 @@ from reptilt.catalog import (d4_almost_complete_pd1, d4_almost_complete_pd2,
 from reptilt.homological import injective_envelope, is_faithful, pd
 from reptilt.krullschmidt import (basic_summands, decompose, is_isomorphic)
 from reptilt.quiver import Quiver
-from reptilt.replicated import (ReplicatedAlgebra, direct_sum, embed_level,
-                                injective, projective, regular_module, simple)
+from reptilt.replicated import (ReplicatedAlgebra, cokernel, direct_sum,
+                                embed_level, injective, projective,
+                                regular_module, simple)
 from reptilt.tilting import (bongartz_complete, certify, certify_tilting,
                              classify_duplicated, complement_fan,
-                             complete_partial_tilting, is_partial_tilting,
-                             is_tilting)
+                             complete_partial_tilting, coresolution,
+                             is_partial_tilting, is_tilting)
 from reptilt.tiltquiver import Registry, exhaustive_tilting_oracle
 
 
@@ -74,6 +76,52 @@ def test_certify_agrees_with_is_tilting_of_the_sum(a2, a2_oracle):
             assert record.algebra is a2
             assert len(record.pieces) == len(parts)
             assert all(X is Y for (X, _), Y in zip(record.pieces, parts))
+
+
+def _whole_a_coresolution(alg, parts):
+    """Reference: the coresolution of A itself, one approximation of the
+    whole regular module per step."""
+    current = regular_module(alg)
+    terms = []
+    for _ in range(2 * alg.m + 2):
+        if current.is_zero():
+            return terms
+        appr = left_approximation(current, parts)
+        if not appr.map.is_mono():
+            return None
+        terms.append(appr.map.target)
+        current, _ = cokernel(appr.map)
+    return terms if current.is_zero() else None
+
+
+def test_coresolution_per_projective_matches_whole_a(a2, a2_oracle):
+    """Running the coresolution on each P(v, i) decides as running it on A:
+    on the tilting modules of duplicated A2, on their three-summand parts
+    (partial tilting, not tilting) and on the Kronecker fixtures completed
+    by each complement of their fans.  The terms of a tilting T lie in
+    add(T)."""
+    tilting = [(a2, [X for X, _ in record.pieces]) for record in a2_oracle]
+    almost = [(a2, list(c)) for _, parts in tilting
+              for c in combinations(parts, len(parts) - 1)]
+    assert len(tilting) == 9 and len(almost) == 36
+    completed = []
+    for fixture in (kronecker_almost_complete_pd1,
+                    kronecker_almost_complete_pd2,
+                    kronecker_almost_complete_pd3):
+        alg, T = fixture()
+        completed += [(alg, basic_summands(T) + [X])
+                      for X, _ in complement_fan(T).complements]
+    assert len(completed) == 9
+    for alg, parts in tilting + completed:
+        terms = coresolution(alg, parts)
+        assert terms is not None
+        assert _whole_a_coresolution(alg, parts) is not None
+        for term in terms:
+            assert all(any(is_isomorphic(Y, X) for X in parts)
+                       for Y in decompose(term))
+    for alg, parts in almost:
+        assert coresolution(alg, parts) is None
+        assert _whole_a_coresolution(alg, parts) is None
 
 
 def test_certify_raises_on_non_tilting(a2):
