@@ -7,9 +7,9 @@ from .hereditary import AMap
 from .linalg import Mat, column_space, quotient_basis, rank, solve_matrix
 from .replicated import (RMap, block_map, blocks, cokernel, direct_sum,
                          generator_action, hom_space, injective, kernel,
-                         map_from_projective, projective, radical,
+                         map_from_projectives, projective, radical_subspaces,
                          regular_module, socle, summand_offsets, summands_of,
-                         top, zero_rmap)
+                         zero_rmap)
 
 
 class Resolution:
@@ -47,28 +47,30 @@ def projective_cover(M):
 
 def _cover_with_data(M):
     """(P, epi, labels): one P(v, i) per basis vector of top(M) at (i, v),
-    its generator sent to a lift of that vector."""
+    its generator sent to a lift of that vector.  The lifts are taken
+    through the projection of M at (i, v) onto its quotient by rad M, so
+    neither rad M nor top M is built as a module."""
     alg = M.algebra
-    T, tproj = top(M)
+    f = alg.field
+    rad = radical_subspaces(M)
     labels = []
-    gens = []
+    groups = []
     for i in range(alg.m + 1):
         for v in alg.quiver.vertices:
-            d = T.dims(i, v)
+            proj, _ = quotient_basis(M.dims(i, v), rad[(i, v)])
+            d = proj.rows
             if not d:
                 continue
             # lift each top basis vector through the quotient projection
-            lifts = solve_matrix(tproj.component(i, v), Mat.identity(d, alg.field))
+            lifts = solve_matrix(proj, Mat.identity(d, f))
             if lifts is None:
                 raise RuntimeError("top projection is not surjective")
-            for j in range(d):
-                labels.append((v, i))
-                gens.append(lifts.submatrix_cols([j]))
+            labels.extend([(v, i)] * d)
+            groups.append((v, i, lifts))
     if not labels:
         raise ValueError("projective cover of the zero module")
     P, _, _ = direct_sum(alg, [projective(alg, v, i) for (v, i) in labels])
-    epi = block_map(P, M, [[map_from_projective(alg, v, i, M, x)
-                            for (v, i), x in zip(labels, gens)]])
+    epi = map_from_projectives(P, M, groups)
     if not epi.is_epi():
         raise RuntimeError("lifted cover map is not surjective")
     return P, epi, labels
@@ -265,10 +267,10 @@ def sigma_set(alg, i):
 
 def is_radical_valued(f):
     """True when the image of f lies in the radical of its target."""
-    R, incl = radical(f.target)
+    rad = radical_subspaces(f.target)
     for i in range(f.target.algebra.m + 1):
         for v in f.target.algebra.quiver.vertices:
-            sub = column_space(incl.component(i, v))
+            sub = rad[(i, v)]
             if not sub.contains_matrix(column_space(f.component(i, v)).basis):
                 return False
     return True

@@ -2,6 +2,10 @@
 
 All basis choices (kernels, images, quotients) are reduced-echelon canonical
 forms, so equal inputs always produce identical outputs.
+
+``Mat(...)``, ``Mat.from_rows`` and ``Mat.column`` check that the entry grid
+matches the shape; the matrices this module builds itself (products, sums,
+stacks, transposes, echelon forms and solutions) skip that check.
 """
 
 from __future__ import annotations
@@ -22,12 +26,22 @@ class Mat:
         self.data = data
         self.field = field
 
+    @staticmethod
+    def _of(rows, cols, data, field):
+        """A Mat over an entry grid known to be rows x cols (no check)."""
+        m = object.__new__(Mat)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        m.field = field
+        return m
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zeros(rows, cols, field=QQ):
         z = field.zero
-        return Mat(rows, cols, [[z] * cols for _ in range(rows)], field)
+        return Mat._of(rows, cols, [[z] * cols for _ in range(rows)], field)
 
     @staticmethod
     def identity(n, field=QQ):
@@ -51,7 +65,8 @@ class Mat:
     # -- basic algebra ------------------------------------------------
 
     def copy(self):
-        return Mat(self.rows, self.cols, [row[:] for row in self.data], self.field)
+        return Mat._of(self.rows, self.cols, [row[:] for row in self.data],
+                       self.field)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.rows == other.rows
@@ -65,24 +80,24 @@ class Mat:
 
     def __add__(self, other):
         assert self.rows == other.rows and self.cols == other.cols
-        return Mat(self.rows, self.cols,
-                   [[a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)], self.field)
+        return Mat._of(self.rows, self.cols,
+                       [[a + b for a, b in zip(r1, r2)]
+                        for r1, r2 in zip(self.data, other.data)], self.field)
 
     def __sub__(self, other):
         assert self.rows == other.rows and self.cols == other.cols
-        return Mat(self.rows, self.cols,
-                   [[a - b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)], self.field)
+        return Mat._of(self.rows, self.cols,
+                       [[a - b for a, b in zip(r1, r2)]
+                        for r1, r2 in zip(self.data, other.data)], self.field)
 
     def __neg__(self):
-        return Mat(self.rows, self.cols,
-                   [[-a for a in r] for r in self.data], self.field)
+        return Mat._of(self.rows, self.cols,
+                       [[-a for a in r] for r in self.data], self.field)
 
     def scale(self, c):
         c = self.field.of(c)
-        return Mat(self.rows, self.cols,
-                   [[c * a for a in r] for r in self.data], self.field)
+        return Mat._of(self.rows, self.cols,
+                       [[c * a for a in r] for r in self.data], self.field)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -90,25 +105,28 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
+        # the nonzero entries of each row of ``other`` are listed once;
+        # entry (r, j) still sums a[r][k] * b[k][j] over increasing k,
+        # skipping zero factors, so every sum is formed in the same order
         zero = self.field.zero
-        bt = [[other.data[k][j] for k in range(other.rows)]
-              for j in range(other.cols)]
+        ncols = other.cols
+        nonzero = [[(j, b) for j, b in enumerate(row) if b]
+                   for row in other.data]
         out = []
         for row in self.data:
-            out_row = []
-            for col in bt:
-                s = zero
-                for a, b in zip(row, col):
-                    if a and b:
-                        s = s + a * b
-                out_row.append(s)
-            out.append(out_row)
-        return Mat(self.rows, other.cols, out, self.field)
+            acc = [zero] * ncols
+            for a, bs in zip(row, nonzero):
+                if a:
+                    for j, b in bs:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
+        return Mat._of(self.rows, ncols, out, self.field)
 
     def transpose(self):
-        return Mat(self.cols, self.rows,
-                   [[self.data[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)], self.field)
+        return Mat._of(self.cols, self.rows,
+                       [list(col) for col in zip(*self.data)]
+                       if self.rows else [[] for _ in range(self.cols)],
+                       self.field)
 
     def is_zero(self):
         return all(not x for row in self.data for x in row)
@@ -117,8 +135,8 @@ class Mat:
         return [self.data[i][j] for i in range(self.rows)]
 
     def submatrix_cols(self, js):
-        return Mat(self.rows, len(js),
-                   [[row[j] for j in js] for row in self.data], self.field)
+        return Mat._of(self.rows, len(js),
+                       [[row[j] for j in js] for row in self.data], self.field)
 
     @staticmethod
     def hstack(mats, field=QQ):
@@ -128,7 +146,7 @@ class Mat:
         rows = mats[0].rows
         assert all(m.rows == rows for m in mats)
         data = [sum((m.data[i] for m in mats), []) for i in range(rows)]
-        return Mat(rows, sum(m.cols for m in mats), data, mats[0].field)
+        return Mat._of(rows, sum(m.cols for m in mats), data, mats[0].field)
 
     @staticmethod
     def vstack(mats, field=QQ):
@@ -140,7 +158,7 @@ class Mat:
         data = []
         for m in mats:
             data.extend(row[:] for row in m.data)
-        return Mat(len(data), cols, data, mats[0].field)
+        return Mat._of(len(data), cols, data, mats[0].field)
 
     @staticmethod
     def block_diag(mats, field=QQ):
@@ -203,7 +221,7 @@ def rref(m):
     """Reduced row echelon form of a Mat.  Returns (R, pivot_columns)."""
     data = [row[:] for row in m.data]
     pivots = _rref_inplace(data, m.rows, m.cols)
-    return Mat(m.rows, m.cols, data, m.field), pivots
+    return Mat._of(m.rows, m.cols, data, m.field), pivots
 
 
 def rank(m):
@@ -234,6 +252,17 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim %d of %d)" % (self.dim, self.ambient_dim)
 
+    def coords(self, cols):
+        """The X with basis * X == cols, or None when some column of ``cols``
+        is not in this subspace.  Row k of the basis at ``pivot_rows[k]`` is
+        the k-th unit row, so X is ``cols`` read at the pivot rows."""
+        if cols.rows != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        x = Mat._of(self.dim, cols.cols,
+                    [cols.data[r][:] for r in self.pivot_rows],
+                    self.basis.field)
+        return x if self.basis * x == cols else None
+
     def contains_matrix(self, cols):
         """True if every column of ``cols`` lies in this subspace."""
         return rank(Mat.hstack([self.basis, cols])) == self.dim
@@ -243,14 +272,15 @@ def column_space(m):
     """Canonical column echelon basis of the column span of ``m``."""
     rt, pivots = rref(m.transpose())
     basis_rows = [rt.data[i] for i in range(len(pivots))]
-    basis = Mat(len(pivots), m.rows, basis_rows, m.field).transpose()
+    basis = Mat._of(len(pivots), m.rows, basis_rows, m.field).transpose()
     return Subspace(m.rows, basis, list(pivots))
 
 
 def kernel_basis(m):
     """Canonical echelon basis of {x : m x = 0}."""
     r, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
     f = m.field
     vecs = Mat.zeros(m.cols, len(free), f)
     for k, fc in enumerate(free):

@@ -485,7 +485,7 @@ def submodule(M, subspaces):
         for a in quiver.arrows:
             u, w = a.source, a.target
             img = M.levels[i].maps[a.name] * subs[(i, u)].basis
-            sol = solve_matrix(subs[(i, w)].basis, img)
+            sol = subs[(i, w)].coords(img)
             if sol is None:
                 raise ValueError("subspaces not closed under arrow %s" % a.name)
             maps[a.name] = sol
@@ -499,7 +499,7 @@ def submodule(M, subspaces):
         conn = {}
         for p, phi in M.connectors[j].items():
             img = phi * subs[(j + 1, p.target)].basis
-            sol = solve_matrix(subs[(j, p.source)].basis, img)
+            sol = subs[(j, p.source)].coords(img)
             if sol is None:
                 raise ValueError("subspaces not closed under connector %d" % j)
             conn[p] = sol
@@ -572,9 +572,10 @@ def cokernel(f):
 
 # -- radical, socle, top ---------------------------------------------
 
-def radical(M):
-    """rad M: arrow images within each level plus the images of the
-    connector matrices from the level above.  Returns (R, inclusion)."""
+def radical_subspaces(M):
+    """rad M at each (level, vertex): the column space of the arrow images
+    within the level and of the connector matrices from the level above,
+    the zero subspace where there are none."""
     alg = M.algebra
     quiver = alg.quiver
     f = alg.field
@@ -586,7 +587,12 @@ def radical(M):
                 pieces += [M.connectors[i][p] for p in quiver.paths_from(w)]
             if pieces:
                 subs[(i, w)] = column_space(Mat.hstack(pieces, field=f))
-    return submodule(M, subs)
+    return _all_subspaces(M, subs)
+
+
+def radical(M):
+    """rad M as a submodule.  Returns (R, inclusion)."""
+    return submodule(M, radical_subspaces(M))
 
 
 def socle(M):
@@ -613,11 +619,7 @@ def socle(M):
 
 def top(M):
     """M / rad M with its projection.  Returns (T, projection)."""
-    R, incl = radical(M)
-    subs = {(i, v): column_space(incl.component(i, v))
-            for i in range(M.algebra.m + 1)
-            for v in M.algebra.quiver.vertices}
-    return quotient_module(M, subs)
+    return quotient_module(M, radical_subspaces(M))
 
 
 # -- Hom over the replicated algebra ---------------------------------
@@ -658,21 +660,22 @@ class HomSpace:
     coordinates of a map are its entries at the pivots.
     """
 
-    __slots__ = ("source", "target", "basis", "pivots", "ambient")
+    __slots__ = ("source", "target", "basis", "vectors", "pivots", "ambient")
 
-    def __init__(self, source, target, basis, pivots, ambient):
+    def __init__(self, source, target, basis, vectors, pivots, ambient):
         self.source = source
         self.target = target
         self.basis = basis          # list of RMap
+        self.vectors = vectors      # their rmap_vector, one list each
         self.pivots = pivots
         self.ambient = ambient      # length of rmap_vector of a map M -> N
 
     def _combination(self, coeffs):
         """``rmap_vector`` of sum_k coeffs[k] basis[k] (field elements)."""
         out = [self.source.algebra.field.zero] * self.ambient
-        for c, b in zip(coeffs, self.basis):
+        for c, vec in zip(coeffs, self.vectors):
             if c:
-                for k, x in enumerate(rmap_vector(b)):
+                for k, x in enumerate(vec):
                     if x:
                         out[k] = out[k] + c * x
         return out
@@ -779,8 +782,9 @@ def _hom_basis_r(M, N):
                                       offsets, total, f.zero)
     sysmat = Mat(len(rows), total, rows, f) if rows else Mat.zeros(0, total, f)
     ker = kernel_basis(sysmat)
-    basis = [_rmap_from_vector(M, N, ker.basis.col(k)) for k in range(ker.dim)]
-    return HomSpace(M, N, basis, ker.pivot_rows, total)
+    vectors = [ker.basis.col(k) for k in range(ker.dim)]
+    basis = [_rmap_from_vector(M, N, vec) for vec in vectors]
+    return HomSpace(M, N, basis, vectors, ker.pivot_rows, total)
 
 
 def hom_dim(M, N):
@@ -818,15 +822,32 @@ def map_from_projective(alg, v, i, M, x):
     xcol = x if isinstance(x, Mat) else Mat.column(x, alg.field)
     if xcol.rows != M.levels[i].dims[v]:
         raise ValueError("generator image has wrong dimension")
+    return map_from_projectives(P, M, [(v, i, xcol)])
+
+
+def map_from_projectives(P, M, gens):
+    """The map P -> M for P the direct sum of the P(v, i) of ``gens``, a
+    list of (v, i, X) with X a matrix at M's (i, v): the copies of P(v, i),
+    one per column of X in order, send their generators to those columns.
+    Each generator action is applied to all of X in one product.  At each
+    (level, vertex) the columns are generator-major and action-minor, the
+    layout ``block_map`` gives to the maps of the single generators."""
+    alg = M.algebra
     level_maps = []
     for lev in range(alg.m + 1):
         comps = {}
         for w in alg.quiver.vertices:
-            acts = generator_action(M, v, i, lev, w)
-            if acts:
-                comps[w] = Mat.hstack([a * xcol for a in acts], field=alg.field)
-        level_maps.append(AMap(P.levels[lev], M.levels[lev],
-                               comps, check=False))
+            rows = [[] for _ in range(M.levels[lev].dims[w])]
+            for v, i, X in gens:
+                images = [a * X for a in generator_action(M, v, i, lev, w)]
+                if images:
+                    for r, row in enumerate(rows):
+                        for entries in zip(*[y.data[r] for y in images]):
+                            row.extend(entries)
+            comps[w] = Mat(M.levels[lev].dims[w], P.levels[lev].dims[w], rows,
+                           alg.field)
+        level_maps.append(AMap(P.levels[lev], M.levels[lev], comps,
+                               check=False))
     return RMap(P, M, level_maps, check=False)
 
 

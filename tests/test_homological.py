@@ -3,17 +3,20 @@ import pytest
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
 from reptilt.field import QQ, PrimeField
-from reptilt.homological import (_ext_differential, cosyzygy, ext,
+from reptilt.homological import (_cover_with_data, _ext_differential,
+                                 cosyzygy, ext,
                                  ext1_classes, injective_envelope,
                                  is_radical_valued, minimal_resolution, pd,
                                  projective_cover, realize_extension,
                                  sigma_set, syzygy)
-from reptilt.linalg import Mat, solve_matrix
-from reptilt.replicated import (ReplicatedAlgebra, block_map, direct_sum,
-                                hom_basis_r, hom_dim, injective,
-                                map_from_projective, projective, radical,
+from reptilt.hereditary import AMap, Rep
+from reptilt.linalg import Mat, column_space, solve_matrix
+from reptilt.replicated import (RMap, RModule, ReplicatedAlgebra, block_map,
+                                direct_sum, generator_action, hom_basis_r,
+                                hom_dim, injective, map_from_projective,
+                                projective, quotient_module, radical,
                                 regular_module, simple, summand_offsets,
-                                summands_of, zero_rmap)
+                                summands_of, top, zero_rmap)
 
 
 def dgrid(M):
@@ -375,3 +378,145 @@ def test_ext_table_over_fp101_equals_qq(name):
     _, over_q = _ext_table(ReplicatedAlgebra(quiver(), m, QQ))
     _, over_p = _ext_table(ReplicatedAlgebra(quiver(), m, PrimeField(101)))
     assert over_p == over_q
+
+
+# -- the projective cover against the construction it replaced -------
+
+def _radical_reference(M):
+    """rad M as it was built before ``radical_subspaces``: the column space
+    of the arrow images and connector matrices at each (level, vertex), and
+    the structure maps of the submodule solved by ``solve_matrix``."""
+    alg = M.algebra
+    quiver, f = alg.quiver, alg.field
+    subs = {}
+    for i in range(alg.m + 1):
+        for w in quiver.vertices:
+            pieces = [M.levels[i].maps[a.name] for a in quiver.arrows_into(w)]
+            if i < alg.m:
+                pieces += [M.connectors[i][p] for p in quiver.paths_from(w)]
+            subs[(i, w)] = column_space(
+                Mat.hstack(pieces, field=f) if pieces
+                else Mat.zeros(M.dims(i, w), 0, f))
+    levels, incls = [], []
+    for i in range(alg.m + 1):
+        maps = {a.name: solve_matrix(subs[(i, a.target)].basis,
+                                     M.levels[i].maps[a.name]
+                                     * subs[(i, a.source)].basis)
+                for a in quiver.arrows}
+        rep = Rep(quiver, {v: subs[(i, v)].dim for v in quiver.vertices},
+                  maps, f, check=False)
+        levels.append(rep)
+        incls.append(AMap(rep, M.levels[i], {v: subs[(i, v)].basis
+                                             for v in quiver.vertices},
+                          check=False))
+    conns = [{p: solve_matrix(subs[(j, p.source)].basis,
+                              phi * subs[(j + 1, p.target)].basis)
+              for p, phi in M.connectors[j].items()} for j in range(alg.m)]
+    R = RModule(alg, levels, conns, check=False)
+    return R, RMap(R, M, incls, check=False)
+
+
+def _top_reference(M):
+    """M / rad M, the quotient by the column spaces of the inclusion of the
+    reference radical."""
+    _, incl = _radical_reference(M)
+    return quotient_module(M, {
+        (i, v): column_space(incl.component(i, v))
+        for i in range(M.algebra.m + 1) for v in M.algebra.quiver.vertices})
+
+
+def _map_from_projective_reference(alg, v, i, M, x):
+    """P(v, i) -> M sending the generator to the column x: at each
+    (level, vertex), one column a * x per generator action a."""
+    P = projective(alg, v, i)
+    level_maps = []
+    for lev in range(alg.m + 1):
+        comps = {w: Mat.hstack([a * x for a in acts], field=alg.field)
+                 for w in alg.quiver.vertices
+                 if (acts := generator_action(M, v, i, lev, w))}
+        level_maps.append(AMap(P.levels[lev], M.levels[lev], comps,
+                               check=False))
+    return RMap(P, M, level_maps, check=False)
+
+
+def _cover_reference(M):
+    """The cover as it was built before: lifts through the projection onto
+    the top module, one map out of P(v, i) per lift, glued by
+    ``block_map``."""
+    alg = M.algebra
+    T, tproj = _top_reference(M)
+    labels, gens = [], []
+    for i in range(alg.m + 1):
+        for v in alg.quiver.vertices:
+            d = T.dims(i, v)
+            if d:
+                lifts = solve_matrix(tproj.component(i, v),
+                                     Mat.identity(d, alg.field))
+                labels += [(v, i)] * d
+                gens += [lifts.submatrix_cols([j]) for j in range(d)]
+    P, _, _ = direct_sum(alg, [projective(alg, v, i) for (v, i) in labels])
+    epi = block_map(P, M, [[_map_from_projective_reference(alg, v, i, M, x)
+                            for (v, i), x in zip(labels, gens)]])
+    return P, epi, labels
+
+
+def _same_map(f, g):
+    alg = f.source.algebra
+    return all(f.component(i, v) == g.component(i, v)
+               for i in range(alg.m + 1) for v in alg.quiver.vertices)
+
+
+def _same_module(A, B):
+    return ([(l.dims, l.maps) for l in A.levels]
+            == [(l.dims, l.maps) for l in B.levels]
+            and A.connectors == B.connectors)
+
+
+COVER_ALGEBRAS = {"kronecker-m1": (kronecker_quiver, 1),
+                  "a3-m2": (lambda: linear_quiver(3), 2),
+                  "dtilde4-m2": (dtilde4_quiver, 2)}
+
+
+def _cover_modules(alg):
+    """Every P, I and S, the first two cosyzygies of the level-0 simples
+    and two recorded sums, one of several kinds and one whose top repeats
+    a simple."""
+    vs, m = alg.quiver.vertices, alg.m
+    mods = [make(alg, v, i) for make in (projective, injective, simple)
+            for i in range(m + 1) for v in vs]
+    for v in vs:
+        c = simple(alg, v, 0)
+        for _ in range(2):
+            c = cosyzygy(c)
+            if not c.is_zero():
+                mods.append(c)
+    mods.append(direct_sum(alg, [simple(alg, vs[0], 0), injective(alg, vs[-1], m),
+                                 projective(alg, vs[-1], 1),
+                                 cosyzygy(simple(alg, vs[-1], 0))])[0])
+    mods.append(direct_sum(alg, [injective(alg, vs[0], 0), simple(alg, vs[-1], m),
+                                 injective(alg, vs[0], 0)])[0])
+    return mods
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("name", list(COVER_ALGEBRAS))
+def test_cover_radical_and_top_match_their_references(name, field):
+    quiver, m = COVER_ALGEBRAS[name]
+    alg = ReplicatedAlgebra(quiver(), m, field)
+    mods = _cover_modules(alg)
+    for M in mods:
+        for got, want in ((radical(M), _radical_reference(M)),
+                          (top(M), _top_reference(M))):
+            assert _same_module(got[0], want[0])
+            assert _same_map(got[1], want[1])
+        if M.is_zero():
+            continue
+        P, epi, labels = _cover_with_data(M)
+        P0, epi0, labels0 = _cover_reference(M)
+        assert labels == labels0
+        assert summands_of(P) == summands_of(P0)
+        assert _same_map(epi, epi0)
+    # several generators share a label and, over the Kronecker quiver,
+    # several actions reach one vertex: the column layout is exercised
+    labels = _cover_with_data(mods[-1])[2]
+    assert len(set(labels)) < len(labels)

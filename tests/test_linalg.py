@@ -138,3 +138,87 @@ def test_prime_field_matches_rationals():
     rk_q = rank(Mat.from_rows(rows, field=QQ))
     rk_p = rank(Mat.from_rows(rows, field=PrimeField(101)))
     assert rk_q == rk_p
+
+
+fields = st.sampled_from([QQ, PrimeField(101)])
+
+
+def _grid(draw, rows, cols, field):
+    return Mat(rows, cols, [[field.of(draw(small_entries)) for _ in range(cols)]
+                            for _ in range(rows)], field)
+
+
+@st.composite
+def subspace_and_columns(draw):
+    """A column space and columns that lie in it or (mostly) not."""
+    field = draw(fields)
+    r = draw(st.integers(min_value=0, max_value=5))
+    span = _grid(draw, r, draw(st.integers(min_value=0, max_value=4)), field)
+    k = draw(st.integers(min_value=0, max_value=3))
+    if draw(st.booleans()):
+        cols = span * _grid(draw, span.cols, k, field)
+    else:
+        cols = _grid(draw, r, k, field)
+    return column_space(span), cols
+
+
+@given(subspace_and_columns())
+@settings(max_examples=80, deadline=None)
+def test_subspace_coords_agree_with_solve(case):
+    sub, cols = case
+    x = sub.coords(cols)
+    want = solve_matrix(sub.basis, cols)
+    assert (x is None) == (want is None)
+    assert x == want
+
+
+def test_subspace_coords_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        column_space(Mat.identity(2)).coords(Mat.zeros(3, 1))
+
+
+def _product_reference(a, b):
+    f = a.field
+    data = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            s = f.zero
+            for k in range(a.cols):
+                s = s + a.data[i][k] * b.data[k][j]
+            row.append(s)
+        data.append(row)
+    return Mat(a.rows, b.cols, data, f)
+
+
+@st.composite
+def factor_pairs(draw):
+    field = draw(fields)
+    r, k, c = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    return _grid(draw, r, k, field), _grid(draw, k, c, field)
+
+
+@given(factor_pairs())
+@settings(max_examples=80, deadline=None)
+def test_product_matches_triple_loop(pair):
+    a, b = pair
+    got = a * b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got == _product_reference(a, b)
+
+
+def test_product_of_empty_shapes():
+    for r, k, c in [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)]:
+        got = Mat.zeros(r, k) * Mat.zeros(k, c)
+        assert (got.rows, got.cols) == (r, c) and got == Mat.zeros(r, c)
+    with pytest.raises(ValueError):
+        Mat.zeros(2, 3) * Mat.zeros(2, 3)
+    assert Mat.zeros(0, 3).transpose() == Mat.zeros(3, 0)
+    assert Mat.zeros(3, 0).transpose() == Mat.zeros(0, 3)
+
+
+def test_public_constructors_check_the_shape():
+    with pytest.raises(ValueError):
+        Mat(2, 2, [[1], [1, 2]])
+    with pytest.raises(ValueError):
+        Mat.from_rows([[1], [1, 2]])

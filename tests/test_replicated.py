@@ -291,6 +291,7 @@ def test_hom_space_coords_and_combine_invert(quiver, field):
         M, X, N = (rng.choice(mods) for _ in range(3))
         space = hom_space(M, N)
         assert space.basis is hom_basis_r(M, N)
+        assert space.vectors == [rmap_vector(b) for b in space.basis]
         # a random element built by RMap arithmetic and by composing
         # through X, not by combine
         g = zero_rmap(M, N)
