@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from .hereditary import AMap
 from .linalg import Mat, column_space, quotient_basis, rank, solve_matrix
-from .replicated import (RMap, block_map, blocks, cokernel, direct_sum,
-                         generator_action, hom_space, injective, kernel,
-                         map_from_projectives, projective, radical_subspaces,
-                         regular_module, socle, summand_offsets, summands_of,
-                         zero_rmap)
+from .replicated import (RMap, block_map, cokernel, direct_sum,
+                         generator_action, hom_space, image_subspaces,
+                         injective, kernel, map_from_projectives, projective,
+                         quotient_module, radical_subspaces, regular_module,
+                         socle, summand_offsets, summands_of)
 
 
 class Resolution:
@@ -316,35 +316,23 @@ def ext1_classes(X, Y):
     return [space.combine(sect.col(c)) for c in range(sect.cols)]
 
 
-def factor_through_epi(epi, value):
-    """{v: phi_v} with phi_v * epi[v] == value[v] at every vertex v, where
-    ``epi`` and ``value`` are {vertex: Mat} and each epi[v] is surjective:
-    solved per vertex as epi^T phi^T = value^T.  Raises ValueError when
-    ``value`` does not factor."""
-    out = {}
-    for v, g in epi.items():
-        sol = solve_matrix(g.transpose(), value[v].transpose())
-        if sol is None:
-            raise ValueError("map does not factor through the epimorphism")
-        out[v] = sol.transpose()
-    return out
-
-
 def realize_extension(X, Y, h):
     """The pushout extension 0 -> Y -> E -> X -> 0 of the class of
     h: syzygy(X) -> Y.  Returns (E, incl_Y, proj_X)."""
     res = minimal_resolution(X)
-    P0 = res.modules[0]
     K, incl = res.syzygy[:2] if res.syzygy else kernel(res.augmentation)
     alg = X.algebra
-    S, _, _ = direct_sum(alg, [P0, Y])
-    E, eproj = cokernel(block_map(K, S, [[incl], [h.scale(-1)]]))
-    iY = blocks(eproj)[0][1]
-    # the augmentation P0 (+) Y -> X (zero on Y) factors through E
-    g = block_map(S, X, [[res.augmentation, zero_rmap(Y, X)]])
+    S, incls, projs = direct_sum(alg, [res.modules[0], Y])
+    subs = image_subspaces(block_map(K, S, [[incl], [h.scale(-1)]]))
+    E, eproj = quotient_module(S, subs)
+    iY = eproj.compose(incls[1])
+    # g = (augmentation, 0) vanishes on the image: it is g o section on E
+    g = res.augmentation.compose(projs[0])
     pX = RMap(E, X, [AMap(E.levels[i], X.levels[i],
-                          factor_through_epi(eproj.level_maps[i].components,
-                                             g.level_maps[i].components),
-                          check=False)
+                          {v: g.component(i, v) * quotient_basis(
+                              S.dims(i, v), subs[(i, v)])[1]
+                           for v in alg.quiver.vertices}, check=False)
                      for i in range(alg.m + 1)], check=False)
+    if not (pX.compose(eproj) - g).is_zero():
+        raise RuntimeError("the augmentation does not factor through E")
     return E, iY, pX

@@ -17,9 +17,9 @@ import sympy
 
 from .field import QQ
 from .linalg import Mat, kernel_basis
-from .replicated import (block_map, blocks, direct_sum, hom_basis_r, hom_space,
-                         identity_rmap, image_subspaces, kernel_subspaces,
-                         submodule, zero_rmap)
+from .replicated import (SummandMaps, block_map, direct_sum, hom_basis_r,
+                         hom_space, identity_rmap, image_subspaces,
+                         kernel_subspaces, submodule, zero_rmap)
 
 SPLIT_TRIALS = 20
 SPLIT_SEED = 987654321
@@ -188,7 +188,10 @@ def is_indecomposable(M):
 
 
 def decompose(M):
-    """List of indecomposable summands (each certified)."""
+    """List of indecomposable summands (each certified).  A recorded direct
+    sum lists those of its summands and builds no inclusion."""
+    if "summands" in M.cache:
+        return [p for part in M.cache["summands"] for p in decompose(part)]
     return [p for p, _ in decompose_with_inclusions(M)]
 
 
@@ -200,7 +203,8 @@ def decompose_with_inclusions(M):
     cached = M.cache.get("decomposition")
     if cached is not None:
         return cached
-    split = [] if M.is_zero() else M.cache.get("summands") or try_split(M)
+    split = ([] if M.is_zero() else try_split(M) if "summands" not in M.cache
+             else zip(M.cache["summands"], SummandMaps(M, True)))
     if split is None:
         _certify_indecomposable(M)
         out = [(M, identity_rmap(M))]
@@ -222,7 +226,7 @@ def decompose_with_maps(M):
     pairs = decompose_with_inclusions(M)
     parts = [p for p, _ in pairs]
     incls = [incl for _, incl in pairs]
-    S, _, _ = direct_sum(M.algebra, parts)
+    S, _, projs = direct_sum(M.algebra, parts)
     iso = block_map(S, M, [incls])
     if not iso.is_iso():
         raise RuntimeError("decomposition does not reassemble to the module")
@@ -230,8 +234,7 @@ def decompose_with_maps(M):
     sol = hom_space(M, M).solve([iso.compose(h) for h in back.basis],
                                 [identity_rmap(M)])
     inv = back.combine(sol.col(0))
-    return parts, incls, [block_map(M, part, [row])
-                          for part, row in zip(parts, blocks(inv))]
+    return parts, incls, [p.compose(inv) for p in projs]
 
 
 def is_isomorphic(M, N):

@@ -54,6 +54,9 @@ class Quiver:
                             for v in self.vertices}
         self._paths_into = {v: [p for p in self.paths if p.target == v]
                             for v in self.vertices}
+        self.maximal_paths = [p for p in self.paths  # from a source to a sink
+                              if not self.arrows_into(p.source)
+                              and not self.arrows_from(p.target)]
 
     # -- validation ---------------------------------------------------
 

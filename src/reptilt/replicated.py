@@ -14,11 +14,12 @@ socle at level i-1.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .field import QQ
-from .hereditary import (AMap, Rep, injective_rep, projective_rep, simple_rep,
-                         zero_amap, zero_rep)
+from .hereditary import (AMap, Rep, identity_amap, injective_rep,
+                         projective_rep, simple_rep, zero_amap, zero_rep)
 from .linalg import (Mat, column_space, kernel_basis, quotient_basis,
                      solve_matrix)
 from .quiver import Path
@@ -261,7 +262,6 @@ def zero_rmap(M, N):
 
 
 def identity_rmap(M):
-    from .hereditary import identity_amap
     return RMap(M, M, [identity_amap(l) for l in M.levels], check=False)
 
 
@@ -350,8 +350,7 @@ def regular_module(alg):
 
 def summands_of(M):
     """The modules M was built from by ``direct_sum``, or [M]."""
-    recorded = M.cache.get("summands")
-    return [part for part, _ in recorded] if recorded else [M]
+    return list(M.cache.get("summands") or [M])
 
 
 def summand_offsets(mods, i, v):
@@ -364,16 +363,12 @@ def summand_offsets(mods, i, v):
 
 
 def direct_sum(alg, mods):
-    """Direct sum with inclusion and projection maps.
-
-    Returns (sum_module, inclusions, projections).  The (summand,
-    inclusion) pairs are recorded in ``sum_module.cache["summands"]``, so
-    Krull-Schmidt splits the sum along them.
-    """
+    """(S, inclusions, projections) for S the direct sum of ``mods``.  S
+    records them in ``S.cache["summands"]``, so Krull-Schmidt splits S along
+    them; each map is built when first read (``SummandMaps``)."""
     mods = list(mods)
     if not mods:
-        z = zero_module(alg)
-        return z, [], []
+        return zero_module(alg), [], []
     quiver = alg.quiver
     f = alg.field
     levels = []
@@ -384,33 +379,42 @@ def direct_sum(alg, mods):
                                        field=f)
                 for a in quiver.arrows}
         levels.append(Rep(quiver, dims, maps, f, check=False))
-    # inclusion/projection components per level
-    incl_comps = [[] for _ in mods]
-    proj_comps = [[] for _ in mods]
-    for i in range(alg.m + 1):
-        cuts = {v: summand_offsets(mods, i, v) for v in quiver.vertices}
-        for k, M in enumerate(mods):
-            ic, pc = {}, {}
-            for v in quiver.vertices:
-                d = M.levels[i].dims[v]
-                D = levels[i].dims[v]
-                o = cuts[v][k]
-                inc = Mat.zeros(D, d, f)
-                prj = Mat.zeros(d, D, f)
-                for t in range(d):
-                    inc.data[o + t][t] = f.one
-                    prj.data[t][o + t] = f.one
-                ic[v], pc[v] = inc, prj
-            incl_comps[k].append(AMap(M.levels[i], levels[i], ic, check=False))
-            proj_comps[k].append(AMap(levels[i], M.levels[i], pc, check=False))
     conns = [{p: Mat.block_diag([M.connectors[j][p] for M in mods], field=f)
               for p in quiver.paths}
              for j in range(alg.m)]
     S = RModule(alg, levels, conns, check=False)
-    incls = [RMap(mods[k], S, incl_comps[k], check=False) for k in range(len(mods))]
-    projs = [RMap(S, mods[k], proj_comps[k], check=False) for k in range(len(mods))]
-    S.cache["summands"] = list(zip(mods, incls))
-    return S, incls, projs
+    S.cache["summands"] = mods
+    return S, SummandMaps(S, True), SummandMaps(S, False)
+
+
+class SummandMaps(Sequence):
+    """The inclusions (``into``) or projections of the summands of a direct
+    sum S, each built by ``summand_map`` when first read, then kept.  S does
+    not refer to the sequence, so dropping it frees the maps it built."""
+
+    def __init__(self, S, into):
+        self._sum, self._into, self._maps = S, into, {}
+
+    def __len__(self):
+        return len(self._sum.cache["summands"])
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        if k not in self._maps:
+            self._maps[k] = summand_map(self._sum, k, self._into)
+        return self._maps[k]
+
+
+def summand_map(S, k, into):
+    """The inclusion (``into``) or the projection of summand k of the
+    recorded direct sum S: the identity block at k, zero blocks elsewhere."""
+    parts = summands_of(S)
+    grid = [identity_rmap(X) if l == k else
+            zero_rmap(parts[k], X) if into else zero_rmap(X, parts[k])
+            for l, X in enumerate(parts)]
+    if into:
+        return block_map(parts[k], S, [[b] for b in grid])
+    return block_map(S, parts[k], [grid])
 
 
 def block_map(source, target, blocks):
@@ -758,7 +762,9 @@ def _commutation_rows(x_n, x_m, src, tgt, offsets, total, zero):
 def _hom_basis_r(M, N):
     """Solve the Hom system for maps M -> N; returns their HomSpace.  A map
     commutes with every arrow at every level and with every connector
-    matrix p*."""
+    matrix p*.  Connector rows are needed only for the paths from a source
+    to a sink: any other q extends to q.a or b.q, and Phi_q = Phi_{q.a} M_a
+    or Phi_q = M_b Phi_{b.q} carries the commutation through the arrows."""
     alg = M.algebra
     quiver = alg.quiver
     f = alg.field
@@ -776,8 +782,8 @@ def _hom_basis_r(M, N):
                                       (i, a.source), (i, a.target),
                                       offsets, total, f.zero)
     for j in range(alg.m):
-        for p, phi in M.connectors[j].items():
-            rows += _commutation_rows(N.connectors[j][p], phi,
+        for p in quiver.maximal_paths:
+            rows += _commutation_rows(N.connectors[j][p], M.connectors[j][p],
                                       (j + 1, p.target), (j, p.source),
                                       offsets, total, f.zero)
     sysmat = Mat(len(rows), total, rows, f) if rows else Mat.zeros(0, total, f)

@@ -1,21 +1,25 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
+from reptilt import replicated
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
 from reptilt.field import QQ, PrimeField
 from reptilt.hereditary import AMap, hom_basis as base_hom_basis
-from reptilt.krullschmidt import is_isomorphic
-from reptilt.linalg import Mat, rank
+from reptilt.krullschmidt import decompose, is_isomorphic
+from reptilt.linalg import Mat, kernel_basis, rank
 from reptilt.homological import cosyzygy, minimal_resolution
 from reptilt.replicated import (RMap, ReplicatedAlgebra, block_map, blocks,
                                 cokernel, direct_sum, embed_level, hom_basis_r,
                                 hom_space, identity_rmap, injective, kernel,
                                 map_from_projective, projective, radical,
                                 regular_module, rmap_vector, rmodule_from_json,
-                                rmodule_to_json, simple, socle, top, zero_rmap)
+                                rmodule_to_json, simple, socle, summands_of,
+                                top, zero_rmap)
 
 
 def dgrid(M):
@@ -170,7 +174,7 @@ def test_direct_sum_maps_validate():
     mods = [projective(alg, 1, 1), simple(alg, 2, 0)]
     S, incls, projs = direct_sum(alg, mods)
     S.validate()
-    for f in incls + projs:
+    for f in [*incls, *projs]:
         f.validate()
     assert S.total_dim == sum(M.total_dim for M in mods)
 
@@ -242,12 +246,99 @@ def test_sum_connectors_are_block_diagonal(quiver, m):
              projective(alg, q.vertices[-1], m)]
     S, incls, projs = direct_sum(alg, parts)
     S.validate()
-    for f in incls + projs:
+    for f in [*incls, *projs]:
         f.validate()
     for j in range(m):
         for p in q.paths:
             assert S.connectors[j][p] == Mat.block_diag(
                 [X.connectors[j][p] for X in parts])
+
+
+def _eager_sum_maps(S, parts):
+    """Reference inclusions and projections of S = parts[0] (+) ...: the
+    identity at each part's offset per (level, vertex), zero elsewhere."""
+    alg = S.algebra
+    f = alg.field
+    incls, projs = [], []
+    for k, X in enumerate(parts):
+        inc, prj = [], []
+        for i in range(alg.m + 1):
+            comps = {}
+            for v in alg.quiver.vertices:
+                o = sum(Y.dims(i, v) for Y in parts[:k])
+                comps[v] = Mat(S.dims(i, v), X.dims(i, v),
+                               [[f.one if r == o + c else f.zero
+                                 for c in range(X.dims(i, v))]
+                                for r in range(S.dims(i, v))], f)
+            inc.append(AMap(X.levels[i], S.levels[i], comps))
+            prj.append(AMap(S.levels[i], X.levels[i],
+                            {v: c.transpose() for v, c in comps.items()}))
+        incls.append(RMap(X, S, inc))
+        projs.append(RMap(S, X, prj))
+    return incls, projs
+
+
+@pytest.mark.parametrize("quiver,m", REPLICATED, ids=REPLICATED_IDS)
+def test_sum_maps_built_on_demand_match_the_eager_ones(quiver, m):
+    alg = ReplicatedAlgebra(quiver(), m)
+    q = alg.quiver
+    simple0 = simple(alg, q.vertices[0], 0)
+    # a repeated part, a part zero at most (level, vertex), a nested sum
+    parts = [projective(alg, q.vertices[0], 1), simple0,
+             cosyzygy(simple0), simple0, _named_modules(alg)[-1]]
+    S, incls, projs = direct_sum(alg, parts)
+    assert summands_of(S) == parts
+    want_incls, want_projs = _eager_sum_maps(S, parts)
+    assert len(incls) == len(projs) == len(parts)
+    for got, want in zip([*incls, *projs], want_incls + want_projs):
+        got.validate()
+        assert (got.source, got.target) == (want.source, want.target)
+        assert rmap_vector(got) == rmap_vector(want)
+    for k, X in enumerate(parts):
+        for l, Y in enumerate(parts):
+            want = identity_rmap(X) if k == l else zero_rmap(Y, X)
+            assert rmap_vector(projs[k].compose(incls[l])) == \
+                rmap_vector(want)
+    total = zero_rmap(S, S)
+    for i, p in zip(incls, projs):
+        total = total + i.compose(p)
+    assert rmap_vector(total) == rmap_vector(identity_rmap(S))
+    # each map is built once; indexing and iterating read the same maps
+    assert incls[-1] is incls[len(parts) - 1] is list(incls)[-1]
+    with pytest.raises(IndexError):
+        incls[len(parts)]
+
+
+def test_sum_maps_are_freed_with_their_sequence():
+    # the sum does not refer to its inclusions, so they need no garbage
+    # collection: reference counting frees them with the sequence
+    alg = duplicated(kronecker_quiver())
+    S, incls, _ = direct_sum(alg, [projective(alg, 1, 1), simple(alg, 2, 0)])
+    gc.disable()
+    try:
+        ref = weakref.ref(incls[0])
+        del incls
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_resolving_a_recorded_sum_builds_no_sum_maps(monkeypatch):
+    built = []
+    real = replicated.summand_map
+    monkeypatch.setattr(replicated, "summand_map",
+                        lambda *args: built.append(args) or real(*args))
+    alg = ReplicatedAlgebra(dtilde4_quiver(), 2)
+    q = alg.quiver
+    M, incls, _ = direct_sum(alg, [cosyzygy(simple(alg, q.vertices[0], 0)),
+                                   injective(alg, q.vertices[-1], 1),
+                                   simple(alg, q.vertices[1], 2)])
+    res = minimal_resolution(M)
+    assert len(res.modules) >= 2
+    assert len(decompose(M)) >= 3
+    assert built == []
+    incls[1]
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("quiver,m", REPLICATED, ids=REPLICATED_IDS)
@@ -321,6 +412,45 @@ def test_hom_space_coords_refuse_non_module_maps(field):
         hom_space(P, P).coords(bad)
 
 
+def _hom_system_of_every_path(M, N):
+    """(vectors, pivots) of Hom(M, N) solved with commutation rows for
+    every arrow and for the connector matrix of every path."""
+    alg = M.algebra
+    q, f = alg.quiver, alg.field
+    offsets, total = {}, 0
+    for i in range(alg.m + 1):
+        for v in q.vertices:
+            offsets[(i, v)] = total
+            total += N.dims(i, v) * M.dims(i, v)
+    rows = []
+    for i in range(alg.m + 1):
+        for a in q.arrows:
+            rows += replicated._commutation_rows(
+                N.levels[i].maps[a.name], M.levels[i].maps[a.name],
+                (i, a.source), (i, a.target), offsets, total, f.zero)
+    for j in range(alg.m):
+        for p in q.paths:
+            rows += replicated._commutation_rows(
+                N.connectors[j][p], M.connectors[j][p],
+                (j + 1, p.target), (j, p.source), offsets, total, f.zero)
+    ker = kernel_basis(Mat(len(rows), total, rows, f) if rows
+                       else Mat.zeros(0, total, f))
+    return [ker.basis.col(k) for k in range(ker.dim)], ker.pivot_rows
+
+
+@pytest.mark.parametrize("quiver,m", REPLICATED, ids=REPLICATED_IDS)
+def test_hom_rows_of_maximal_paths_give_the_same_basis(quiver, m):
+    alg = ReplicatedAlgebra(quiver(), m)
+    mods = _named_modules(alg)
+    nonzero = 0
+    for M, N in ((M, N) for M in mods for N in mods):
+        space = hom_space(M, N)
+        assert (space.vectors, space.pivots) == \
+            _hom_system_of_every_path(M, N)
+        nonzero += bool(space.vectors)
+    assert nonzero >= 100
+
+
 def _compose_reference(grid, S, incls, T, projs):
     """sum_kl incls[k] o grid[k][l] o projs[l], the assembly through the
     direct-sum inclusions and projections that block_map replaces."""
@@ -387,8 +517,8 @@ def test_blocks_reassemble_resolution_differentials(quiver):
         for i in range(alg.m + 1):
             for d in minimal_resolution(simple(alg, v, i)).maps:
                 grid = blocks(d)
-                assert len(grid) == len(d.target.cache["summands"])
-                assert len(grid[0]) == len(d.source.cache["summands"])
+                assert len(grid) == len(summands_of(d.target))
+                assert len(grid[0]) == len(summands_of(d.source))
                 again = block_map(d.source, d.target, grid)
                 assert rmap_vector(again) == rmap_vector(d)
                 seen += 1
