@@ -3,7 +3,6 @@ indecomposables for representation-finite instances, and the AR quiver."""
 
 from __future__ import annotations
 
-from .hereditary import AMap, injective_rep
 from .homological import (cokernel, ext1_classes, injective_envelope_with_data,
                           minimal_resolution, realize_extension)
 from .krullschmidt import (all_of_kind, end_radical_basis, is_indecomposable,
@@ -14,41 +13,24 @@ from .replicated import (RMap, block_map, blocks, direct_sum, hom_basis_r,
                          projective, zero_rmap)
 
 
-def iota_path_map(quiver, p, field):
-    """The map I_{t(p)} -> I_{s(p)} between base injectives induced by the
-    path p (dual of left multiplication): r* -> x* when r = (x then p)."""
-    src = injective_rep(p.target, quiver, field)
-    tgt = injective_rep(p.source, quiver, field)
+def iota_path_map(alg, p):
+    """The map I(t(p), m) -> I(s(p), m) between the level-m injectives
+    induced by the path p (dual of left multiplication): r* -> x* when
+    r = (x then p)."""
+    src = injective(alg, p.target, alg.m)
+    tgt = injective(alg, p.source, alg.m)
     comps = {}
-    for u in quiver.vertices:
-        m = Mat.zeros(tgt.dims[u], src.dims[u], field)
-        for c, r in enumerate(src.path_basis[u]):
-            if len(r.arrows) < len(p.arrows):
-                continue
-            if tuple(r.arrows[len(r.arrows) - len(p.arrows):]) != tuple(p.arrows):
-                continue
-            x_arrows = tuple(r.arrows[:len(r.arrows) - len(p.arrows)])
-            for rr, x in enumerate(tgt.path_basis[u]):
-                if tuple(x.arrows) == x_arrows:
-                    m.data[rr][c] = field.one
-                    break
-        comps[u] = m
-    return AMap(src, tgt, comps, check=False)
-
-
-def _embedded_injective_map(alg, amap, v, w):
-    """Promote a base map I_v -> I_w to the level-m embedded injectives."""
-    src = injective(alg, v, alg.m)
-    tgt = injective(alg, w, alg.m)
-    level_maps = []
-    for lev in range(alg.m + 1):
-        if lev == alg.m:
-            level_maps.append(AMap(src.levels[lev], tgt.levels[lev],
-                                   dict(amap.components), check=False))
-        else:
-            level_maps.append(AMap(src.levels[lev], tgt.levels[lev], {},
-                                   check=False))
-    return RMap(src, tgt, level_maps, check=False)
+    for u in alg.quiver.vertices:
+        rs = src.levels[alg.m].path_basis[u]
+        index = {x.arrows: k
+                 for k, x in enumerate(tgt.levels[alg.m].path_basis[u])}
+        m = Mat.zeros(len(index), len(rs), alg.field)
+        for c, r in enumerate(rs):
+            cut = len(r.arrows) - len(p.arrows)
+            if cut >= 0 and r.arrows[cut:] == p.arrows:
+                m.data[index[r.arrows[:cut]]][c] = alg.field.one
+        comps[(alg.m, u)] = m
+    return RMap(src, tgt, comps, check=False)
 
 
 def _nu_block(alg, f, v, i, w, j):
@@ -63,20 +45,9 @@ def _nu_block(alg, f, v, i, w, j):
             raise RuntimeError("impossible Nakayama block")
         return zero_rmap(injective(alg, v, alg.m), injective(alg, w, j))
     paths = alg.base_projective(w).path_basis[v]
-    total = None
-    comps = {u: Mat.zeros(injective(alg, w, alg.m).levels[alg.m].dims[u],
-                          injective(alg, v, alg.m).levels[alg.m].dims[u],
-                          alg.field)
-             for u in alg.quiver.vertices}
-    for c, p in zip(coords, paths):
-        if not c:
-            continue
-        amap = iota_path_map(alg.quiver, p, alg.field)
-        for u in alg.quiver.vertices:
-            comps[u] = comps[u] + amap.components[u].scale(c)
-    base = AMap(injective(alg, v, alg.m).levels[alg.m],
-                injective(alg, w, alg.m).levels[alg.m], comps, check=False)
-    return _embedded_injective_map(alg, base, v, w)
+    return sum((iota_path_map(alg, p).scale(c)
+                for c, p in zip(coords, paths) if c),
+               zero_rmap(injective(alg, v, alg.m), injective(alg, w, alg.m)))
 
 
 def translate(M):
@@ -109,8 +80,7 @@ def _nu_inverse_block(alg, h, v, i, w, j):
         return zero_rmap(projective(alg, v, alg.m), projective(alg, w, j))
     # decompose h over the path-induced maps I(v,m) -> I(w,m)
     paths = alg.base_projective(w).path_basis[v]
-    iotas = [_embedded_injective_map(
-        alg, iota_path_map(alg.quiver, p, alg.field), v, w) for p in paths]
+    iotas = [iota_path_map(alg, p) for p in paths]
     space = hom_space(injective(alg, v, alg.m), injective(alg, w, alg.m))
     sol = space.solve(iotas, [h])
     if sol is None:
@@ -193,8 +163,7 @@ def enumerate_indecomposables(alg):
         return any(M.dim_grid() == N.dim_grid() and is_isomorphic(M, N)
                    for N in nodes)
 
-    queue = [projective(alg, v, i)
-             for i in range(alg.m + 1) for v in alg.quiver.vertices]
+    queue = [projective(alg, v, i) for i, v in alg.cells]
     while queue:
         M = queue.pop(0)
         if known(M):

@@ -8,7 +8,7 @@ a: u -> w acts as a matrix of shape dims[w] x dims[u].
 from __future__ import annotations
 
 from .field import QQ
-from .linalg import Mat, kernel_basis, rank
+from .linalg import Mat, kernel_basis
 from .quiver import Path
 
 
@@ -78,56 +78,6 @@ class AMap:
             rhs = self.components[a.target] * self.source.maps[a.name]
             if lhs != rhs:
                 raise ValueError("map does not commute with arrow %s" % a.name)
-
-    def compose(self, other):
-        """self o other (apply other first)."""
-        assert other.target is self.source or other.target.dims == self.source.dims
-        return AMap(other.source, self.target,
-                    {v: self.components[v] * other.components[v]
-                     for v in self.source.quiver.vertices}, check=False)
-
-    def __add__(self, other):
-        return AMap(self.source, self.target,
-                    {v: self.components[v] + other.components[v]
-                     for v in self.source.quiver.vertices}, check=False)
-
-    def __sub__(self, other):
-        return AMap(self.source, self.target,
-                    {v: self.components[v] - other.components[v]
-                     for v in self.source.quiver.vertices}, check=False)
-
-    def scale(self, c):
-        return AMap(self.source, self.target,
-                    {v: self.components[v].scale(c)
-                     for v in self.source.quiver.vertices}, check=False)
-
-    def is_zero(self):
-        return all(m.is_zero() for m in self.components.values())
-
-    def total_rank(self):
-        return sum(rank(m) for m in self.components.values())
-
-    def is_mono(self):
-        return self.total_rank() == self.source.total_dim
-
-    def is_epi(self):
-        return self.total_rank() == self.target.total_dim
-
-    def is_iso(self):
-        return (self.source.total_dim == self.target.total_dim
-                and self.is_mono())
-
-    def __repr__(self):
-        return "AMap(%r -> %r)" % (self.source, self.target)
-
-
-def zero_amap(source, target):
-    return AMap(source, target, {}, check=False)
-
-
-def identity_amap(m):
-    return AMap(m, m, {v: Mat.identity(m.dims[v], m.field)
-                       for v in m.quiver.vertices}, check=False)
 
 
 # -- Hom spaces -------------------------------------------------------

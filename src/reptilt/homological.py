@@ -3,13 +3,12 @@ syzygies and cosyzygies over a replicated algebra."""
 
 from __future__ import annotations
 
-from .hereditary import AMap
 from .linalg import Mat, column_space, quotient_basis, rank, solve_matrix
 from .replicated import (RMap, block_map, cokernel, direct_sum,
                          generator_action, hom_space, image_subspaces,
                          injective, kernel, map_from_projectives, projective,
-                         quotient_module, radical_subspaces, regular_module,
-                         socle, summand_offsets, summands_of)
+                         quotient_with_sections, radical_subspaces,
+                         regular_module, socle, summand_offsets, summands_of)
 
 
 class Resolution:
@@ -55,18 +54,17 @@ def _cover_with_data(M):
     rad = radical_subspaces(M)
     labels = []
     groups = []
-    for i in range(alg.m + 1):
-        for v in alg.quiver.vertices:
-            proj, _ = quotient_basis(M.dims(i, v), rad[(i, v)])
-            d = proj.rows
-            if not d:
-                continue
-            # lift each top basis vector through the quotient projection
-            lifts = solve_matrix(proj, Mat.identity(d, f))
-            if lifts is None:
-                raise RuntimeError("top projection is not surjective")
-            labels.extend([(v, i)] * d)
-            groups.append((v, i, lifts))
+    for i, v in alg.cells:
+        proj, _ = quotient_basis(M.dims(i, v), rad[(i, v)])
+        d = proj.rows
+        if not d:
+            continue
+        # lift each top basis vector through the quotient projection
+        lifts = solve_matrix(proj, Mat.identity(d, f))
+        if lifts is None:
+            raise RuntimeError("top projection is not surjective")
+        labels.extend([(v, i)] * d)
+        groups.append((v, i, lifts))
     if not labels:
         raise ValueError("projective cover of the zero module")
     P, _, _ = direct_sum(alg, [projective(alg, v, i) for (v, i) in labels])
@@ -195,9 +193,8 @@ def injective_envelope_with_data(M):
     f = alg.field
     S, sincl = socle(M)
     labels = []
-    for i in range(alg.m + 1):
-        for v in alg.quiver.vertices:
-            labels.extend([(v, i)] * S.dims(i, v))
+    for i, v in alg.cells:
+        labels.extend([(v, i)] * S.dims(i, v))
     if not labels:
         raise ValueError("injective envelope of the zero module")
     injs = [injective(alg, v, i) for (v, i) in labels]
@@ -213,7 +210,7 @@ def injective_envelope_with_data(M):
                        if not p.arrows)
         comp = Mat.zeros(I.levels[i].dims[v], S.dims(i, v), f)
         comp.data[soc_idx][c] = f.one
-        column.append([_single_component_rmap(S, I, i, v, comp)])
+        column.append([RMap(S, I, {(i, v): comp}, check=False)])
     sigma = block_map(S, E, column)
     # extend sigma over M: find h in Hom(M, E) with h o sincl = sigma,
     # solved in Hom(S, E) coordinates
@@ -226,17 +223,6 @@ def injective_envelope_with_data(M):
     if not mono.is_mono():
         raise RuntimeError("injective envelope map is not injective")
     return E, mono, labels
-
-
-def _single_component_rmap(S, I, i, v, comp):
-    """RMap S -> I with a single nonzero component at (level i, vertex v)."""
-    level_maps = []
-    for lev in range(S.algebra.m + 1):
-        comps = {}
-        if lev == i:
-            comps[v] = comp
-        level_maps.append(AMap(S.levels[lev], I.levels[lev], comps, check=False))
-    return RMap(S, I, level_maps, check=False)
 
 
 def cosyzygy(M):
@@ -268,12 +254,8 @@ def sigma_set(alg, i):
 def is_radical_valued(f):
     """True when the image of f lies in the radical of its target."""
     rad = radical_subspaces(f.target)
-    for i in range(f.target.algebra.m + 1):
-        for v in f.target.algebra.quiver.vertices:
-            sub = rad[(i, v)]
-            if not sub.contains_matrix(column_space(f.component(i, v)).basis):
-                return False
-    return True
+    return all(rad[c].contains_matrix(column_space(m).basis)
+               for c, m in f.comps.items())
 
 
 def is_faithful(M):
@@ -324,15 +306,12 @@ def realize_extension(X, Y, h):
     alg = X.algebra
     S, incls, projs = direct_sum(alg, [res.modules[0], Y])
     subs = image_subspaces(block_map(K, S, [[incl], [h.scale(-1)]]))
-    E, eproj = quotient_module(S, subs)
+    E, eproj, sections = quotient_with_sections(S, subs)
     iY = eproj.compose(incls[1])
     # g = (augmentation, 0) vanishes on the image: it is g o section on E
     g = res.augmentation.compose(projs[0])
-    pX = RMap(E, X, [AMap(E.levels[i], X.levels[i],
-                          {v: g.component(i, v) * quotient_basis(
-                              S.dims(i, v), subs[(i, v)])[1]
-                           for v in alg.quiver.vertices}, check=False)
-                     for i in range(alg.m + 1)], check=False)
+    pX = RMap(E, X, {c: g.comps[c] * s for c, s in sections.items()},
+              check=False)
     if not (pX.compose(eproj) - g).is_zero():
         raise RuntimeError("the augmentation does not factor through E")
     return E, iY, pX

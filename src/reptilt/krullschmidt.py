@@ -128,9 +128,7 @@ def try_split(M):
 
 
 def _trace(f):
-    alg = f.source.algebra
-    return sum(f.component(i, v).trace()
-               for i in range(alg.m + 1) for v in alg.quiver.vertices)
+    return sum(m.trace() for m in f.comps.values())
 
 
 def end_radical_dim(M):

@@ -18,9 +18,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .field import QQ
-from .hereditary import (AMap, Rep, identity_amap, injective_rep,
-                         projective_rep, simple_rep, zero_amap, zero_rep)
-from .linalg import (Mat, column_space, kernel_basis, quotient_basis,
+from .hereditary import (Rep, injective_rep, projective_rep, simple_rep,
+                         zero_rep)
+from .linalg import (Mat, column_space, kernel_basis, quotient_basis, rank,
                      solve_matrix)
 from .quiver import Path
 
@@ -36,6 +36,8 @@ class ReplicatedAlgebra:
         self.field = field
         self.n = len(quiver.vertices)
         self.delta = (m + 1) * self.n
+        # the (level, vertex) pairs, levels 0..m and vertices in quiver order
+        self.cells = [(i, v) for i in range(m + 1) for v in quiver.vertices]
         dim_a = len(quiver.paths)
         self.dim = (m + 1) * dim_a + m * dim_a
         self._base_proj = {}
@@ -133,10 +135,8 @@ class RModule:
         return self.levels[i].dims[v]
 
     def dim_grid(self):
-        return DimGrid({(i, v): self.levels[i].dims[v]
-                        for i in range(self.algebra.m + 1)
-                        for v in self.algebra.quiver.vertices
-                        if self.levels[i].dims[v]})
+        return DimGrid({(i, v): d for i, v in self.algebra.cells
+                        if (d := self.levels[i].dims[v])})
 
     def __repr__(self):
         return "RModule(%s)" % self.dim_grid()
@@ -186,61 +186,73 @@ class DimGrid:
 
 
 class RMap:
-    """A morphism of replicated-algebra modules (one AMap per level)."""
+    """A morphism of replicated-algebra modules: one matrix per (level,
+    vertex), ``comps[(i, v)]`` from the source at (i, v) to the target
+    there, kept in ``cells`` order.  A missing cell is zero."""
 
-    def __init__(self, source, target, level_maps, check=True):
+    def __init__(self, source, target, comps, check=True):
         self.source = source
         self.target = target
-        self.level_maps = list(level_maps)
+        f = source.algebra.field
+        self.comps = {c: comps[c] if c in comps else
+                      Mat.zeros(target.dims(*c), source.dims(*c), f)
+                      for c in source.algebra.cells}
         if check:
             self.validate()
 
     def validate(self):
-        alg = self.source.algebra
-        for i, f in enumerate(self.level_maps):
-            for v in alg.quiver.vertices:
-                c = f.components[v]
-                want = (self.target.levels[i].dims[v], self.source.levels[i].dims[v])
-                if (c.rows, c.cols) != want:
-                    raise ValueError("level %d component shape mismatch" % i)
-            f.validate()
+        """The shape of each cell, commutation with the arrows at each
+        level and with the connector matrices."""
+        M, N = self.source, self.target
+        alg = M.algebra
+        for (i, v), c in self.comps.items():
+            want = (N.dims(i, v), M.dims(i, v))
+            if (c.rows, c.cols) != want:
+                raise ValueError("component at level %d, vertex %r has shape "
+                                 "%dx%d, want %dx%d"
+                                 % ((i, v, c.rows, c.cols) + want))
+        for i in range(alg.m + 1):
+            for a in alg.quiver.arrows:
+                if (N.levels[i].maps[a.name] * self.comps[(i, a.source)]
+                        != self.comps[(i, a.target)]
+                        * M.levels[i].maps[a.name]):
+                    raise ValueError("map does not commute with arrow %s at "
+                                     "level %d" % (a.name, i))
         for j in range(alg.m):
-            low, high = self.level_maps[j], self.level_maps[j + 1]
-            for p, phi in self.source.connectors[j].items():
-                psi = self.target.connectors[j][p]
-                if (low.components[p.source] * phi
-                        != psi * high.components[p.target]):
+            for p, phi in M.connectors[j].items():
+                if (self.comps[(j, p.source)] * phi
+                        != N.connectors[j][p] * self.comps[(j + 1, p.target)]):
                     raise ValueError("map does not commute with connector %d"
                                      % j)
 
     def component(self, i, v):
-        return self.level_maps[i].components[v]
+        return self.comps[(i, v)]
 
     def compose(self, other):
         return RMap(other.source, self.target,
-                    [f.compose(g) for f, g in zip(self.level_maps,
-                                                  other.level_maps)],
+                    {c: m * other.comps[c] for c, m in self.comps.items()},
                     check=False)
 
     def __add__(self, other):
         return RMap(self.source, self.target,
-                    [f + g for f, g in zip(self.level_maps, other.level_maps)],
+                    {c: m + other.comps[c] for c, m in self.comps.items()},
                     check=False)
 
     def __sub__(self, other):
         return RMap(self.source, self.target,
-                    [f - g for f, g in zip(self.level_maps, other.level_maps)],
+                    {c: m - other.comps[c] for c, m in self.comps.items()},
                     check=False)
 
     def scale(self, c):
         return RMap(self.source, self.target,
-                    [f.scale(c) for f in self.level_maps], check=False)
+                    {cell: m.scale(c) for cell, m in self.comps.items()},
+                    check=False)
 
     def is_zero(self):
-        return all(f.is_zero() for f in self.level_maps)
+        return all(m.is_zero() for m in self.comps.values())
 
     def total_rank(self):
-        return sum(f.total_rank() for f in self.level_maps)
+        return sum(rank(m) for m in self.comps.values())
 
     def is_mono(self):
         return self.total_rank() == self.source.total_dim
@@ -257,12 +269,13 @@ class RMap:
 
 
 def zero_rmap(M, N):
-    return RMap(M, N, [zero_amap(M.levels[i], N.levels[i])
-                       for i in range(M.algebra.m + 1)], check=False)
+    return RMap(M, N, {}, check=False)
 
 
 def identity_rmap(M):
-    return RMap(M, M, [identity_amap(l) for l in M.levels], check=False)
+    f = M.algebra.field
+    return RMap(M, M, {c: Mat.identity(M.dims(*c), f)
+                       for c in M.algebra.cells}, check=False)
 
 
 # -- structural modules ----------------------------------------------
@@ -423,20 +436,16 @@ def block_map(source, target, blocks):
     off the blocks (the targets of a row, the sources of a column), so a
     recorded sum may stand as one block."""
     alg = source.algebra
-    level_maps = []
-    for i in range(alg.m + 1):
-        comps = {}
-        for v in alg.quiver.vertices:
-            data = []
-            for row in blocks:
-                mats = [b.component(i, v) for b in row]
-                data.extend(sum((m.data[r] for m in mats), [])
-                            for r in range(mats[0].rows))
-            comps[v] = Mat(target.levels[i].dims[v], source.levels[i].dims[v],
-                           data, alg.field)
-        level_maps.append(AMap(source.levels[i], target.levels[i], comps,
-                               check=False))
-    return RMap(source, target, level_maps, check=False)
+    comps = {}
+    for i, v in alg.cells:
+        data = []
+        for row in blocks:
+            mats = [b.comps[(i, v)] for b in row]
+            data.extend(sum((m.data[r] for m in mats), [])
+                        for r in range(mats[0].rows))
+        comps[(i, v)] = Mat(target.levels[i].dims[v], source.levels[i].dims[v],
+                            data, alg.field)
+    return RMap(source, target, comps, check=False)
 
 
 def blocks(f):
@@ -444,22 +453,15 @@ def blocks(f):
     (the T_l) and ``summands_of(f.target)`` (the U_k)."""
     alg = f.source.algebra
     rows, cols = summands_of(f.target), summands_of(f.source)
-    cuts = {(i, v): (summand_offsets(rows, i, v), summand_offsets(cols, i, v))
-            for i in range(alg.m + 1) for v in alg.quiver.vertices}
+    cuts = {c: (summand_offsets(rows, *c), summand_offsets(cols, *c))
+            for c in alg.cells}
 
     def block(k, l):
-        level_maps = []
-        for i in range(alg.m + 1):
-            comps = {}
-            for v in alg.quiver.vertices:
-                ro, co = cuts[(i, v)]
-                comps[v] = Mat(ro[k + 1] - ro[k], co[l + 1] - co[l],
-                               [row[co[l]:co[l + 1]] for row in
-                                f.component(i, v).data[ro[k]:ro[k + 1]]],
-                               alg.field)
-            level_maps.append(AMap(cols[l].levels[i], rows[k].levels[i], comps,
-                                   check=False))
-        return RMap(cols[l], rows[k], level_maps, check=False)
+        return RMap(cols[l], rows[k], {
+            c: Mat(ro[k + 1] - ro[k], co[l + 1] - co[l],
+                   [row[co[l]:co[l + 1]]
+                    for row in f.comps[c].data[ro[k]:ro[k + 1]]], alg.field)
+            for c, (ro, co) in cuts.items()}, check=False)
 
     return [[block(k, l) for l in range(len(cols))] for k in range(len(rows))]
 
@@ -468,10 +470,9 @@ def blocks(f):
 
 def _all_subspaces(M, subspaces):
     """``subspaces``, with the zero subspace at each missing (level, vertex)."""
-    alg = M.algebra
-    return {(i, v): subspaces.get((i, v)) or column_space(
-                Mat.zeros(M.levels[i].dims[v], 0, alg.field))
-            for i in range(alg.m + 1) for v in alg.quiver.vertices}
+    f = M.algebra.field
+    return {c: subspaces.get(c) or column_space(Mat.zeros(M.dims(*c), 0, f))
+            for c in M.algebra.cells}
 
 
 def submodule(M, subspaces):
@@ -479,25 +480,18 @@ def submodule(M, subspaces):
     arrows and connectors).  Returns (S, inclusion)."""
     alg = M.algebra
     quiver = alg.quiver
-    f = alg.field
     subs = _all_subspaces(M, subspaces)
     levels = []
-    incl_amaps = []
     for i in range(alg.m + 1):
-        dims = {v: subs[(i, v)].dim for v in quiver.vertices}
         maps = {}
         for a in quiver.arrows:
-            u, w = a.source, a.target
-            img = M.levels[i].maps[a.name] * subs[(i, u)].basis
-            sol = subs[(i, w)].coords(img)
+            img = M.levels[i].maps[a.name] * subs[(i, a.source)].basis
+            sol = subs[(i, a.target)].coords(img)
             if sol is None:
                 raise ValueError("subspaces not closed under arrow %s" % a.name)
             maps[a.name] = sol
-        rep = Rep(quiver, dims, maps, f, check=False)
-        levels.append(rep)
-        incl_amaps.append(AMap(rep, M.levels[i],
-                               {v: subs[(i, v)].basis for v in quiver.vertices},
-                               check=False))
+        dims = {v: subs[(i, v)].dim for v in quiver.vertices}
+        levels.append(Rep(quiver, dims, maps, alg.field, check=False))
     conns = []
     for j in range(alg.m):
         conn = {}
@@ -509,42 +503,35 @@ def submodule(M, subspaces):
             conn[p] = sol
         conns.append(conn)
     S = RModule(alg, levels, conns, check=False)
-    return S, RMap(S, M, incl_amaps, check=False)
+    return S, RMap(S, M, {c: sub.basis for c, sub in subs.items()},
+                   check=False)
 
 
 def quotient_module(M, subspaces):
     """Quotient by a submodule given as vertex-level subspaces.
     Returns (Q, projection)."""
+    return quotient_with_sections(M, subspaces)[:2]
+
+
+def quotient_with_sections(M, subspaces):
+    """(Q, projection, sections) for ``quotient_module``: ``sections[(i,
+    v)]`` is a right inverse of the projection's matrix at (level i, vertex
+    v), the lift of Q there that spans a complement of the subspace."""
     alg = M.algebra
     quiver = alg.quiver
-    f = alg.field
-    subs = _all_subspaces(M, subspaces)
-    proj_mats = {}
-    sect_mats = {}
-    for i in range(alg.m + 1):
-        for v in quiver.vertices:
-            p, s = quotient_basis(M.levels[i].dims[v], subs[(i, v)])
-            proj_mats[(i, v)] = p
-            sect_mats[(i, v)] = s
-    levels = []
-    proj_amaps = []
-    for i in range(alg.m + 1):
-        dims = {v: proj_mats[(i, v)].rows for v in quiver.vertices}
-        maps = {}
-        for a in quiver.arrows:
-            u, w = a.source, a.target
-            maps[a.name] = (proj_mats[(i, w)] * M.levels[i].maps[a.name]
-                            * sect_mats[(i, u)])
-        rep = Rep(quiver, dims, maps, f, check=False)
-        levels.append(rep)
-        proj_amaps.append(AMap(M.levels[i], rep,
-                               {v: proj_mats[(i, v)] for v in quiver.vertices},
-                               check=False))
-    conns = [{p: proj_mats[(j, p.source)] * phi * sect_mats[(j + 1, p.target)]
+    proj, sect = {}, {}
+    for (i, v), sub in _all_subspaces(M, subspaces).items():
+        proj[(i, v)], sect[(i, v)] = quotient_basis(M.levels[i].dims[v], sub)
+    levels = [Rep(quiver, {v: proj[(i, v)].rows for v in quiver.vertices},
+                  {a.name: proj[(i, a.target)] * M.levels[i].maps[a.name]
+                   * sect[(i, a.source)] for a in quiver.arrows},
+                  alg.field, check=False)
+              for i in range(alg.m + 1)]
+    conns = [{p: proj[(j, p.source)] * phi * sect[(j + 1, p.target)]
               for p, phi in M.connectors[j].items()}
              for j in range(alg.m)]
     Q = RModule(alg, levels, conns, check=False)
-    return Q, RMap(M, Q, proj_amaps, check=False)
+    return Q, RMap(M, Q, proj, check=False), sect
 
 
 def kernel(f):
@@ -553,15 +540,11 @@ def kernel(f):
 
 
 def kernel_subspaces(f):
-    return {(i, v): kernel_basis(f.component(i, v))
-            for i in range(f.source.algebra.m + 1)
-            for v in f.source.algebra.quiver.vertices}
+    return {c: kernel_basis(m) for c, m in f.comps.items()}
 
 
 def image_subspaces(f):
-    return {(i, v): column_space(f.component(i, v))
-            for i in range(f.source.algebra.m + 1)
-            for v in f.source.algebra.quiver.vertices}
+    return {c: column_space(m) for c, m in f.comps.items()}
 
 
 def image(f):
@@ -582,15 +565,13 @@ def radical_subspaces(M):
     the zero subspace where there are none."""
     alg = M.algebra
     quiver = alg.quiver
-    f = alg.field
     subs = {}
-    for i in range(alg.m + 1):
-        for w in quiver.vertices:
-            pieces = [M.levels[i].maps[a.name] for a in quiver.arrows_into(w)]
-            if i < alg.m:
-                pieces += [M.connectors[i][p] for p in quiver.paths_from(w)]
-            if pieces:
-                subs[(i, w)] = column_space(Mat.hstack(pieces, field=f))
+    for i, w in alg.cells:
+        pieces = [M.levels[i].maps[a.name] for a in quiver.arrows_into(w)]
+        if i < alg.m:
+            pieces += [M.connectors[i][p] for p in quiver.paths_from(w)]
+        if pieces:
+            subs[(i, w)] = column_space(Mat.hstack(pieces, field=alg.field))
     return _all_subspaces(M, subs)
 
 
@@ -606,18 +587,17 @@ def socle(M):
     quiver = alg.quiver
     f = alg.field
     subs = {}
-    for i in range(alg.m + 1):
-        for w in quiver.vertices:
-            rows = [M.levels[i].maps[a.name] for a in quiver.arrows_from(w)]
-            if i >= 1:
-                # x -> p* x for each path p into w: the action of
-                # P(w, i) on x down at level i - 1
-                rows += [a for u in quiver.vertices
-                         for a in generator_action(M, w, i, i - 1, u)]
-            if rows:
-                subs[(i, w)] = kernel_basis(Mat.vstack(rows, field=f))
-            else:
-                subs[(i, w)] = column_space(Mat.identity(M.dims(i, w), f))
+    for i, w in alg.cells:
+        rows = [M.levels[i].maps[a.name] for a in quiver.arrows_from(w)]
+        if i >= 1:
+            # x -> p* x for each path p into w: the action of
+            # P(w, i) on x down at level i - 1
+            rows += [a for u in quiver.vertices
+                     for a in generator_action(M, w, i, i - 1, u)]
+        if rows:
+            subs[(i, w)] = kernel_basis(Mat.vstack(rows, field=f))
+        else:
+            subs[(i, w)] = column_space(Mat.identity(M.dims(i, w), f))
     return submodule(M, subs)
 
 
@@ -631,28 +611,20 @@ def top(M):
 def rmap_vector(g):
     """The entries of g level by level, vertex by vertex, row-major: the
     unknowns of the Hom systems solved by ``_hom_basis_r``."""
-    out = []
-    for lev in g.level_maps:
-        for v in g.source.algebra.quiver.vertices:
-            for row in lev.components[v].data:
-                out.extend(row)
-    return out
+    return [x for m in g.comps.values() for row in m.data for x in row]
 
 
 def _rmap_from_vector(M, N, vec):
     """The map M -> N whose ``rmap_vector`` is ``vec``."""
     f = M.algebra.field
-    level_maps = []
+    comps = {}
     pos = 0
-    for Mi, Ni in zip(M.levels, N.levels):
-        comps = {}
-        for v in M.algebra.quiver.vertices:
-            r, c = Ni.dims[v], Mi.dims[v]
-            comps[v] = Mat(r, c, [vec[pos + a * c:pos + (a + 1) * c]
-                                  for a in range(r)], f)
-            pos += r * c
-        level_maps.append(AMap(Mi, Ni, comps, check=False))
-    return RMap(M, N, level_maps, check=False)
+    for i, v in M.algebra.cells:
+        r, c = N.levels[i].dims[v], M.levels[i].dims[v]
+        comps[(i, v)] = Mat(r, c, [vec[pos + a * c:pos + (a + 1) * c]
+                                   for a in range(r)], f)
+        pos += r * c
+    return RMap(M, N, comps, check=False)
 
 
 class HomSpace:
@@ -770,10 +742,9 @@ def _hom_basis_r(M, N):
     f = alg.field
     offsets = {}
     total = 0
-    for i in range(alg.m + 1):
-        for v in quiver.vertices:
-            offsets[(i, v)] = total
-            total += N.levels[i].dims[v] * M.levels[i].dims[v]
+    for i, v in alg.cells:
+        offsets[(i, v)] = total
+        total += N.levels[i].dims[v] * M.levels[i].dims[v]
     rows = []
     for i in range(alg.m + 1):
         for a in quiver.arrows:
@@ -839,22 +810,17 @@ def map_from_projectives(P, M, gens):
     (level, vertex) the columns are generator-major and action-minor, the
     layout ``block_map`` gives to the maps of the single generators."""
     alg = M.algebra
-    level_maps = []
-    for lev in range(alg.m + 1):
-        comps = {}
-        for w in alg.quiver.vertices:
-            rows = [[] for _ in range(M.levels[lev].dims[w])]
-            for v, i, X in gens:
-                images = [a * X for a in generator_action(M, v, i, lev, w)]
-                if images:
-                    for r, row in enumerate(rows):
-                        for entries in zip(*[y.data[r] for y in images]):
-                            row.extend(entries)
-            comps[w] = Mat(M.levels[lev].dims[w], P.levels[lev].dims[w], rows,
-                           alg.field)
-        level_maps.append(AMap(P.levels[lev], M.levels[lev], comps,
-                               check=False))
-    return RMap(P, M, level_maps, check=False)
+    comps = {}
+    for lev, w in alg.cells:
+        rows = [[] for _ in range(M.dims(lev, w))]
+        for v, i, X in gens:
+            images = [a * X for a in generator_action(M, v, i, lev, w)]
+            if images:
+                for r, row in enumerate(rows):
+                    for entries in zip(*[y.data[r] for y in images]):
+                        row.extend(entries)
+        comps[(lev, w)] = Mat(M.dims(lev, w), P.dims(lev, w), rows, alg.field)
+    return RMap(P, M, comps, check=False)
 
 
 # -- serialization ----------------------------------------------------

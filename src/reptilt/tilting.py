@@ -148,11 +148,9 @@ def find_complement(T_bar):
     from .replicated import embed_level
     alg = T_bar.algebra
     existing = basic_summands(T_bar)
-    cheap = [projective(alg, v, i) for i in range(alg.m + 1)
-             for v in alg.quiver.vertices]
+    cheap = [projective(alg, v, i) for i, v in alg.cells]
     cheap += [injective(alg, v, alg.m) for v in alg.quiver.vertices]
-    cheap += [embed_level(alg, rep, i)
-              for i in range(alg.m + 1) for v in alg.quiver.vertices
+    cheap += [embed_level(alg, rep, i) for i, v in alg.cells
               for rep in (alg.base_projective(v), alg.base_injective(v))]
     for P in cheap:
         if _is_complement(existing, P):

@@ -52,11 +52,10 @@ def records_isomorphic(r1, r2):
 
 
 class TiltingQuiverGraph:
-    def __init__(self, vertices, arrows, exhausted, limit_hit=False):
+    def __init__(self, vertices, arrows, exhausted):
         self.vertices = vertices       # list of TiltingRecord
         self.arrows = arrows           # list of (i, j, witness dict)
         self.exhausted = exhausted
-        self.limit_hit = limit_hit
 
 
 def _record_from_parts(alg, parts, registry):
@@ -105,11 +104,12 @@ def mutate_all(record, registry=None):
     return out
 
 
-def explore(seed=None, algebra=None, max_vertices=None, max_radius=None):
+def explore(seed=None, algebra=None, max_vertices=None):
     """BFS closure of the tilting quiver under mutation.
 
-    ``exhausted`` is set only when the frontier empties within the limits;
-    in that case the vertex set is all tilting modules (connectivity).
+    ``exhausted`` is set only when the frontier empties within
+    ``max_vertices``; in that case the vertex set is all tilting modules
+    (connectivity).
     """
     registry = Registry()
     if seed is None:
@@ -121,15 +121,9 @@ def explore(seed=None, algebra=None, max_vertices=None, max_radius=None):
     index_of = {registry.parts_key([X for X, _ in seed.pieces]): 0}
     arrows = []
     arrow_set = set()
-    frontier = [(0, 0)]                  # (vertex index, radius)
-    qpos = 0
-    limit_hit = False
-    while qpos < len(frontier):
-        vidx, radius = frontier[qpos]
-        qpos += 1
-        if max_radius is not None and radius >= max_radius:
-            limit_hit = True
-            continue
+    exhausted = True
+    vidx = 0                             # vertices[vidx:] is the frontier
+    while vidx < len(vertices):
         for neighbor, direction, witness in mutate_all(vertices[vidx],
                                                        registry):
             nkey = registry.parts_key([X for X, _ in neighbor.pieces])
@@ -137,18 +131,17 @@ def explore(seed=None, algebra=None, max_vertices=None, max_radius=None):
             if nidx is None:
                 if (max_vertices is not None
                         and len(vertices) >= max_vertices):
-                    limit_hit = True
+                    exhausted = False
                     continue
                 vertices.append(neighbor)
                 nidx = len(vertices) - 1
                 index_of[nkey] = nidx
-                frontier.append((nidx, radius + 1))
             edge = (nidx, vidx) if direction == "in" else (vidx, nidx)
             if edge not in arrow_set:
                 arrow_set.add(edge)
                 arrows.append((edge[0], edge[1], witness))
-    return TiltingQuiverGraph(vertices, arrows, exhausted=not limit_hit,
-                              limit_hit=limit_hit)
+        vidx += 1
+    return TiltingQuiverGraph(vertices, arrows, exhausted)
 
 
 def exhaustive_tilting_oracle(alg):

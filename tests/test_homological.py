@@ -9,7 +9,7 @@ from reptilt.homological import (_cover_with_data, _ext_differential,
                                  is_radical_valued, minimal_resolution, pd,
                                  projective_cover, realize_extension,
                                  sigma_set, syzygy)
-from reptilt.hereditary import AMap, Rep
+from reptilt.hereditary import Rep
 from reptilt.linalg import Mat, column_space, solve_matrix
 from reptilt.replicated import (RMap, RModule, ReplicatedAlgebra, block_map,
                                 direct_sum, generator_action, hom_basis_r,
@@ -397,23 +397,21 @@ def _radical_reference(M):
             subs[(i, w)] = column_space(
                 Mat.hstack(pieces, field=f) if pieces
                 else Mat.zeros(M.dims(i, w), 0, f))
-    levels, incls = [], []
+    levels = []
     for i in range(alg.m + 1):
         maps = {a.name: solve_matrix(subs[(i, a.target)].basis,
                                      M.levels[i].maps[a.name]
                                      * subs[(i, a.source)].basis)
                 for a in quiver.arrows}
-        rep = Rep(quiver, {v: subs[(i, v)].dim for v in quiver.vertices},
-                  maps, f, check=False)
-        levels.append(rep)
-        incls.append(AMap(rep, M.levels[i], {v: subs[(i, v)].basis
-                                             for v in quiver.vertices},
-                          check=False))
+        levels.append(Rep(quiver, {v: subs[(i, v)].dim
+                                   for v in quiver.vertices},
+                          maps, f, check=False))
     conns = [{p: solve_matrix(subs[(j, p.source)].basis,
                               phi * subs[(j + 1, p.target)].basis)
               for p, phi in M.connectors[j].items()} for j in range(alg.m)]
     R = RModule(alg, levels, conns, check=False)
-    return R, RMap(R, M, incls, check=False)
+    return R, RMap(R, M, {c: sub.basis for c, sub in subs.items()},
+                   check=False)
 
 
 def _top_reference(M):
@@ -429,14 +427,10 @@ def _map_from_projective_reference(alg, v, i, M, x):
     """P(v, i) -> M sending the generator to the column x: at each
     (level, vertex), one column a * x per generator action a."""
     P = projective(alg, v, i)
-    level_maps = []
-    for lev in range(alg.m + 1):
-        comps = {w: Mat.hstack([a * x for a in acts], field=alg.field)
-                 for w in alg.quiver.vertices
-                 if (acts := generator_action(M, v, i, lev, w))}
-        level_maps.append(AMap(P.levels[lev], M.levels[lev], comps,
-                               check=False))
-    return RMap(P, M, level_maps, check=False)
+    comps = {(lev, w): Mat.hstack([a * x for a in acts], field=alg.field)
+             for lev, w in alg.cells
+             if (acts := generator_action(M, v, i, lev, w))}
+    return RMap(P, M, comps, check=False)
 
 
 def _cover_reference(M):

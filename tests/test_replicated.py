@@ -9,7 +9,7 @@ from reptilt import replicated
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
 from reptilt.field import QQ, PrimeField
-from reptilt.hereditary import AMap, hom_basis as base_hom_basis
+from reptilt.hereditary import hom_basis as base_hom_basis
 from reptilt.krullschmidt import decompose, is_isomorphic
 from reptilt.linalg import Mat, kernel_basis, rank
 from reptilt.homological import cosyzygy, minimal_resolution
@@ -261,20 +261,15 @@ def _eager_sum_maps(S, parts):
     f = alg.field
     incls, projs = [], []
     for k, X in enumerate(parts):
-        inc, prj = [], []
-        for i in range(alg.m + 1):
-            comps = {}
-            for v in alg.quiver.vertices:
-                o = sum(Y.dims(i, v) for Y in parts[:k])
-                comps[v] = Mat(S.dims(i, v), X.dims(i, v),
-                               [[f.one if r == o + c else f.zero
-                                 for c in range(X.dims(i, v))]
-                                for r in range(S.dims(i, v))], f)
-            inc.append(AMap(X.levels[i], S.levels[i], comps))
-            prj.append(AMap(S.levels[i], X.levels[i],
-                            {v: c.transpose() for v, c in comps.items()}))
-        incls.append(RMap(X, S, inc))
-        projs.append(RMap(S, X, prj))
+        comps = {}
+        for i, v in alg.cells:
+            o = sum(Y.dims(i, v) for Y in parts[:k])
+            comps[(i, v)] = Mat(S.dims(i, v), X.dims(i, v),
+                                [[f.one if r == o + c else f.zero
+                                  for c in range(X.dims(i, v))]
+                                 for r in range(S.dims(i, v))], f)
+        incls.append(RMap(X, S, comps))
+        projs.append(RMap(S, X, {c: m.transpose() for c, m in comps.items()}))
     return incls, projs
 
 
@@ -403,13 +398,29 @@ def test_hom_space_coords_refuse_non_module_maps(field):
     P = projective(alg, 2, 0)      # vertex 2 maps onto vertex 1 by a and b
     ident = hom_space(P, P).combine([1])
     # identity at vertex 2, zero at vertex 1: breaks commutation with a, b
-    level0 = AMap(P.levels[0], P.levels[0],
-                  {2: ident.component(0, 2)}, check=False)
-    bad = RMap(P, P, [level0] + ident.level_maps[1:], check=False)
+    bad = RMap(P, P, {**ident.comps, (0, 1): Mat.zeros(2, 2, field)},
+               check=False)
     with pytest.raises(ValueError):
         bad.validate()
     with pytest.raises(ValueError):
         hom_space(P, P).coords(bad)
+
+
+def test_validate_rejects_bad_cells_arrows_and_connectors():
+    alg = duplicated(kronecker_quiver())
+    f = alg.field
+    P = projective(alg, 2, 1)      # (0, 2): 1, (1, 1): 2, (1, 2): 1
+    ident = identity_rmap(P)
+    ident.validate()
+    with pytest.raises(ValueError, match="level 1, vertex 1 has shape 1x2"):
+        RMap(P, P, {**ident.comps, (1, 1): Mat.zeros(1, 2, f)})
+    # P(2) alone at level 1: zero connectors, arrows a and b at level 1
+    L = embed_level(alg, alg.base_projective(2), 1)
+    with pytest.raises(ValueError, match="arrow a at level 1"):
+        RMap(L, L, {**identity_rmap(L).comps, (1, 1): Mat.zeros(2, 2, f)})
+    # the level-1 cells zeroed commute with every arrow, not with p*
+    with pytest.raises(ValueError, match="connector 0"):
+        RMap(P, P, {(0, 2): ident.component(0, 2)})
 
 
 def _hom_system_of_every_path(M, N):

@@ -32,7 +32,7 @@ def a2_graph(a2):
 
 def test_one_vertex_graph_shape(one_vertex_graph):
     g = one_vertex_graph
-    assert g.exhausted and not g.limit_hit
+    assert g.exhausted
     assert len(g.vertices) == 2
     assert len(g.arrows) == 1
 
@@ -75,14 +75,8 @@ def test_mutation_is_reversible(a2_graph):
 def test_kronecker_partial_exploration():
     alg = duplicated(kronecker_quiver())
     g = explore(algebra=alg, max_vertices=8)
-    assert g.limit_hit and not g.exhausted
+    assert not g.exhausted
     assert len(g.vertices) == 8
-
-
-def test_max_radius_limits_depth(a2):
-    g = explore(algebra=a2, max_radius=1)
-    assert g.limit_hit and not g.exhausted
-    assert 1 < len(g.vertices) < 9
 
 
 def test_pd_at_most_one_subgraph_connected(a2_graph):
