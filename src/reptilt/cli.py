@@ -218,18 +218,27 @@ def cmd_complements(args):
 
 def cmd_tilting_quiver(args):
     from .arknit import is_dynkin
-    from .tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
-                             graph_to_json)
+    from .tiltquiver import (Catalog, Registry, exhaustive_tilting_oracle,
+                             explore, export_dot, graph_to_json)
     alg = load_algebra(args.algebra, load_field(args.field))
+    dynkin = is_dynkin(alg.quiver)
+    if dynkin:
+        # a complete catalog: a BFS module outside it is an internal error
+        Catalog.of(alg).indecomposables()
     graph = explore(algebra=alg, max_vertices=args.max_nodes)
     if args.dot:
         _emit(args, export_dot(graph))
     else:
         data = json.loads(graph_to_json(graph))
-        if graph.exhausted and is_dynkin(alg.quiver):
+        if graph.exhausted and dynkin:
             oracle = exhaustive_tilting_oracle(alg)
+
+            def vertex_set(records):
+                return {Registry.parts_key([X for X, _ in r.pieces])
+                        for r in records}
             data["oracle_vertex_count"] = len(oracle)
-            data["connectivity_verified"] = len(oracle) == len(data["vertices"])
+            data["connectivity_verified"] = (vertex_set(oracle)
+                                             == vertex_set(graph.vertices))
         _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if graph.exhausted else EXIT_LIMIT
 

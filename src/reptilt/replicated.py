@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from fractions import Fraction
+from types import MappingProxyType
 
 from .field import QQ
 from .hereditary import (Rep, injective_rep, projective_rep, simple_rep,
@@ -135,8 +136,14 @@ class RModule:
         return self.levels[i].dims[v]
 
     def dim_grid(self):
-        return DimGrid({(i, v): d for i, v in self.algebra.cells
-                        if (d := self.levels[i].dims[v])})
+        """The module's DimGrid, built once: no module's dims change after
+        it is constructed."""
+        grid = self.cache.get("dim_grid")
+        if grid is None:
+            grid = self.cache["dim_grid"] = DimGrid(
+                {(i, v): d for i, v in self.algebra.cells
+                 if (d := self.levels[i].dims[v])})
+        return grid
 
     def __repr__(self):
         return "RModule(%s)" % self.dim_grid()
@@ -147,14 +154,20 @@ def _path_name(p):
 
 
 class DimGrid:
-    """Canonical printable signature of a module: (level, vertex) -> dim."""
+    """Canonical printable signature of a module: (level, vertex) -> dim.
+    Read-only, so one grid can be shared by every caller of
+    ``RModule.dim_grid``."""
+
+    __slots__ = ("entries", "_key")
 
     def __init__(self, entries):
-        self.entries = {k: int(d) for k, d in entries.items() if d}
+        self.entries = MappingProxyType(
+            {k: int(d) for k, d in entries.items() if d})
+        self._key = tuple(sorted((i, str(v), d)
+                                 for (i, v), d in self.entries.items()))
 
     def key(self):
-        return tuple(sorted((i, str(v), d)
-                            for (i, v), d in self.entries.items()))
+        return self._key
 
     def total(self):
         return sum(self.entries.values())
@@ -163,7 +176,7 @@ class DimGrid:
         return isinstance(other, DimGrid) and self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __str__(self):
         if not self.entries:

@@ -5,27 +5,74 @@ from __future__ import annotations
 
 import json
 
-from .krullschmidt import is_indecomposable, is_isomorphic
-from .tilting import (_down_step, _ext_orthogonal, _up_step, certify,
-                      certify_tilting)
+from .krullschmidt import basic_summands, is_indecomposable, is_isomorphic
+from .tilting import (TiltingRecord, _down_step, _ext_orthogonal, _up_step,
+                      certify)
 
 
-class Registry:
-    """Canonical representatives per isomorphism class, so homological
-    caches attached to module instances are shared."""
+class Catalog:
+    """One per algebra, in ``alg.cache``: the canonical representative of
+    each isomorphism class of indecomposables met so far, bucketed by dim
+    grid, and the verdict of ``certify`` on each set of parts it has run
+    on.  Once ``indecomposables`` has enumerated every indecomposable (a
+    Dynkin base), a module that matches none of them is an internal
+    error."""
 
-    def __init__(self):
+    def __init__(self, alg):
+        self.algebra = alg
         self.by_grid = {}
-        self.records = {}
+        self.verdicts = {}
+        self.nodes = None
+
+    @staticmethod
+    def of(alg):
+        catalog = alg.cache.get(("catalog",))
+        if catalog is None:
+            catalog = alg.cache[("catalog",)] = Catalog(alg)
+        return catalog
 
     def canonical(self, M):
-        key = M.dim_grid().key()
-        bucket = self.by_grid.setdefault(key, [])
+        bucket = self.by_grid.setdefault(M.dim_grid().key(), [])
         for N in bucket:
             if is_isomorphic(M, N):
                 return N
+        if self.nodes is not None:
+            raise RuntimeError("module %s matches no enumerated "
+                               "indecomposable" % M.dim_grid())
         bucket.append(M)
         return M
+
+    def indecomposables(self):
+        """Every indecomposable, canonical; enumerated once, after which
+        the catalog is complete."""
+        if self.nodes is None:
+            from .arknit import enumerate_indecomposables
+            self.nodes = [self.canonical(N)
+                          for N in enumerate_indecomposables(self.algebra)]
+        return self.nodes
+
+    def is_tilting(self, parts):
+        """Whether (+) parts is tilting; ``certify``, with both of its
+        certificates, runs once per set of canonical parts."""
+        key = Registry.parts_key(parts)
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = certify(self.algebra, parts) is not None
+            self.verdicts[key] = verdict
+        return verdict
+
+
+class Registry:
+    """A walk's view of its algebra's Catalog.  The walk keeps its own
+    records, so a record lists its parts in the order the walk found
+    them."""
+
+    def __init__(self, alg):
+        self.catalog = Catalog.of(alg)
+        self.records = {}
+
+    def canonical(self, M):
+        return self.catalog.canonical(M)
 
     @staticmethod
     def parts_key(parts):
@@ -61,13 +108,11 @@ class TiltingQuiverGraph:
 def _record_from_parts(alg, parts, registry):
     parts = [registry.canonical(X) for X in parts]
     ckey = registry.parts_key(parts)
-    cached = registry.records.get(ckey)
-    if cached is not None:
-        return cached
-    record = certify(alg, parts)
+    record = registry.records.get(ckey)
     if record is None:
-        raise RuntimeError("exchange produced a non-tilting module")
-    registry.records[ckey] = record
+        if not registry.catalog.is_tilting(parts):
+            raise RuntimeError("exchange produced a non-tilting module")
+        record = registry.records[ckey] = TiltingRecord(alg, parts)
     return record
 
 
@@ -79,8 +124,8 @@ def mutate_all(record, registry=None):
     following the exact-sequence orientation 0 -> X -> E -> Y -> 0
     giving (rest (+) X) -> (rest (+) Y).
     """
-    registry = registry or Registry()
     alg = record.algebra
+    registry = registry or Registry(alg)
     parts = [registry.canonical(X) for X, _ in record.pieces]
     out = []
     for idx, X in enumerate(parts):
@@ -111,12 +156,14 @@ def explore(seed=None, algebra=None, max_vertices=None):
     ``max_vertices``; in that case the vertex set is all tilting modules
     (connectivity).
     """
-    registry = Registry()
     if seed is None:
         from .replicated import regular_module
-        seed = certify_tilting(regular_module(algebra))
-    seed = _record_from_parts(seed.algebra,
-                              [X for X, _ in seed.pieces], registry)
+        parts = basic_summands(regular_module(algebra))
+    else:
+        algebra = seed.algebra
+        parts = [X for X, _ in seed.pieces]
+    registry = Registry(algebra)
+    seed = _record_from_parts(algebra, parts, registry)
     vertices = [seed]
     index_of = {registry.parts_key([X for X, _ in seed.pieces]): 0}
     arrows = []
@@ -146,9 +193,9 @@ def explore(seed=None, algebra=None, max_vertices=None):
 
 def exhaustive_tilting_oracle(alg):
     """All basic tilting modules, by checking every delta-sized
-    ext-orthogonal subset of the enumerated indecomposables."""
-    from .arknit import enumerate_indecomposables
-    nodes = enumerate_indecomposables(alg)
+    ext-orthogonal subset of the algebra's enumerated indecomposables."""
+    catalog = Catalog.of(alg)
+    nodes = catalog.indecomposables()
     n = len(nodes)
     target = alg.delta
     records = []
@@ -158,10 +205,8 @@ def exhaustive_tilting_oracle(alg):
 
     def extend(chosen, start):
         if len(chosen) == target:
-            # certify asserts that both certificates agree
-            record = certify(alg, chosen)
-            if record is not None:
-                records.append(record)
+            if catalog.is_tilting(chosen):
+                records.append(TiltingRecord(alg, chosen))
             return
         if len(chosen) + (n - start) < target:
             return

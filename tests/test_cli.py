@@ -223,6 +223,48 @@ def test_tilting_quiver_limit(files):
     assert len(report["vertices"]) == 5
 
 
+def test_tilting_quiver_compares_vertex_sets(files, monkeypatch):
+    # an oracle with the BFS's vertex count but another vertex set (one
+    # record doubled, one left out) does not verify connectivity
+    import reptilt.tiltquiver
+    oracle = reptilt.tiltquiver.exhaustive_tilting_oracle
+
+    def same_count_other_set(alg):
+        records = oracle(alg)
+        return records[:-1] + records[:1]
+    monkeypatch.setattr(reptilt.tiltquiver, "exhaustive_tilting_oracle",
+                        same_count_other_set)
+    write, _ = files
+    alg = write("alg.json", A2)
+    code, text = run(files, ["tilting-quiver", alg])
+    report = json.loads(text)
+    assert report["oracle_vertex_count"] == len(report["vertices"]) == 9
+    assert report["connectivity_verified"] is False
+
+
+def test_tilting_quiver_module_outside_catalog_exits_5(files, capsys,
+                                                       monkeypatch):
+    # over a Dynkin base every BFS summand must be an enumerated
+    # indecomposable; with one non-projective missing the run refuses
+    import reptilt.arknit
+    from reptilt.krullschmidt import all_of_kind
+    enumerate_all = reptilt.arknit.enumerate_indecomposables
+
+    def drop_one(alg):
+        nodes = enumerate_all(alg)
+        drop = next(N for N in nodes if not all_of_kind([N], projective))
+        return [N for N in nodes if N is not drop]
+    monkeypatch.setattr(reptilt.arknit, "enumerate_indecomposables",
+                        drop_one)
+    write, _ = files
+    alg = write("alg.json", A2)
+    code, _ = run(files, ["tilting-quiver", alg])
+    assert code == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "matches no enumerated indecomposable" in err[0]
+
+
 def test_prime_field_mode(files):
     write, _ = files
     alg = write("alg.json", A2)

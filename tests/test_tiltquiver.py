@@ -134,3 +134,32 @@ def test_m2_graph_matches_oracle():
     assert len(g.vertices) == len(oracle)
     for record in oracle:
         assert any(records_isomorphic(record, v) for v in g.vertices)
+
+
+def test_oracle_then_bfs_certify_each_vertex_once(monkeypatch):
+    import reptilt.tiltquiver
+    certify = reptilt.tiltquiver.certify
+    calls = []
+
+    def counted(alg, parts):
+        calls.append(parts)
+        return certify(alg, parts)
+    monkeypatch.setattr(reptilt.tiltquiver, "certify", counted)
+    alg = duplicated(linear_quiver(2))
+    oracle = exhaustive_tilting_oracle(alg)
+    graph = explore(algebra=alg)
+    assert len(oracle) == len(graph.vertices) == 9
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bfs_json_is_the_same_after_the_oracle(n):
+    # the BFS keeps its own part order when the oracle has already
+    # certified every vertex, so its numbering does not change
+    alone = graph_to_json(explore(algebra=duplicated(linear_quiver(n))))
+    alg = duplicated(linear_quiver(n))
+    exhaustive_tilting_oracle(alg)
+    assert graph_to_json(explore(algebra=alg)) == alone
+    if n == 2:
+        golden = GOLDEN / "tilting_quiver_duplicated_a2.json"
+        assert alone == golden.read_text()
