@@ -230,6 +230,7 @@ def cmd_tilting_quiver(args):
         _emit(args, export_dot(graph))
     else:
         data = json.loads(graph_to_json(graph))
+        verified = True
         if graph.exhausted and dynkin:
             oracle = exhaustive_tilting_oracle(alg)
 
@@ -237,9 +238,13 @@ def cmd_tilting_quiver(args):
                 return {Registry.parts_key([X for X, _ in r.pieces])
                         for r in records}
             data["oracle_vertex_count"] = len(oracle)
-            data["connectivity_verified"] = (vertex_set(oracle)
-                                             == vertex_set(graph.vertices))
+            verified = vertex_set(oracle) == vertex_set(graph.vertices)
+            data["connectivity_verified"] = verified
         _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
+        if not verified:
+            sys.stderr.write("error: the BFS and the oracle found different "
+                             "vertex sets\n")
+            return EXIT_INTERNAL
     return EXIT_OK if graph.exhausted else EXIT_LIMIT
 
 

@@ -12,8 +12,6 @@ from .linalg import Mat, rank
 from .replicated import (cokernel, direct_sum, injective, kernel, projective,
                          regular_module, summands_of)
 
-SEARCH_LIMIT = 200
-
 
 class TiltingRecord:
     """A certified tilting module: its basic summands and their pds."""
@@ -142,50 +140,38 @@ def _is_complement(parts, X):
     return certify(X.algebra, parts + [X]) is not None
 
 
-def find_complement(T_bar):
-    """Seed complement search: projectives and injectives, then Bongartz
-    (pd <= 1), then a bounded mutation search."""
+def _seed_candidates(T_bar):
+    """Over a Dynkin base, the catalog's nodes, which hold every
+    indecomposable; otherwise the projectives, the injectives and the base
+    projectives and injectives embedded at each level, then the Bongartz
+    pieces when pd <= 1."""
+    from .arknit import is_dynkin
     from .replicated import embed_level
     alg = T_bar.algebra
-    existing = basic_summands(T_bar)
-    cheap = [projective(alg, v, i) for i, v in alg.cells]
-    cheap += [injective(alg, v, alg.m) for v in alg.quiver.vertices]
-    cheap += [embed_level(alg, rep, i) for i, v in alg.cells
-              for rep in (alg.base_projective(v), alg.base_injective(v))]
-    for P in cheap:
-        if _is_complement(existing, P):
-            return P
+    if is_dynkin(alg.quiver):
+        from .tiltquiver import Catalog
+        yield from Catalog.of(alg).indecomposables()
+        return
+    for i, v in alg.cells:
+        yield projective(alg, v, i)
+    for v in alg.quiver.vertices:
+        yield injective(alg, v, alg.m)
+    for i, v in alg.cells:
+        yield embed_level(alg, alg.base_projective(v), i)
+        yield embed_level(alg, alg.base_injective(v), i)
     if pd(T_bar) <= 1:
         for X, _ in bongartz_complete(T_bar).pieces:
-            if _is_complement(existing, X):
-                return X
-    return _mutation_seed_search(T_bar)
+            yield X
 
 
-def _mutation_seed_search(T_bar):
-    """Walk the tilting quiver from the regular module looking for a vertex
-    that contains T_bar; justified by the connectivity of the quiver."""
-    from .tiltquiver import explore
-    alg = T_bar.algebra
-    want = basic_summands(T_bar)
-
-    def contains_t_bar(record):
-        parts = [X for X, _ in record.pieces]
-        for Y in want:
-            if not any(is_isomorphic(Y, X) for X in parts):
-                return None
-        for X in parts:
-            if not any(is_isomorphic(Y, X) for Y in want):
-                return X
-        return None
-
-    graph = explore(certify_tilting(regular_module(alg)),
-                    max_vertices=SEARCH_LIMIT)
-    for record in graph.vertices:
-        X = contains_t_bar(record)
-        if X is not None:
+def find_complement(T_bar):
+    """The first of the seed candidates that complements T_bar."""
+    existing = basic_summands(T_bar)
+    for X in _seed_candidates(T_bar):
+        if _is_complement(existing, X):
             return X
-    raise RuntimeError("no seed complement found within the search limit")
+    raise RuntimeError("no complement found among the seed candidates; "
+                       "pass a known complement with --seed")
 
 
 def _down_step(parts, X):
@@ -324,8 +310,11 @@ def classify_duplicated(T_bar):
     return report
 
 
-def complete_partial_tilting(M, candidates=None):
-    """Complete a partial tilting module to a tilting module."""
+def complete_partial_tilting(M):
+    """Complete a partial tilting module to a tilting module: Bongartz for
+    pd <= 1, otherwise (Dynkin base) the first tilting set of the
+    algebra's catalog that contains the summands of M."""
+    from .arknit import is_dynkin
     alg = M.algebra
     if not is_partial_tilting(M):
         raise ValueError("input is not partial tilting")
@@ -335,34 +324,11 @@ def complete_partial_tilting(M, candidates=None):
         return certify_tilting(M)
     if pd(M) <= 1:
         return bongartz_complete(M)
-    if not candidates:
-        raise RuntimeError("strategy unavailable: supply a candidate list "
-                           "(Dynkin base) or use Bongartz for pd <= 1")
-    current = basic_summands(M)
-    pool = [X for X in candidates
-            if _ext_orthogonal(X, X) and is_indecomposable(X)
-            and not any(is_isomorphic(X, Y) for Y in current)]
-
-    def compatible(X, chosen):
-        return all(_ext_orthogonal(X, Y) and _ext_orthogonal(Y, X)
-                   for Y in chosen)
-
-    target = alg.delta
-
-    def extend(chosen, start):
-        if len(chosen) == target:
-            return certify(alg, chosen)
-        for idx in range(start, len(pool)):
-            X = pool[idx]
-            if any(is_isomorphic(X, Y) for Y in chosen):
-                continue
-            if compatible(X, chosen):
-                got = extend(chosen + [X], idx + 1)
-                if got is not None:
-                    return got
-        return None
-
-    record = extend(current, 0)
-    if record is None:
-        raise RuntimeError("no completion found among the candidates")
-    return record
+    if not is_dynkin(alg.quiver):
+        raise RuntimeError("strategy unavailable: completion needs a Dynkin "
+                           "base or Bongartz for pd <= 1")
+    from .tiltquiver import Catalog
+    parts = next(Catalog.of(alg).tilting_sets(basic_summands(M)), None)
+    if parts is None:
+        raise RuntimeError("no completion found in the catalog")
+    return TiltingRecord(alg, parts)

@@ -61,6 +61,32 @@ class Catalog:
             self.verdicts[key] = verdict
         return verdict
 
+    def tilting_sets(self, chosen=()):
+        """Each set of ``alg.delta`` pairwise Ext-orthogonal nodes that
+        contains ``chosen`` and is tilting, in node order.  ``chosen`` is
+        Ext-orthogonal; its modules are replaced by their nodes."""
+        nodes = self.indecomposables()
+        chosen = [self.canonical(X) for X in chosen]
+        pool = [X for X in nodes if not any(X is Y for Y in chosen)]
+        target = self.algebra.delta
+
+        def orthogonal(X, Y):
+            return _ext_orthogonal(X, Y) and _ext_orthogonal(Y, X)
+
+        def extend(chosen, start):
+            if len(chosen) == target:
+                if self.is_tilting(chosen):
+                    yield chosen
+                return
+            if len(chosen) + (len(pool) - start) < target:
+                return
+            for idx in range(start, len(pool)):
+                X = pool[idx]
+                if all(orthogonal(X, Y) for Y in [X] + chosen):
+                    yield from extend(chosen + [X], idx + 1)
+
+        return extend(chosen, 0)
+
 
 class Registry:
     """A walk's view of its algebra's Catalog.  The walk keeps its own
@@ -194,29 +220,8 @@ def explore(seed=None, algebra=None, max_vertices=None):
 def exhaustive_tilting_oracle(alg):
     """All basic tilting modules, by checking every delta-sized
     ext-orthogonal subset of the algebra's enumerated indecomposables."""
-    catalog = Catalog.of(alg)
-    nodes = catalog.indecomposables()
-    n = len(nodes)
-    target = alg.delta
-    records = []
-
-    def orthogonal(X, Y):
-        return _ext_orthogonal(X, Y) and _ext_orthogonal(Y, X)
-
-    def extend(chosen, start):
-        if len(chosen) == target:
-            if catalog.is_tilting(chosen):
-                records.append(TiltingRecord(alg, chosen))
-            return
-        if len(chosen) + (n - start) < target:
-            return
-        for idx in range(start, n):
-            X = nodes[idx]
-            if all(orthogonal(X, Y) for Y in [X] + chosen):
-                extend(chosen + [X], idx + 1)
-
-    extend([], 0)
-    return records
+    return [TiltingRecord(alg, parts)
+            for parts in Catalog.of(alg).tilting_sets()]
 
 
 def graph_to_json(graph):

@@ -120,7 +120,7 @@ def test_criterion_5_completion(small_algebras):
     for subset in subsets:
         parts = [nodes[i] for i in subset]
         M, _, _ = direct_sum(alg, parts)
-        record = complete_partial_tilting(M, candidates=nodes)
+        record = complete_partial_tilting(M)
         assert len(record.pieces) == alg.delta
         for X in parts:
             assert any(is_isomorphic(X, Y) for Y, _ in record.pieces)

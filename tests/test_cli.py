@@ -20,6 +20,13 @@ A2 = {
     "arrows": [{"name": "a1", "from": 2, "to": 1}],
     "m": 1,
 }
+D4 = {
+    "vertices": [1, 2, 3, 4],
+    "arrows": [{"name": "a", "from": 2, "to": 1},
+               {"name": "b", "from": 3, "to": 1},
+               {"name": "c", "from": 4, "to": 1}],
+    "m": 1,
+}
 ONE_VERTEX = {"vertices": [1], "arrows": [], "m": 1}
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -176,6 +183,42 @@ def test_complements_with_embedded_seed(files):
     assert json.loads(text)["count"] == 3
 
 
+def test_complements_d4_pd3_without_seed(files):
+    # every complement of this pd-3 almost complete module lies outside the
+    # projectives, injectives and embedded base modules; the catalog of the
+    # Dynkin base holds them all
+    write, _ = files
+    alg = write("alg.json", D4)
+    mod = write("mod.json", {"sum": [
+        {"simple": [2, 0]}, {"simple": [2, 1]},
+        {"embed": {"level": 0, "dims": {"1": 1, "2": 1, "4": 1},
+                   "maps": {"a": [[1]], "c": [[1]]}}},
+        {"proj": [2, 1]}, {"proj": [3, 1]}, {"proj": [4, 1]},
+        {"proj": [1, 1]}]})
+    code, text = run(files, ["complements", alg, mod])
+    report = json.loads(text)
+    assert code == 0
+    assert report["count"] == 3
+    assert [c["pd"] for c in report["complements"]] == [1, 1, 2]
+    assert [c["dim_grid"] for c in report["complements"]] == [
+        "L0{1:1,2:1,3:1}", "L0{2:1,4:1}|L1{1:1}", "L1{1:1,2:1,4:1}"]
+
+
+def test_complements_without_candidates_exits_5(files, capsys,
+                                                monkeypatch):
+    import reptilt.tilting
+    monkeypatch.setattr(reptilt.tilting, "_seed_candidates",
+                        lambda T_bar: iter(()))
+    write, _ = files
+    alg = write("alg.json", KRONECKER)
+    mod = write("mod.json", {"sum": [{"simple": [2, 0]}, {"proj": [1, 1]},
+                                     {"proj": [2, 1]}]})
+    assert main(["complements", alg, mod]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "--seed" in err[0]
+
+
 def test_complements_seed_rejection(files):
     write, _ = files
     alg = write("alg.json", KRONECKER)
@@ -238,6 +281,7 @@ def test_tilting_quiver_compares_vertex_sets(files, monkeypatch):
     alg = write("alg.json", A2)
     code, text = run(files, ["tilting-quiver", alg])
     report = json.loads(text)
+    assert code == 5
     assert report["oracle_vertex_count"] == len(report["vertices"]) == 9
     assert report["connectivity_verified"] is False
 

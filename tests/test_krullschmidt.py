@@ -228,3 +228,34 @@ def test_prime_field_fitting_split_and_refusal():
     assert not is_isomorphic(parts[0], parts[1])
     a2 = duplicated(linear_quiver(2), field=PrimeField(5))
     assert len(decompose(regular_module(a2))) == 4
+
+
+def test_minpoly_split_when_every_fitting_split_fails(monkeypatch):
+    # b = P diag(1, 2) P^-1 for P = [[-3, -3], [-1, 2]]: no basis or
+    # seeded random endomorphism has a nontrivial Fitting split, so the
+    # factors x - 1 and x - 2 of a minimal polynomial split the module
+    from fractions import Fraction as F
+    alg = duplicated(kronecker_quiver())
+    M = kronecker_module(alg, [[F(4, 3), -1], [F(-2, 9), F(5, 3)]])
+    fitting = []
+    evals = []
+    real_fitting = krullschmidt._fitting_split
+    real_eval = krullschmidt._eval_poly
+
+    def counting_fitting(M, f):
+        split = real_fitting(M, f)
+        fitting.append(split)
+        return split
+
+    def counting_eval(M, f, poly):
+        evals.append(poly)
+        return real_eval(M, f, poly)
+
+    monkeypatch.setattr(krullschmidt, "_fitting_split", counting_fitting)
+    monkeypatch.setattr(krullschmidt, "_eval_poly", counting_eval)
+    parts = decompose(M)
+    assert len(fitting) == 22 and not any(fitting)
+    assert len(evals) >= 2
+    assert len(parts) == 2
+    assert [str(X.dim_grid()) for X in parts] == ["L0{1:1,2:1}"] * 2
+    assert not is_isomorphic(parts[0], parts[1])

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -154,24 +155,31 @@ def test_bongartz_rejects_higher_pd():
 
 
 def test_fans_match_exhaustive_partner_sets(a2, a2_oracle):
-    """Dropping any summand of any tilting module and walking the fan must
-    recover exactly the partners seen across the whole oracle list."""
-    partners = {}      # parts_key(rest) -> list of complements
-    rests = {}
-    for record in a2_oracle:
-        parts = [X for X, _ in record.pieces]
-        for drop in range(len(parts)):
-            rest = parts[:drop] + parts[drop + 1:]
-            key = Registry.parts_key(rest)
-            partners.setdefault(key, []).append(parts[drop])
-            rests[key] = rest
-    assert partners
-    for key, expected in partners.items():
-        rest, _, _ = direct_sum(a2, rests[key])
-        fan = complement_fan(rest, seed=expected[0])
-        assert len(fan.complements) == len(expected)
-        for X, _ in fan.complements:
-            assert any(is_isomorphic(X, Y) for Y in expected)
+    """Dropping any summand of any tilting module and walking the fan, from
+    a partner and from no seed, must recover exactly the partners seen
+    across the whole oracle list; the census of fan sizes is pinned."""
+    a2m2 = ReplicatedAlgebra(linear_quiver(2), 2)
+    for alg, oracle, sizes in [
+            (a2, a2_oracle, {1: 18, 2: 3, 3: 4}),
+            (a2m2, exhaustive_tilting_oracle(a2m2), {1: 88, 4: 11})]:
+        partners = {}      # parts_key(rest) -> list of complements
+        rests = {}
+        for record in oracle:
+            parts = [X for X, _ in record.pieces]
+            for drop in range(len(parts)):
+                rest = parts[:drop] + parts[drop + 1:]
+                key = Registry.parts_key(rest)
+                partners.setdefault(key, []).append(parts[drop])
+                rests[key] = rest
+        for key, expected in partners.items():
+            for seed in (expected[0], None):
+                # a fresh sum each time: the fan is cached on T_bar
+                rest, _, _ = direct_sum(alg, rests[key])
+                fan = complement_fan(rest, seed=seed)
+                assert len(fan.complements) == len(expected)
+                for X, _ in fan.complements:
+                    assert any(is_isomorphic(X, Y) for Y in expected)
+        assert Counter(len(e) for e in partners.values()) == sizes
 
 
 def test_fan_pds_are_unimodal_bottom_up(a2, a2_oracle):
@@ -194,7 +202,7 @@ def test_fan_pds_are_unimodal_bottom_up(a2, a2_oracle):
 def test_complete_partial_tilting_with_candidates(a2):
     nodes = enumerate_indecomposables(a2)
     M = next(X for X in nodes if pd(X) == 2 and is_partial_tilting(X))
-    record = complete_partial_tilting(M, candidates=nodes)
+    record = complete_partial_tilting(M)
     assert any(is_isomorphic(X, M) for X, _ in record.pieces)
     assert len(record.pieces) == a2.delta
 
