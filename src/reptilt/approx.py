@@ -1,5 +1,4 @@
-"""Minimal right and left add(T)-approximations, and the generation /
-cogeneration tests built on them.
+"""Minimal right and left add(T)-approximations.
 
 add(T) is given by ``parts``, the basic summands of T: pairwise
 non-isomorphic indecomposables, as ``basic_summands(T)`` returns them.
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .krullschmidt import basic_summands
 from .linalg import Mat, solve_matrix
 from .replicated import (block_map, direct_sum, hom_basis_r, hom_space,
                          zero_rmap)
@@ -74,17 +72,3 @@ def left_approximation(M, parts):
     X, _, _ = direct_sum(M.algebra, mods)
     g = block_map(M, X, [[h] for _, h in pairs]) if pairs else zero_rmap(M, X)
     return ApproxResult(g, mods)
-
-
-def is_generated_by(M, T):
-    """True when M is a quotient of a module in add(T)."""
-    if M.is_zero():
-        return True
-    return right_approximation(M, basic_summands(T)).map.is_epi()
-
-
-def is_cogenerated_by(M, T):
-    """True when M embeds into a module in add(T)."""
-    if M.is_zero():
-        return True
-    return left_approximation(M, basic_summands(T)).map.is_mono()

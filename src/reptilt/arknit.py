@@ -1,16 +1,14 @@
-"""Auslander-Reiten translation via the Nakayama functor, enumeration of
-indecomposables for representation-finite instances, and the AR quiver."""
+"""Enumeration of the indecomposables of a replicated algebra over a Dynkin
+base quiver, as the closure of the projectives under the inverse
+Auslander-Reiten translation (computed via the inverse Nakayama functor)."""
 
 from __future__ import annotations
 
-from .homological import (cokernel, ext1_classes, injective_envelope_with_data,
-                          minimal_resolution, realize_extension)
-from .krullschmidt import (all_of_kind, end_radical_basis, is_indecomposable,
-                           is_isomorphic)
-from .linalg import Mat, rank
-from .replicated import (RMap, block_map, blocks, direct_sum, hom_basis_r,
-                         hom_space, injective, kernel, map_from_projective,
-                         projective, zero_rmap)
+from .homological import cokernel, injective_envelope_with_data, is_injective
+from .krullschmidt import is_indecomposable, is_isomorphic
+from .linalg import Mat
+from .replicated import (RMap, block_map, blocks, direct_sum, hom_space,
+                         injective, map_from_projective, projective, zero_rmap)
 
 
 def iota_path_map(alg, p):
@@ -31,41 +29,6 @@ def iota_path_map(alg, p):
                 m.data[index[r.arrows[:cut]]][c] = alg.field.one
         comps[(alg.m, u)] = m
     return RMap(src, tgt, comps, check=False)
-
-
-def _nu_block(alg, f, v, i, w, j):
-    """nu of a map P(v,i) -> P(w,j), as a map I(v,i) -> I(w,j)."""
-    coords = [f.component(i, v).data[r][0]
-              for r in range(f.component(i, v).rows)]
-    if i < alg.m:
-        return map_from_projective(alg, v, i + 1, injective(alg, w, j), coords)
-    # source I(v,m) is the embedded base injective; only j = m can be hit
-    if j < alg.m:
-        if any(coords):
-            raise RuntimeError("impossible Nakayama block")
-        return zero_rmap(injective(alg, v, alg.m), injective(alg, w, j))
-    paths = alg.base_projective(w).path_basis[v]
-    return sum((iota_path_map(alg, p).scale(c)
-                for c, p in zip(coords, paths) if c),
-               zero_rmap(injective(alg, v, alg.m), injective(alg, w, alg.m)))
-
-
-def translate(M):
-    """The AR translation: kernel of nu applied to a minimal projective
-    presentation."""
-    alg = M.algebra
-    res = minimal_resolution(M)
-    if res.length == 0:
-        raise ValueError("translation of a projective module")
-    nu0, nu1 = (direct_sum(alg, [injective(alg, v, i) for (v, i) in labels])[0]
-                for labels in res.summands[:2])
-    d1 = blocks(res.maps[0])
-    total = block_map(nu1, nu0, [
-        [_nu_block(alg, d1[k][l], v, i, w, j)
-         for l, (v, i) in enumerate(res.summands[1])]
-        for k, (w, j) in enumerate(res.summands[0])])
-    K, _ = kernel(total)
-    return K
 
 
 def _nu_inverse_block(alg, h, v, i, w, j):
@@ -171,91 +134,7 @@ def enumerate_indecomposables(alg):
         if not is_indecomposable(M):
             raise RuntimeError("orbit produced a decomposable module")
         nodes.append(M)
-        if not all_of_kind([M], injective):
+        if not is_injective(M):
             queue.append(translate_inverse(M))
     nodes.sort(key=lambda N: (N.total_dim, N.dim_grid().key()))
     return nodes
-
-
-def almost_split_sequence(N):
-    """The almost split sequence ending at a non-projective indecomposable,
-    realized from the unique extension class: (tau N, E, N, incl, proj)."""
-    t = translate(N)
-    classes = ext1_classes(N, t)
-    if len(classes) != 1:
-        raise RuntimeError("expected a one-dimensional extension space, got %d"
-                           % len(classes))
-    E, iY, pX = realize_extension(N, t, classes[0])
-    S, _, _ = direct_sum(N.algebra, [t, N])
-    if is_isomorphic(E, S):
-        raise RuntimeError("almost split candidate splits")
-    return t, E, N, iY, pX
-
-
-def _rad_basis(X, Y):
-    """Basis of rad(X, Y) for indecomposables X, Y."""
-    if X.dim_grid() == Y.dim_grid() and is_isomorphic(X, Y):
-        if X is Y:
-            return end_radical_basis(X)
-        # align through an isomorphism so rad is computed in Hom(X, Y)
-        iso = next(h for h in hom_basis_r(X, Y) if h.is_iso())
-        return [iso.compose(r) for r in end_radical_basis(X)]
-    return hom_basis_r(X, Y)
-
-
-def verify_right_almost_split(pX, nodes):
-    """Every radical map X -> N from an enumerated indecomposable factors
-    through the almost split epi pX: E -> N."""
-    N = pX.target
-    E = pX.source
-    for X in nodes:
-        rad = _rad_basis(X, N)
-        if not rad:
-            continue
-        through = [pX.compose(b) for b in hom_basis_r(X, E)]
-        if hom_space(X, N).solve(through, rad) is None:
-            return False
-    return True
-
-
-class ARQuiver:
-    """Nodes, irreducible-map multiplicities, and the translation."""
-
-    def __init__(self, algebra, nodes, arrows, translation):
-        self.algebra = algebra
-        self.nodes = nodes
-        self.arrows = arrows           # {(i, j): multiplicity}
-        self.translation = translation  # {j: i} meaning tau(nodes[j]) = nodes[i]
-
-
-def ar_quiver(alg):
-    """Knit the AR quiver of a representation-finite replicated algebra."""
-    nodes = enumerate_indecomposables(alg)
-
-    def rad(i, j):
-        if i == j:
-            return end_radical_basis(nodes[i])
-        return hom_basis_r(nodes[i], nodes[j])
-
-    arrows = {}
-    n = len(nodes)
-    for i in range(n):
-        for j in range(n):
-            rb = rad(i, j)
-            if not rb:
-                continue
-            sq = [g2.compose(g1) for k in range(n)
-                  for g1 in rad(i, k) for g2 in rad(k, j)]
-            space = hom_space(nodes[i], nodes[j])
-            mult = rank(space.matrix(rb)) - rank(space.matrix(sq))
-            if mult:
-                arrows[(i, j)] = mult
-    translation = {}
-    for j, N in enumerate(nodes):
-        if all_of_kind([N], projective):
-            continue
-        t = translate(N)
-        translation[j] = next(i for i, X in enumerate(nodes)
-                              if t.dim_grid() == X.dim_grid()
-                              and is_isomorphic(t, X))
-    return ARQuiver(alg, nodes, arrows, translation)

@@ -1,5 +1,4 @@
-"""Representations of the base quiver: morphisms, Hom spaces, projectives,
-injectives and simples.
+"""Representations of the base quiver: projectives, injectives and simples.
 
 Left modules over the path algebra are quiver representations: an arrow
 a: u -> w acts as a matrix of shape dims[w] x dims[u].
@@ -8,7 +7,7 @@ a: u -> w acts as a matrix of shape dims[w] x dims[u].
 from __future__ import annotations
 
 from .field import QQ
-from .linalg import Mat, kernel_basis
+from .linalg import Mat
 from .quiver import Path
 
 
@@ -51,86 +50,6 @@ class Rep:
         for name in p.arrows:
             m = self.maps[name] * m
         return m
-
-
-class AMap:
-    """A morphism of representations (one matrix per vertex)."""
-
-    def __init__(self, source, target, components, check=True):
-        self.source = source
-        self.target = target
-        self.components = {}
-        for v in source.quiver.vertices:
-            c = components.get(v)
-            if c is None:
-                c = Mat.zeros(target.dims[v], source.dims[v], source.field)
-            self.components[v] = c
-        if check:
-            self.validate()
-
-    def validate(self):
-        for v in self.source.quiver.vertices:
-            c = self.components[v]
-            if (c.rows, c.cols) != (self.target.dims[v], self.source.dims[v]):
-                raise ValueError("component at %r has wrong shape" % (v,))
-        for a in self.source.quiver.arrows:
-            lhs = self.target.maps[a.name] * self.components[a.source]
-            rhs = self.components[a.target] * self.source.maps[a.name]
-            if lhs != rhs:
-                raise ValueError("map does not commute with arrow %s" % a.name)
-
-
-# -- Hom spaces -------------------------------------------------------
-
-def _unknown_layout(M, N):
-    """Offsets for vectorized morphism unknowns f_v (N.dims[v] x M.dims[v])."""
-    offsets = {}
-    total = 0
-    for v in M.quiver.vertices:
-        offsets[v] = total
-        total += N.dims[v] * M.dims[v]
-    return offsets, total
-
-
-def _vec_to_amap(M, N, offsets, vec):
-    comps = {}
-    for v in M.quiver.vertices:
-        r, c = N.dims[v], M.dims[v]
-        base = offsets[v]
-        comps[v] = Mat(r, c, [[vec[base + i * c + j] for j in range(c)]
-                              for i in range(r)], M.field)
-    return AMap(M, N, comps, check=False)
-
-
-def hom_basis(M, N):
-    """Canonical basis of Hom(M, N) for representations of the same quiver."""
-    if M.quiver is not N.quiver and M.quiver.to_json() != N.quiver.to_json():
-        raise ValueError("quiver mismatch")
-    offsets, total = _unknown_layout(M, N)
-    rows = []
-    f = M.field
-    zero = f.zero
-    for a in M.quiver.arrows:
-        u, w = a.source, a.target
-        Na, Ma = N.maps[a.name], M.maps[a.name]
-        # N_a f_u - f_w M_a = 0, entrywise (i in N.dims[w], j in M.dims[u])
-        for i in range(N.dims[w]):
-            for j in range(M.dims[u]):
-                row = [zero] * total
-                cu = M.dims[u]
-                for k in range(N.dims[u]):
-                    if Na.data[i][k]:
-                        row[offsets[u] + k * cu + j] = Na.data[i][k]
-                cw = M.dims[w]
-                for l in range(M.dims[w]):
-                    if Ma.data[l][j]:
-                        idx = offsets[w] + i * cw + l
-                        row[idx] = row[idx] - Ma.data[l][j]
-                rows.append(row)
-    sys = Mat(len(rows), total, rows, f) if rows else Mat.zeros(0, total, f)
-    ker = kernel_basis(sys)
-    return [_vec_to_amap(M, N, offsets, ker.basis.col(k))
-            for k in range(ker.dim)]
 
 
 # -- structural representations --------------------------------------

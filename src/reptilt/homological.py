@@ -1,5 +1,6 @@
 """Projective covers, minimal resolutions, Ext groups, injective envelopes,
-syzygies and cosyzygies over a replicated algebra."""
+syzygies and cosyzygies over a replicated algebra, and the projectivity and
+injectivity tests read off the top and the socle."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from .replicated import (RMap, block_map, cokernel, direct_sum,
                          generator_action, hom_space, image_subspaces,
                          injective, kernel, map_from_projectives, projective,
                          quotient_with_sections, radical_subspaces,
-                         regular_module, socle, summand_offsets, summands_of)
+                         regular_module, socle, socle_subspaces,
+                         summand_offsets, summands_of)
 
 
 class Resolution:
@@ -170,6 +172,25 @@ def _ext_table(M, N):
     return table
 
 
+def is_projective(M):
+    """True when M is projective: its projective cover, one P(v, i) per
+    basis vector of top(M) at (i, v), has the dimension of M."""
+    alg = M.algebra
+    rad = radical_subspaces(M)
+    return M.total_dim == sum(
+        (M.dims(i, v) - rad[(i, v)].dim) * projective(alg, v, i).total_dim
+        for i, v in alg.cells)
+
+
+def is_injective(M):
+    """True when M is injective: its injective envelope, one I(v, i) per
+    basis vector of soc(M) at (i, v), has the dimension of M."""
+    alg = M.algebra
+    soc = socle_subspaces(M)
+    return M.total_dim == sum(soc[(i, v)].dim * injective(alg, v, i).total_dim
+                              for i, v in alg.cells)
+
+
 def syzygy(M):
     """Kernel of the projective cover."""
     if M.is_zero():
@@ -232,30 +253,6 @@ def cosyzygy(M):
     _, mono = injective_envelope(M)
     C, _ = cokernel(mono)
     return C
-
-
-def sigma_set(alg, i):
-    """The i-th cosyzygies of the level-0 indecomposable projectives
-    (zero members dropped)."""
-    if not 0 <= i <= 2 * alg.m:
-        raise ValueError("sigma index out of range")
-    out = []
-    for v in alg.quiver.vertices:
-        M = projective(alg, v, 0)
-        for _ in range(i):
-            if M.is_zero():
-                break
-            M = cosyzygy(M)
-        if not M.is_zero():
-            out.append(M)
-    return out
-
-
-def is_radical_valued(f):
-    """True when the image of f lies in the radical of its target."""
-    rad = radical_subspaces(f.target)
-    return all(rad[c].contains_matrix(column_space(m).basis)
-               for c, m in f.comps.items())
 
 
 def is_faithful(M):

@@ -17,9 +17,9 @@ import sympy
 
 from .field import QQ
 from .linalg import Mat, kernel_basis
-from .replicated import (SummandMaps, block_map, direct_sum, hom_basis_r,
-                         hom_space, identity_rmap, image_subspaces,
-                         kernel_subspaces, submodule, zero_rmap)
+from .replicated import (SummandMaps, hom_basis_r, hom_space, identity_rmap,
+                         image_subspaces, kernel_subspaces, submodule,
+                         zero_rmap)
 
 SPLIT_TRIALS = 20
 SPLIT_SEED = 987654321
@@ -219,22 +219,6 @@ def decompose_with_inclusions(M):
     return out
 
 
-def decompose_with_maps(M):
-    """(parts, inclusions, projections) realizing M as the direct sum."""
-    pairs = decompose_with_inclusions(M)
-    parts = [p for p, _ in pairs]
-    incls = [incl for _, incl in pairs]
-    S, _, projs = direct_sum(M.algebra, parts)
-    iso = block_map(S, M, [incls])
-    if not iso.is_iso():
-        raise RuntimeError("decomposition does not reassemble to the module")
-    back = hom_space(M, S)
-    sol = hom_space(M, M).solve([iso.compose(h) for h in back.basis],
-                                [identity_rmap(M)])
-    inv = back.combine(sol.col(0))
-    return parts, incls, [p.compose(inv) for p in projs]
-
-
 def is_isomorphic(M, N):
     """Exact isomorphism test."""
     if M.dim_grid() != N.dim_grid():
@@ -265,15 +249,6 @@ def _indec_isomorphic(a, b):
         if h.is_iso():
             return True
     return False
-
-
-def all_of_kind(parts, kind):
-    """True when each indecomposable in ``parts`` is isomorphic to some
-    ``kind(alg, v, i)``, for ``kind`` = ``projective`` or ``injective``."""
-    return all(any(is_isomorphic(p, kind(p.algebra, v, i))
-                   for v in p.algebra.quiver.vertices
-                   for i in range(p.algebra.m + 1))
-               for p in parts)
 
 
 def basic_summands(M):

@@ -593,9 +593,9 @@ def radical(M):
     return submodule(M, radical_subspaces(M))
 
 
-def socle(M):
-    """soc M: vectors killed by all arrows and by the connector pairing.
-    Returns (S, inclusion)."""
+def socle_subspaces(M):
+    """soc M at each (level, vertex): the vectors killed by all arrows and
+    by the connector pairing."""
     alg = M.algebra
     quiver = alg.quiver
     f = alg.field
@@ -611,7 +611,12 @@ def socle(M):
             subs[(i, w)] = kernel_basis(Mat.vstack(rows, field=f))
         else:
             subs[(i, w)] = column_space(Mat.identity(M.dims(i, w), f))
-    return submodule(M, subs)
+    return subs
+
+
+def socle(M):
+    """soc M as a submodule.  Returns (S, inclusion)."""
+    return submodule(M, socle_subspaces(M))
 
 
 def top(M):
@@ -775,10 +780,6 @@ def _hom_basis_r(M, N):
     vectors = [ker.basis.col(k) for k in range(ker.dim)]
     basis = [_rmap_from_vector(M, N, vec) for vec in vectors]
     return HomSpace(M, N, basis, vectors, ker.pivot_rows, total)
-
-
-def hom_dim(M, N):
-    return len(hom_basis_r(M, N))
 
 
 # -- maps out of projectives -----------------------------------------

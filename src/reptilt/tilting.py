@@ -4,10 +4,10 @@ complement fans, and the duplicated-algebra (m = 1) classifiers."""
 from __future__ import annotations
 
 from .approx import left_approximation, right_approximation
-from .homological import (ext, ext1_classes, injective_envelope, pd,
-                          realize_extension)
-from .krullschmidt import (all_of_kind, basic_summands, decompose, delta_count,
-                           is_indecomposable, is_isomorphic)
+from .homological import (ext, ext1_classes, injective_envelope,
+                          is_injective, is_projective, pd, realize_extension)
+from .krullschmidt import (basic_summands, delta_count, is_indecomposable,
+                           is_isomorphic)
 from .linalg import Mat, rank
 from .replicated import (cokernel, direct_sum, injective, kernel, projective,
                          regular_module, summands_of)
@@ -249,10 +249,6 @@ def complement_fan(T_bar, seed=None):
     return fan
 
 
-def _module_is_projective(M):
-    return all_of_kind(decompose(M), projective)
-
-
 def _base_rep_faithful(rep):
     """Faithfulness over the base path algebra: the path actions are
     linearly independent in (+) Hom(N_u, N_w) (zero annihilator)."""
@@ -293,12 +289,11 @@ def classify_duplicated(T_bar):
     pd2 = [X for X, p in fan.complements if p == 2]
     if pd2:
         E, _ = injective_envelope(pd2[0])
-        report["pd2_envelope_projective"] = _module_is_projective(E)
+        report["pd2_envelope_projective"] = is_projective(E)
         report["pd2_dim_grid"] = str(pd2[0].dim_grid())
     # level-0 part of T_bar with the projective-injectives removed
     non_pi = [X for X in basic_summands(T_bar)
-              if not (all_of_kind([X], projective)
-                      and all_of_kind([X], injective))]
+              if not (is_projective(X) and is_injective(X))]
     level0 = [X for X in non_pi
               if all(X.dims(i, v) == 0
                      for i in range(1, alg.m + 1)

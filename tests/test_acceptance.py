@@ -11,15 +11,17 @@ from reptilt.catalog import (d4_almost_complete_pd1, d4_almost_complete_pd2,
                              kronecker_almost_complete_pd3, kronecker_quiver,
                              linear_quiver)
 from reptilt.homological import (injective_envelope, is_faithful,
-                                 is_radical_valued, minimal_resolution, pd)
+                                 is_projective, minimal_resolution, pd)
 from reptilt.krullschmidt import basic_summands, decompose, is_isomorphic
 from reptilt.quiver import Quiver
 from reptilt.replicated import (ReplicatedAlgebra, direct_sum, injective,
                                 projective, regular_module)
-from reptilt.tilting import (_module_is_projective, complement_fan,
-                             complete_partial_tilting, is_partial_tilting)
+from reptilt.tilting import (complement_fan, complete_partial_tilting,
+                             is_partial_tilting)
 from reptilt.tiltquiver import (Registry, exhaustive_tilting_oracle, explore,
                                 records_isomorphic)
+
+from reference import is_radical_valued
 
 
 def report(n, ok, detail):
@@ -65,7 +67,7 @@ def test_criterion_2_second_fan():
           and str(X3.dim_grid()) == "L1{1:5,2:2,3:2,4:2,5:2}"
           and len(parts) == 3
           and all(is_isomorphic(q, injective(alg, 1, 1)) for q in parts)
-          and not _module_is_projective(E))
+          and not is_projective(E))
     report(2, ok, "four-subspace pd-2 fan: pds %s, E(X_2) = 3 copies of the "
                   "level-1 sink injective, not projective" % (fan.pds,))
 
@@ -78,7 +80,7 @@ def test_criterion_3_kronecker_fans():
     alg2, T2 = kronecker_almost_complete_pd2()
     fan2 = complement_fan(T2)
     mixed = [X for X in basic_summands(T2)
-             if not _module_is_projective(X)]
+             if not is_projective(X)]
     ok = (fan3.pds == [1, 2, 3]
           and fan1.pds == [1, 1, 2] and 3 not in fan1.pds
           and fan2.pds == [1, 2, 2] and 3 not in fan2.pds

@@ -4,13 +4,14 @@ from reptilt.catalog import (duplicated, kronecker_almost_complete_pd1,
                              kronecker_almost_complete_pd2,
                              kronecker_almost_complete_pd3, kronecker_quiver,
                              linear_quiver)
-from reptilt.approx import (_kept_copies, is_cogenerated_by,
-                            is_generated_by, left_approximation,
+from reptilt.approx import (_kept_copies, left_approximation,
                             right_approximation)
 from reptilt.krullschmidt import basic_summands
 from reptilt.homological import injective_envelope, is_faithful, projective_cover
 from reptilt.replicated import (direct_sum, hom_basis_r, hom_space,
                                 injective, projective, regular_module, simple)
+
+from reference import is_cogenerated_by, is_generated_by
 
 
 def dgrid(M):

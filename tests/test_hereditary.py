@@ -1,10 +1,12 @@
 import pytest
 
-from reptilt.hereditary import (AMap, Rep, hom_basis, injective_rep,
-                                projective_rep, simple_rep, zero_rep)
+from reptilt.hereditary import (Rep, injective_rep, projective_rep,
+                                simple_rep, zero_rep)
 from reptilt.linalg import Mat, rank
 from reptilt.quiver import Quiver
 from reptilt.replicated import ReplicatedAlgebra, embed_level, projective
+
+from reference import AMap, hom_basis
 
 
 def kronecker():

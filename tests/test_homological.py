@@ -6,17 +6,23 @@ from reptilt.field import QQ, PrimeField
 from reptilt.homological import (_cover_with_data, _ext_differential,
                                  cosyzygy, ext,
                                  ext1_classes, injective_envelope,
-                                 is_radical_valued, minimal_resolution, pd,
+                                 is_injective, is_projective,
+                                 minimal_resolution, pd,
                                  projective_cover, realize_extension,
-                                 sigma_set, syzygy)
+                                 syzygy)
 from reptilt.hereditary import Rep
+from reptilt.krullschmidt import decompose
 from reptilt.linalg import Mat, column_space, solve_matrix
+from reptilt.quiver import Quiver
 from reptilt.replicated import (RMap, RModule, ReplicatedAlgebra, block_map,
                                 direct_sum, generator_action, hom_basis_r,
-                                hom_dim, injective, map_from_projective,
+                                injective, map_from_projective,
                                 projective, quotient_module, radical,
                                 regular_module, simple, summand_offsets,
                                 summands_of, top, zero_rmap)
+from reptilt.tiltquiver import Catalog
+
+from reference import all_of_kind, hom_dim, is_radical_valued, sigma_set
 
 
 def dgrid(M):
@@ -514,3 +520,33 @@ def test_cover_radical_and_top_match_their_references(name, field):
     # several actions reach one vertex: the column layout is exercised
     labels = _cover_with_data(mods[-1])[2]
     assert len(set(labels)) < len(labels)
+
+
+DYNKIN_ALGEBRAS = {"a2-m1": (lambda: linear_quiver(2), 1),
+                   "a3-m2": (lambda: linear_quiver(3), 2),
+                   "d4-m1": (lambda: Quiver([1, 2, 3, 4], [("a", 2, 1),
+                                                           ("b", 3, 1),
+                                                           ("c", 4, 1)]), 1)}
+
+
+@pytest.mark.parametrize("name", list(DYNKIN_ALGEBRAS))
+def test_projective_and_injective_match_their_reference(name):
+    # the dimension counts against Krull-Schmidt plus an isomorphism
+    # search, on every indecomposable and on a few recorded sums
+    quiver, m = DYNKIN_ALGEBRAS[name]
+    alg = ReplicatedAlgebra(quiver(), m)
+    nodes = Catalog.of(alg).indecomposables()
+    vs = alg.quiver.vertices
+    sums = [regular_module(alg),
+            direct_sum(alg, [injective(alg, v, i) for i, v in alg.cells])[0],
+            direct_sum(alg, [projective(alg, vs[0], 0), injective(alg, vs[-1], m),
+                             projective(alg, vs[0], 0)])[0],
+            direct_sum(alg, nodes[:3])[0]]
+    for M, parts in ([(X, [X]) for X in nodes]
+                     + [(S, decompose(S)) for S in sums]):
+        assert is_projective(M) == all_of_kind(parts, projective)
+        assert is_injective(M) == all_of_kind(parts, injective)
+    assert sum(map(is_projective, nodes)) == len(alg.cells)
+    assert sum(map(is_injective, nodes)) == len(alg.cells)
+    assert [is_projective(S) for S in sums] == [True, False, False, False]
+    assert [is_injective(S) for S in sums] == [False, True, False, False]

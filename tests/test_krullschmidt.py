@@ -1,17 +1,23 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reptilt import krullschmidt
 from reptilt.catalog import (dtilde4_quiver, duplicated, general_position_rep,
                              kronecker_quiver, linear_quiver)
 from reptilt.field import PrimeField
 from reptilt.hereditary import Rep
-from reptilt.krullschmidt import (basic_summands, decompose,
-                                  decompose_with_maps, delta_count,
+from reptilt.homological import ext, pd
+from reptilt.krullschmidt import (basic_summands, decompose, delta_count,
                                   end_radical_dim, is_indecomposable,
                                   is_isomorphic)
 from reptilt.linalg import Mat
-from reptilt.replicated import (direct_sum, embed_level, hom_dim, projective,
-                                regular_module, simple)
+from reptilt.replicated import (direct_sum, embed_level, projective,
+                                regular_module, rmodule_from_json,
+                                rmodule_to_json, simple)
+from reptilt.tiltquiver import Catalog
+
+from reference import decompose_with_maps, hom_dim
 
 
 def dgrid(M):
@@ -259,3 +265,36 @@ def test_minpoly_split_when_every_fitting_split_fails(monkeypatch):
     assert len(parts) == 2
     assert [str(X.dim_grid()) for X in parts] == ["L0{1:1,2:1}"] * 2
     assert not is_isomorphic(parts[0], parts[1])
+
+
+@pytest.fixture(scope="module")
+def a3_nodes():
+    alg = duplicated(linear_quiver(3))
+    return Catalog.of(alg).indecomposables()
+
+
+@given(st.lists(st.integers(0, 17), min_size=2, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_random_dynkin_sum_splits_back_over_both_fields(a3_nodes, picks):
+    # the JSON round trip drops the summand record, so decompose has to
+    # split the sum; GF(101) must agree with QQ on what it finds
+    assert len(a3_nodes) == 18
+    drawn = [a3_nodes[k] for k in picks]
+    qq = drawn[0].algebra
+    obj = rmodule_to_json(direct_sum(qq, drawn)[0])
+    first = rmodule_to_json(drawn[0])
+    sums, seen = [], []
+    for alg in (qq, duplicated(linear_quiver(3), field=PrimeField(101))):
+        S = rmodule_from_json(alg, obj)
+        assert "summands" not in S.cache
+        N = rmodule_from_json(alg, first)
+        sums.append(S)
+        seen.append((sorted(str(X.dim_grid()) for X in decompose(S)), pd(S),
+                     [ext(i, S, N) for i in range(2 * alg.m + 2)]))
+    assert seen[0] == seen[1]
+    rest = list(decompose(sums[0]))
+    for X in drawn:
+        match = [k for k, Y in enumerate(rest) if is_isomorphic(X, Y)]
+        assert match, "no part of the sum is isomorphic to %s" % X.dim_grid()
+        rest.pop(match[0])
+    assert rest == []

@@ -9,7 +9,6 @@ from reptilt import replicated
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
 from reptilt.field import QQ, PrimeField
-from reptilt.hereditary import hom_basis as base_hom_basis
 from reptilt.krullschmidt import decompose, is_isomorphic
 from reptilt.linalg import Mat, kernel_basis, rank
 from reptilt.homological import cosyzygy, minimal_resolution
@@ -20,6 +19,8 @@ from reptilt.replicated import (RMap, ReplicatedAlgebra, block_map, blocks,
                                 regular_module, rmap_vector, rmodule_from_json,
                                 rmodule_to_json, simple, socle, summands_of,
                                 top, zero_rmap)
+
+from reference import hom_basis as base_hom_basis
 
 
 def dgrid(M):
