@@ -218,8 +218,9 @@ def cmd_complements(args):
 
 def cmd_tilting_quiver(args):
     from .arknit import is_dynkin
-    from .tiltquiver import (Catalog, Registry, exhaustive_tilting_oracle,
-                             explore, export_dot, graph_to_json)
+    from .tilting import Catalog
+    from .tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
+                             graph_to_json)
     alg = load_algebra(args.algebra, load_field(args.field))
     dynkin = is_dynkin(alg.quiver)
     if dynkin:
@@ -235,7 +236,7 @@ def cmd_tilting_quiver(args):
             oracle = exhaustive_tilting_oracle(alg)
 
             def vertex_set(records):
-                return {Registry.parts_key([X for X, _ in r.pieces])
+                return {Catalog.parts_key([X for X, _ in r.pieces])
                         for r in records}
             data["oracle_vertex_count"] = len(oracle)
             verified = vertex_set(oracle) == vertex_set(graph.vertices)

@@ -17,7 +17,7 @@ import sympy
 
 from .field import QQ
 from .linalg import Mat, kernel_basis
-from .replicated import (SummandMaps, hom_basis_r, hom_space, identity_rmap,
+from .replicated import (hom_basis_r, hom_space, identity_rmap,
                          image_subspaces, kernel_subspaces, submodule,
                          zero_rmap)
 
@@ -186,35 +186,24 @@ def is_indecomposable(M):
 
 
 def decompose(M):
-    """List of indecomposable summands (each certified).  A recorded direct
-    sum lists those of its summands and builds no inclusion."""
-    if "summands" in M.cache:
-        return [p for part in M.cache["summands"] for p in decompose(part)]
-    return [p for p, _ in decompose_with_inclusions(M)]
-
-
-def decompose_with_inclusions(M):
-    """List of (indecomposable summand, inclusion into M), memoized in
-    ``M.cache["decomposition"]``.  A recorded direct sum splits along its
+    """List of indecomposable summands (each certified), memoized in
+    ``M.cache["decomposition"]``.  A recorded direct sum lists those of its
     summands; otherwise ``try_split`` splits M, and a leaf it cannot split
     is certified indecomposable."""
     cached = M.cache.get("decomposition")
     if cached is not None:
         return cached
-    split = ([] if M.is_zero() else try_split(M) if "summands" not in M.cache
-             else zip(M.cache["summands"], SummandMaps(M, True)))
-    if split is None:
-        _certify_indecomposable(M)
-        out = [(M, identity_rmap(M))]
-    else:
+    if "summands" in M.cache:
+        out = [p for part in M.cache["summands"] for p in decompose(part)]
+    elif M.is_zero():
         out = []
-        for part, incl in split:
-            subs = decompose_with_inclusions(part)
-            if len(subs) == 1 and subs[0][0] is part:
-                out.append((part, incl))    # a leaf: incl o identity = incl
-            else:
-                out.extend((sub, incl.compose(subincl))
-                           for sub, subincl in subs)
+    else:
+        split = try_split(M)
+        if split is None:
+            _certify_indecomposable(M)
+            out = [M]
+        else:
+            out = [p for part, _ in split for p in decompose(part)]
     M.cache["decomposition"] = out
     return out
 

@@ -1,5 +1,7 @@
-"""Tilting and partial-tilting certification, Bongartz completion,
-complement fans, and the duplicated-algebra (m = 1) classifiers."""
+"""Tilting and partial-tilting certification, the per-algebra catalog of
+indecomposables and tilting verdicts, Bongartz completion, exchange
+sequences and complement fans, and the duplicated-algebra (m = 1)
+classifiers."""
 
 from __future__ import annotations
 
@@ -8,7 +10,6 @@ from .homological import (ext, ext1_classes, injective_envelope,
                           is_injective, is_projective, pd, realize_extension)
 from .krullschmidt import (basic_summands, delta_count, is_indecomposable,
                            is_isomorphic)
-from .linalg import Mat, rank
 from .replicated import (cokernel, direct_sum, injective, kernel, projective,
                          regular_module, summands_of)
 
@@ -99,6 +100,100 @@ def certify_tilting(M):
     return record
 
 
+class Catalog:
+    """One per algebra, in ``alg.cache``: the canonical representative of
+    each isomorphism class of indecomposables met so far, bucketed by dim
+    grid, and the verdict of ``certify`` on each set of parts it has run
+    on.  Once ``indecomposables`` has enumerated every indecomposable (a
+    Dynkin base), a module that matches none of them is an internal
+    error."""
+
+    def __init__(self, alg):
+        self.algebra = alg
+        self.by_grid = {}
+        self.verdicts = {}
+        self.nodes = None
+
+    @staticmethod
+    def of(alg):
+        catalog = alg.cache.get(("catalog",))
+        if catalog is None:
+            catalog = alg.cache[("catalog",)] = Catalog(alg)
+        return catalog
+
+    @staticmethod
+    def parts_key(parts):
+        """Identity key for a multiset of canonical representatives."""
+        return tuple(sorted(id(p) for p in parts))
+
+    def canonical(self, M):
+        bucket = self.by_grid.setdefault(M.dim_grid().key(), [])
+        for N in bucket:
+            if is_isomorphic(M, N):
+                return N
+        if self.nodes is not None:
+            raise RuntimeError("module %s matches no enumerated "
+                               "indecomposable" % M.dim_grid())
+        bucket.append(M)
+        return M
+
+    def indecomposables(self):
+        """Every indecomposable, canonical; enumerated once, after which
+        the catalog is complete."""
+        if self.nodes is None:
+            from .arknit import enumerate_indecomposables
+            self.nodes = [self.canonical(N)
+                          for N in enumerate_indecomposables(self.algebra)]
+        return self.nodes
+
+    def is_tilting(self, parts):
+        """Whether (+) parts is tilting; ``certify``, with both of its
+        certificates, runs once per set of canonical parts."""
+        key = self.parts_key(parts)
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = certify(self.algebra, parts) is not None
+            self.verdicts[key] = verdict
+        return verdict
+
+    def complement(self, parts, X):
+        """X's node when X is indecomposable, its node is none of the
+        canonical ``parts`` of T_bar and T_bar (+) X is tilting; None
+        otherwise."""
+        if not is_indecomposable(X):
+            return None
+        node = self.canonical(X)
+        if any(node is Y for Y in parts):
+            return None
+        return node if self.is_tilting(parts + [node]) else None
+
+    def tilting_sets(self, chosen=()):
+        """Each set of ``alg.delta`` pairwise Ext-orthogonal nodes that
+        contains ``chosen`` and is tilting, in node order.  ``chosen`` is
+        Ext-orthogonal; its modules are replaced by their nodes."""
+        nodes = self.indecomposables()
+        chosen = [self.canonical(X) for X in chosen]
+        pool = [X for X in nodes if not any(X is Y for Y in chosen)]
+        target = self.algebra.delta
+
+        def orthogonal(X, Y):
+            return _ext_orthogonal(X, Y) and _ext_orthogonal(Y, X)
+
+        def extend(chosen, start):
+            if len(chosen) == target:
+                if self.is_tilting(chosen):
+                    yield chosen
+                return
+            if len(chosen) + (len(pool) - start) < target:
+                return
+            for idx in range(start, len(pool)):
+                X = pool[idx]
+                if all(orthogonal(X, Y) for Y in [X] + chosen):
+                    yield from extend(chosen + [X], idx + 1)
+
+        return extend(chosen, 0)
+
+
 def bongartz_complete(M):
     """Classical Bongartz completion for pd(M) <= 1."""
     alg = M.algebra
@@ -130,16 +225,6 @@ def bongartz_complete(M):
     return record
 
 
-def _is_complement(parts, X):
-    """X indecomposable, not in add(T_bar), and T_bar (+) X tilting, for
-    ``parts`` the basic summands of T_bar."""
-    if X.is_zero() or not is_indecomposable(X):
-        return False
-    if any(is_isomorphic(X, Y) for Y in parts):
-        return False
-    return certify(X.algebra, parts + [X]) is not None
-
-
 def _seed_candidates(T_bar):
     """Over a Dynkin base, the catalog's nodes, which hold every
     indecomposable; otherwise the projectives, the injectives and the base
@@ -149,7 +234,6 @@ def _seed_candidates(T_bar):
     from .replicated import embed_level
     alg = T_bar.algebra
     if is_dynkin(alg.quiver):
-        from .tiltquiver import Catalog
         yield from Catalog.of(alg).indecomposables()
         return
     for i, v in alg.cells:
@@ -164,45 +248,45 @@ def _seed_candidates(T_bar):
             yield X
 
 
-def find_complement(T_bar):
-    """The first of the seed candidates that complements T_bar."""
-    existing = basic_summands(T_bar)
+def find_complement(T_bar, parts):
+    """The node of the first seed candidate that complements T_bar, whose
+    basic summands are the canonical ``parts``."""
+    catalog = Catalog.of(T_bar.algebra)
     for X in _seed_candidates(T_bar):
-        if _is_complement(existing, X):
-            return X
+        node = catalog.complement(parts, X)
+        if node is not None:
+            return node
     raise RuntimeError("no complement found among the seed candidates; "
                        "pass a known complement with --seed")
 
 
-def _down_step(parts, X):
-    """Kernel of the minimal right add(T_bar)-approximation of X, with the
-    exchange sequence 0 -> K -> B -> X -> 0; None when X is the bottom.
-    ``parts`` are the basic summands of T_bar."""
-    appr = right_approximation(X, parts)
-    if not appr.map.is_epi():
-        return None
-    K, incl = kernel(appr.map)
-    if K.is_zero():
+def exchange(parts, X, up):
+    """One exchange step from a complement X of T_bar = (+) parts: the
+    exchange sequence 0 -> X -> B -> Y -> 0 of the minimal left
+    add(T_bar)-approximation of X when ``up``, else 0 -> Y -> B -> X -> 0 of
+    the minimal right one (Coelho-Happel-Unger, *Complements to partial
+    tilting modules*, J. Algebra 1994).  Returns (Y, witness), or None when
+    the approximation is not mono (``up``) or not epi: X ends the chain."""
+    if up:
+        incl = left_approximation(X, parts).map
+        if not incl.is_mono():
+            return None
+        Y, proj = cokernel(incl)
+    else:
+        proj = right_approximation(X, parts).map
+        if not proj.is_epi():
+            return None
+        Y, incl = kernel(proj)
+    if Y.is_zero():
         raise RuntimeError("complement lies in add of the almost complete part")
-    return K, {"sub": K, "mid": appr.map.source, "quot": X,
-               "incl": incl, "proj": appr.map}
-
-
-def _up_step(parts, X):
-    """Cokernel of the minimal left add(T_bar)-approximation, dually."""
-    appr = left_approximation(X, parts)
-    if not appr.map.is_mono():
-        return None
-    C, proj = cokernel(appr.map)
-    if C.is_zero():
-        raise RuntimeError("complement lies in add of the almost complete part")
-    return C, {"sub": X, "mid": appr.map.target, "quot": C,
-               "incl": appr.map, "proj": proj}
+    return Y, {"sub": incl.source, "mid": incl.target, "quot": proj.target,
+               "incl": incl, "proj": proj}
 
 
 def complement_fan(T_bar, seed=None):
     """All complements of an almost complete partial tilting module,
-    reported bottom-up (cosyzygy order) with their projective dimensions."""
+    reported bottom-up (cosyzygy order) with their projective dimensions.
+    The walk goes down from the seed and up from it, once each."""
     alg = T_bar.algebra
     cached = T_bar.cache.get("fan")
     if cached is not None:
@@ -212,64 +296,46 @@ def complement_fan(T_bar, seed=None):
         raise ValueError("input is not partial tilting")
     if len(parts) != alg.delta - 1:
         raise ValueError("input is not almost complete")
+    catalog = Catalog.of(alg)
+    parts = [catalog.canonical(X) for X in parts]
     if seed is None:
-        seed = find_complement(T_bar)
-    elif not _is_complement(parts, seed):
-        raise ValueError("provided seed is not a complement")
-    watchdog = 2 * alg.m + 3
-    # walk down to the bottom complement
-    bottom = seed
-    for _ in range(watchdog):
-        step = _down_step(parts, bottom)
-        if step is None:
-            break
-        bottom = step[0]
-        if not _is_complement(parts, bottom):
-            raise RuntimeError("down-walk produced a non-complement")
+        seed = find_complement(T_bar, parts)
     else:
-        raise RuntimeError("complement chain exceeded its length bound")
-    # walk up, collecting the chain and witnesses
-    chain = [(bottom, pd(bottom))]
-    witnesses = []
-    X = bottom
-    for _ in range(watchdog):
-        step = _up_step(parts, X)
-        if step is None:
-            break
-        X = step[0]
-        if not _is_complement(parts, X):
-            raise RuntimeError("up-walk produced a non-complement")
-        chain.append((X, pd(X)))
-        witnesses.append(step[1])
-    else:
-        raise RuntimeError("complement chain exceeded its length bound")
-    fan = ComplementFan(T_bar, chain, witnesses)
+        seed = catalog.complement(parts, seed)
+        if seed is None:
+            raise ValueError("provided seed is not a complement")
+    walks = {}
+    for up in (False, True):
+        walk = walks[up] = []
+        X = seed
+        for _ in range(2 * alg.m + 3):
+            step = exchange(parts, X, up)
+            if step is None:
+                break
+            X = catalog.complement(parts, step[0])
+            if X is None:
+                raise RuntimeError("%s-walk produced a non-complement"
+                                   % ("up" if up else "down"))
+            walk.append((X, step[1]))
+        else:
+            raise RuntimeError("complement chain exceeded its length bound")
+    # bottom-up: the down-walk reversed, the seed, then the up-walk
+    down = walks[False][::-1]
+    chain = [X for X, _ in down] + [seed] + [X for X, _ in walks[True]]
+    witnesses = [w for _, w in down + walks[True]]
+    fan = ComplementFan(T_bar, [(X, pd(X)) for X in chain], witnesses)
     # the chain is unique regardless of the seed, so it is safe to cache
     T_bar.cache["fan"] = fan
     return fan
 
 
-def _base_rep_faithful(rep):
-    """Faithfulness over the base path algebra: the path actions are
-    linearly independent in (+) Hom(N_u, N_w) (zero annihilator)."""
-    q = rep.quiver
-    field = rep.field
-    offsets = {}
-    total = 0
-    for u in q.vertices:
-        for w in q.vertices:
-            offsets[(u, w)] = total
-            total += rep.dims[u] * rep.dims[w]
-    m = Mat.zeros(max(total, 1), len(q.paths), field)
-    for j, p in enumerate(q.paths):
-        mat = rep.path_action(p)
-        off = offsets[(p.source, p.target)]
-        k = 0
-        for row in mat.data:
-            for x in row:
-                m.data[off + k][j] = x
-                k += 1
-    return rank(m) == len(q.paths)
+def _level0_faithful(alg, parts):
+    """Whether the level-0 indecomposables ``parts`` are faithful over A:
+    the minimal left add-approximation of A = (+)_v P(v, 0) is injective.
+    Over level-0 modules, Hom over the replicated algebra is Hom over A."""
+    A0, _, _ = direct_sum(alg, [projective(alg, v, 0)
+                                for v in alg.quiver.vertices])
+    return left_approximation(A0, parts).map.is_mono()
 
 
 def classify_duplicated(T_bar):
@@ -299,8 +365,7 @@ def classify_duplicated(T_bar):
                      for i in range(1, alg.m + 1)
                      for v in alg.quiver.vertices)]
     if level0 and len(level0) == len(non_pi):
-        S, _, _ = direct_sum(alg, level0)
-        report["level0_part_faithful"] = _base_rep_faithful(S.levels[0])
+        report["level0_part_faithful"] = _level0_faithful(alg, level0)
     report["fan"] = fan
     return report
 
@@ -322,7 +387,6 @@ def complete_partial_tilting(M):
     if not is_dynkin(alg.quiver):
         raise RuntimeError("strategy unavailable: completion needs a Dynkin "
                            "base or Bongartz for pd <= 1")
-    from .tiltquiver import Catalog
     parts = next(Catalog.of(alg).tilting_sets(basic_summands(M)), None)
     if parts is None:
         raise RuntimeError("no completion found in the catalog")

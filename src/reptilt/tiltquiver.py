@@ -5,87 +5,8 @@ from __future__ import annotations
 
 import json
 
-from .krullschmidt import basic_summands, is_indecomposable, is_isomorphic
-from .tilting import (TiltingRecord, _down_step, _ext_orthogonal, _up_step,
-                      certify)
-
-
-class Catalog:
-    """One per algebra, in ``alg.cache``: the canonical representative of
-    each isomorphism class of indecomposables met so far, bucketed by dim
-    grid, and the verdict of ``certify`` on each set of parts it has run
-    on.  Once ``indecomposables`` has enumerated every indecomposable (a
-    Dynkin base), a module that matches none of them is an internal
-    error."""
-
-    def __init__(self, alg):
-        self.algebra = alg
-        self.by_grid = {}
-        self.verdicts = {}
-        self.nodes = None
-
-    @staticmethod
-    def of(alg):
-        catalog = alg.cache.get(("catalog",))
-        if catalog is None:
-            catalog = alg.cache[("catalog",)] = Catalog(alg)
-        return catalog
-
-    def canonical(self, M):
-        bucket = self.by_grid.setdefault(M.dim_grid().key(), [])
-        for N in bucket:
-            if is_isomorphic(M, N):
-                return N
-        if self.nodes is not None:
-            raise RuntimeError("module %s matches no enumerated "
-                               "indecomposable" % M.dim_grid())
-        bucket.append(M)
-        return M
-
-    def indecomposables(self):
-        """Every indecomposable, canonical; enumerated once, after which
-        the catalog is complete."""
-        if self.nodes is None:
-            from .arknit import enumerate_indecomposables
-            self.nodes = [self.canonical(N)
-                          for N in enumerate_indecomposables(self.algebra)]
-        return self.nodes
-
-    def is_tilting(self, parts):
-        """Whether (+) parts is tilting; ``certify``, with both of its
-        certificates, runs once per set of canonical parts."""
-        key = Registry.parts_key(parts)
-        verdict = self.verdicts.get(key)
-        if verdict is None:
-            verdict = certify(self.algebra, parts) is not None
-            self.verdicts[key] = verdict
-        return verdict
-
-    def tilting_sets(self, chosen=()):
-        """Each set of ``alg.delta`` pairwise Ext-orthogonal nodes that
-        contains ``chosen`` and is tilting, in node order.  ``chosen`` is
-        Ext-orthogonal; its modules are replaced by their nodes."""
-        nodes = self.indecomposables()
-        chosen = [self.canonical(X) for X in chosen]
-        pool = [X for X in nodes if not any(X is Y for Y in chosen)]
-        target = self.algebra.delta
-
-        def orthogonal(X, Y):
-            return _ext_orthogonal(X, Y) and _ext_orthogonal(Y, X)
-
-        def extend(chosen, start):
-            if len(chosen) == target:
-                if self.is_tilting(chosen):
-                    yield chosen
-                return
-            if len(chosen) + (len(pool) - start) < target:
-                return
-            for idx in range(start, len(pool)):
-                X = pool[idx]
-                if all(orthogonal(X, Y) for Y in [X] + chosen):
-                    yield from extend(chosen + [X], idx + 1)
-
-        return extend(chosen, 0)
+from .krullschmidt import basic_summands, is_isomorphic
+from .tilting import Catalog, TiltingRecord, exchange
 
 
 class Registry:
@@ -99,11 +20,6 @@ class Registry:
 
     def canonical(self, M):
         return self.catalog.canonical(M)
-
-    @staticmethod
-    def parts_key(parts):
-        """Identity key for a multiset of canonical representatives."""
-        return tuple(sorted(id(p) for p in parts))
 
 
 def record_key(record):
@@ -132,8 +48,8 @@ class TiltingQuiverGraph:
 
 
 def _record_from_parts(alg, parts, registry):
-    parts = [registry.canonical(X) for X in parts]
-    ckey = registry.parts_key(parts)
+    """The walk's record of the tilting module (+) parts, parts canonical."""
+    ckey = Catalog.parts_key(parts)
     record = registry.records.get(ckey)
     if record is None:
         if not registry.catalog.is_tilting(parts):
@@ -156,22 +72,17 @@ def mutate_all(record, registry=None):
     out = []
     for idx, X in enumerate(parts):
         rest = parts[:idx] + parts[idx + 1:]
-        down = _down_step(rest, X)
-        if down is not None:
-            K = registry.canonical(down[0])
-            if any(K is r for r in rest) or not is_indecomposable(K):
-                raise RuntimeError("down-exchange produced a non-complement")
-            neighbor = _record_from_parts(alg, rest + [K], registry)
-            # witness 0 -> K -> B -> X -> 0: arrow (rest+K) -> (rest+X)
-            out.append((neighbor, "in", down[1]))
-        up = _up_step(rest, X)
-        if up is not None:
-            C = registry.canonical(up[0])
-            if any(C is r for r in rest) or not is_indecomposable(C):
-                raise RuntimeError("up-exchange produced a non-complement")
-            neighbor = _record_from_parts(alg, rest + [C], registry)
-            # witness 0 -> X -> B -> C -> 0: arrow (rest+X) -> (rest+C)
-            out.append((neighbor, "out", up[1]))
+        for up in (False, True):
+            step = exchange(rest, X, up)
+            if step is None:
+                continue
+            Y = registry.catalog.complement(rest, step[0])
+            if Y is None:
+                raise RuntimeError("exchange produced a non-complement")
+            neighbor = _record_from_parts(alg, rest + [Y], registry)
+            # down: 0 -> Y -> B -> X -> 0, arrow (rest+Y) -> (rest+X);
+            # up: 0 -> X -> B -> Y -> 0, arrow (rest+X) -> (rest+Y)
+            out.append((neighbor, "out" if up else "in", step[1]))
     return out
 
 
@@ -189,9 +100,10 @@ def explore(seed=None, algebra=None, max_vertices=None):
         algebra = seed.algebra
         parts = [X for X, _ in seed.pieces]
     registry = Registry(algebra)
-    seed = _record_from_parts(algebra, parts, registry)
+    seed = _record_from_parts(
+        algebra, [registry.canonical(X) for X in parts], registry)
     vertices = [seed]
-    index_of = {registry.parts_key([X for X, _ in seed.pieces]): 0}
+    index_of = {Catalog.parts_key([X for X, _ in seed.pieces]): 0}
     arrows = []
     arrow_set = set()
     exhausted = True
@@ -199,7 +111,7 @@ def explore(seed=None, algebra=None, max_vertices=None):
     while vidx < len(vertices):
         for neighbor, direction, witness in mutate_all(vertices[vidx],
                                                        registry):
-            nkey = registry.parts_key([X for X, _ in neighbor.pieces])
+            nkey = Catalog.parts_key([X for X, _ in neighbor.pieces])
             nidx = index_of.get(nkey)
             if nidx is None:
                 if (max_vertices is not None

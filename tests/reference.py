@@ -6,7 +6,9 @@ the base quiver, and a few predicates.  They stay as independent checks of
 the library: ``translate`` against ``translate_inverse``, ``hom_basis``
 against ``hom_basis_r``, and ``all_of_kind`` (Krull-Schmidt plus an
 isomorphism search) against the dimension counts ``is_projective`` and
-``is_injective``.  Not a test module: pytest collects nothing here.
+``is_injective``, and ``_base_rep_faithful`` (the path actions, vectorized)
+against the approximation test of ``classify_duplicated``.  Not a test
+module: pytest collects nothing here.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from reptilt.approx import left_approximation, right_approximation
 from reptilt.arknit import enumerate_indecomposables, iota_path_map
 from reptilt.homological import (cosyzygy, ext1_classes, is_projective,
                                  minimal_resolution, realize_extension)
-from reptilt.krullschmidt import (basic_summands, decompose_with_inclusions,
-                                  end_radical_basis, is_isomorphic)
+from reptilt.krullschmidt import (basic_summands, end_radical_basis,
+                                  is_isomorphic, try_split)
 from reptilt.linalg import Mat, column_space, kernel_basis, rank
-from reptilt.replicated import (block_map, blocks, direct_sum, hom_basis_r,
-                                hom_space, identity_rmap, injective, kernel,
-                                map_from_projective, projective,
-                                radical_subspaces, zero_rmap)
+from reptilt.replicated import (SummandMaps, block_map, blocks, direct_sum,
+                                hom_basis_r, hom_space, identity_rmap,
+                                injective, kernel, map_from_projective,
+                                projective, radical_subspaces, zero_rmap)
 
 
 # -- base-quiver morphisms and Hom ------------------------------------
@@ -119,9 +121,25 @@ def all_of_kind(parts, kind):
                for p in parts)
 
 
+def _inclusions(M):
+    """(indecomposable summand, inclusion into M) pairs: a recorded direct
+    sum through the inclusions of its summands, any other module through
+    ``try_split``."""
+    if M.is_zero():
+        return []
+    if "summands" in M.cache:
+        split = zip(M.cache["summands"], SummandMaps(M, True))
+    else:
+        split = try_split(M)
+        if split is None:
+            return [(M, identity_rmap(M))]
+    return [(sub, incl.compose(subincl)) for part, incl in split
+            for sub, subincl in _inclusions(part)]
+
+
 def decompose_with_maps(M):
     """(parts, inclusions, projections) realizing M as the direct sum."""
-    pairs = decompose_with_inclusions(M)
+    pairs = _inclusions(M)
     parts = [p for p, _ in pairs]
     incls = [incl for _, incl in pairs]
     S, _, projs = direct_sum(M.algebra, parts)
@@ -133,6 +151,29 @@ def decompose_with_maps(M):
                                 [identity_rmap(M)])
     inv = back.combine(sol.col(0))
     return parts, incls, [p.compose(inv) for p in projs]
+
+
+def _base_rep_faithful(rep):
+    """Faithfulness over the base path algebra: the path actions are
+    linearly independent in (+) Hom(N_u, N_w) (zero annihilator)."""
+    q = rep.quiver
+    field = rep.field
+    offsets = {}
+    total = 0
+    for u in q.vertices:
+        for w in q.vertices:
+            offsets[(u, w)] = total
+            total += rep.dims[u] * rep.dims[w]
+    m = Mat.zeros(max(total, 1), len(q.paths), field)
+    for j, p in enumerate(q.paths):
+        mat = rep.path_action(p)
+        off = offsets[(p.source, p.target)]
+        k = 0
+        for row in mat.data:
+            for x in row:
+                m.data[off + k][j] = x
+                k += 1
+    return rank(m) == len(q.paths)
 
 
 def sigma_set(alg, i):

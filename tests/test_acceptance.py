@@ -15,10 +15,10 @@ from reptilt.homological import (injective_envelope, is_faithful,
 from reptilt.krullschmidt import basic_summands, decompose, is_isomorphic
 from reptilt.quiver import Quiver
 from reptilt.replicated import (ReplicatedAlgebra, direct_sum, injective,
-                                projective, regular_module)
-from reptilt.tilting import (complement_fan, complete_partial_tilting,
-                             is_partial_tilting)
-from reptilt.tiltquiver import (Registry, exhaustive_tilting_oracle, explore,
+                                projective)
+from reptilt.tilting import (Catalog, complement_fan,
+                             complete_partial_tilting, is_partial_tilting)
+from reptilt.tiltquiver import (exhaustive_tilting_oracle, explore,
                                 records_isomorphic)
 
 from reference import is_radical_valued
@@ -142,7 +142,7 @@ def test_criterion_6_complement_distribution(small_algebras, oracles):
             parts = [X for X, _ in record.pieces]
             for drop in range(len(parts)):
                 rest = parts[:drop] + parts[drop + 1:]
-                key = Registry.parts_key(rest)
+                key = Catalog.parts_key(rest)
                 if key in seen:
                     continue
                 seen.add(key)

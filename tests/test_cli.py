@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from reptilt.catalog import duplicated, kronecker_quiver, linear_quiver
+from reptilt.catalog import duplicated, linear_quiver
 from reptilt.cli import eval_module_expr, main
 from reptilt.krullschmidt import is_isomorphic
 from reptilt.replicated import (projective, radical, rmodule_to_json,
@@ -168,6 +168,25 @@ def test_complements_fan(files):
     assert report["count"] == 3
     assert [c["pd"] for c in report["complements"]] == [1, 1, 2]
     assert len(report["witnesses"]) == 2
+
+
+@pytest.mark.parametrize("name, lead", [
+    ("pd1", {"simple": [2, 0]}),
+    ("pd2", {"embed": {"level": 1, "dims": {"1": 2, "2": 1},
+                       "maps": {"a": [[1], [0]], "b": [[0], [1]]}}}),
+    ("pd3", {"simple": [2, 1]})])
+def test_complements_kronecker_golden(files, name, lead):
+    # the three Kronecker fixtures of verify-examples: the lead summand
+    # (for pd2 the base projective P(2) at level 1) and both
+    # projective-injectives; the report, witnesses included, is pinned
+    write, _ = files
+    alg = write("alg.json", KRONECKER)
+    mod = write("mod.json", {"sum": [lead, {"proj": [1, 1]},
+                                     {"proj": [2, 1]}]})
+    code, text = run(files, ["complements", alg, mod])
+    assert code == 0
+    golden = GOLDEN / ("complements_kronecker_%s.json" % name)
+    assert text == golden.read_text()
 
 
 def test_complements_with_embedded_seed(files):

@@ -1,4 +1,5 @@
-"""The library defines no function or class that only the tests reach.
+"""The library defines no function or class that only the tests reach, and
+no module of the library or the tests imports a name it never reads.
 
 Test-only references (the AR translate, almost split sequences, the AR
 quiver, the base-quiver Hom builder and a few predicates) live in
@@ -15,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "reptilt"
+TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
 # documented module operations that no command reaches
@@ -67,3 +69,29 @@ def unreached_definitions():
 
 def test_library_defines_nothing_only_tests_reach():
     assert unreached_definitions() == []
+
+
+def unused_imports(paths):
+    """Sorted "file:line name" of each name an import binds that its module
+    never reads.  ``from __future__`` imports are skipped.  Matching is by
+    name over the whole module, so an import read only in another scope
+    goes unseen."""
+    out = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        out.append("%s:%d %s" % (path.relative_to(ROOT),
+                                                 node.lineno, name))
+    return sorted(out)
+
+
+def test_no_unused_imports():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert unused_imports(paths) == []

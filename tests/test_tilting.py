@@ -10,17 +10,20 @@ from reptilt.catalog import (d4_almost_complete_pd1, d4_almost_complete_pd2,
                              kronecker_almost_complete_pd2,
                              kronecker_almost_complete_pd3, kronecker_quiver,
                              linear_quiver)
+from reptilt.hereditary import Rep
 from reptilt.homological import injective_envelope, is_faithful, pd
 from reptilt.krullschmidt import (basic_summands, decompose, is_isomorphic)
-from reptilt.quiver import Quiver
+from reptilt.linalg import Mat
 from reptilt.replicated import (ReplicatedAlgebra, cokernel, direct_sum,
                                 embed_level, injective, projective,
                                 regular_module, simple)
-from reptilt.tilting import (bongartz_complete, certify, certify_tilting,
-                             classify_duplicated, complement_fan,
-                             complete_partial_tilting, coresolution,
-                             is_partial_tilting, is_tilting)
-from reptilt.tiltquiver import Registry, exhaustive_tilting_oracle
+from reptilt.tilting import (Catalog, _level0_faithful, bongartz_complete,
+                             certify, certify_tilting, classify_duplicated,
+                             complement_fan, complete_partial_tilting,
+                             coresolution, is_partial_tilting, is_tilting)
+from reptilt.tiltquiver import exhaustive_tilting_oracle
+
+from reference import _base_rep_faithful
 
 
 @pytest.fixture(scope="module")
@@ -154,10 +157,36 @@ def test_bongartz_rejects_higher_pd():
         bongartz_complete(M)
 
 
+def _fan_grids(fan):
+    """The complement grids, pds and witness grids of a fan."""
+    return ([str(X.dim_grid()) for X, _ in fan.complements], fan.pds,
+            [[str(w[k].dim_grid()) for k in ("sub", "mid", "quot")]
+             for w in fan.exchange_witnesses])
+
+
+def _assert_exact_witnesses(alg, fan):
+    """Witness k is an exact 0 -> sub -> mid -> quot -> 0 (incl mono, proj
+    epi, the composite zero, the dimensions adding up at every cell) from
+    complement k to complement k + 1."""
+    assert len(fan.exchange_witnesses) == len(fan.complements) - 1
+    for k, w in enumerate(fan.exchange_witnesses):
+        incl, proj = w["incl"], w["proj"]
+        assert incl.source is w["sub"] and proj.target is w["quot"]
+        assert incl.target is w["mid"] is proj.source
+        assert incl.is_mono() and proj.is_epi()
+        assert proj.compose(incl).is_zero()
+        assert all(w["sub"].dims(i, v) + w["quot"].dims(i, v)
+                   == w["mid"].dims(i, v) for i, v in alg.cells)
+        assert is_isomorphic(w["sub"], fan.complements[k][0])
+        assert is_isomorphic(w["quot"], fan.complements[k + 1][0])
+
+
 def test_fans_match_exhaustive_partner_sets(a2, a2_oracle):
     """Dropping any summand of any tilting module and walking the fan, from
-    a partner and from no seed, must recover exactly the partners seen
-    across the whole oracle list; the census of fan sizes is pinned."""
+    each partner and from no seed, must recover exactly the partners seen
+    across the whole oracle list, with the same grids, pds and witness
+    grids from every seed and exact witnesses; the census of fan sizes is
+    pinned."""
     a2m2 = ReplicatedAlgebra(linear_quiver(2), 2)
     for alg, oracle, sizes in [
             (a2, a2_oracle, {1: 18, 2: 3, 3: 4}),
@@ -168,18 +197,45 @@ def test_fans_match_exhaustive_partner_sets(a2, a2_oracle):
             parts = [X for X, _ in record.pieces]
             for drop in range(len(parts)):
                 rest = parts[:drop] + parts[drop + 1:]
-                key = Registry.parts_key(rest)
+                key = Catalog.parts_key(rest)
                 partners.setdefault(key, []).append(parts[drop])
                 rests[key] = rest
         for key, expected in partners.items():
-            for seed in (expected[0], None):
+            grids = []
+            for seed in expected + [None]:
                 # a fresh sum each time: the fan is cached on T_bar
                 rest, _, _ = direct_sum(alg, rests[key])
                 fan = complement_fan(rest, seed=seed)
                 assert len(fan.complements) == len(expected)
                 for X, _ in fan.complements:
                     assert any(is_isomorphic(X, Y) for Y in expected)
+                _assert_exact_witnesses(alg, fan)
+                grids.append(_fan_grids(fan))
+            assert all(g == grids[0] for g in grids)
         assert Counter(len(e) for e in partners.values()) == sizes
+
+
+@pytest.mark.parametrize("fixture", [kronecker_almost_complete_pd1,
+                                     kronecker_almost_complete_pd2,
+                                     kronecker_almost_complete_pd3])
+def test_fan_certifies_each_set_of_parts_once(fixture, monkeypatch):
+    """One walk runs ``certify`` at most once per set of parts, counted up
+    to isomorphism with a catalog of the test's own; its witnesses are
+    exact."""
+    import reptilt.tilting
+    certify = reptilt.tilting.certify
+    alg, T = fixture()
+    classes = Catalog(alg)
+    calls = Counter()
+
+    def counted(alg, parts):
+        calls[Catalog.parts_key([classes.canonical(X) for X in parts])] += 1
+        return certify(alg, parts)
+    monkeypatch.setattr(reptilt.tilting, "certify", counted)
+    fan = complement_fan(T)
+    assert calls and max(calls.values()) == 1, calls
+    assert len(fan.complements) == 3
+    _assert_exact_witnesses(alg, fan)
 
 
 def test_fan_pds_are_unimodal_bottom_up(a2, a2_oracle):
@@ -188,7 +244,7 @@ def test_fan_pds_are_unimodal_bottom_up(a2, a2_oracle):
         parts = [X for X, _ in record.pieces]
         for drop in range(len(parts)):
             rest = parts[:drop] + parts[drop + 1:]
-            key = Registry.parts_key(rest)
+            key = Catalog.parts_key(rest)
             if key in seen:
                 continue
             seen.add(key)
@@ -299,6 +355,46 @@ def test_kronecker_pd3_complement_is_global_dimension_witness():
     X3 = fan.complements[-1][0]
     assert pd(X3) == 3 == 2 * alg.m + 1
     assert is_isomorphic(X3, injective(alg, 1, 1))
+
+
+def test_level0_faithfulness_matches_the_path_action_reference(d4_pd1):
+    """The approximation test of ``classify_duplicated`` against the path
+    actions, vectorized: every set of level-0 nodes of duplicated A2 and
+    A3, every set of level-0 parts of the four-subspace pd-1 fixture, and
+    five Kronecker modules, some of them not faithful."""
+    def level0(alg, modules):
+        return [X for X in modules
+                if all(X.dims(1, v) == 0 for v in alg.quiver.vertices)]
+
+    def subsets(xs):
+        return [list(c) for k in range(1, len(xs) + 1)
+                for c in combinations(xs, k)]
+
+    cases = []
+    for n, count in ((2, 3), (3, 6)):
+        alg = duplicated(linear_quiver(n))
+        nodes = level0(alg, Catalog.of(alg).indecomposables())
+        assert len(nodes) == count
+        cases += [(alg, parts) for parts in subsets(nodes)]
+    alg, T = d4_pd1
+    parts = level0(alg, basic_summands(T))
+    assert len(parts) == 4
+    cases += [(alg, sub) for sub in subsets(parts)]
+    kron = duplicated(kronecker_quiver())
+    line = Rep(kron.quiver, {1: 1, 2: 1}, {"a": Mat.from_rows([[1]]),
+                                           "b": Mat.from_rows([[0]])},
+               kron.field)
+    cases += [(kron, [X]) for X in (
+        projective(kron, 1, 0), projective(kron, 2, 0), simple(kron, 2, 0),
+        embed_level(kron, kron.base_injective(1), 0),
+        embed_level(kron, line, 0))]
+    verdicts = []
+    for alg, parts in cases:
+        S, _, _ = direct_sum(alg, parts)
+        verdicts.append(_base_rep_faithful(S.levels[0]))
+        assert _level0_faithful(alg, parts) == verdicts[-1]
+    assert len(cases) == 7 + 63 + 15 + 5
+    assert set(verdicts) == {True, False}
 
 
 def test_count_complements_matches_fan():

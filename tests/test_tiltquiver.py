@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from reptilt.catalog import duplicated, kronecker_quiver, linear_quiver
-from reptilt.krullschmidt import is_isomorphic
 from reptilt.quiver import Quiver
 from reptilt.replicated import ReplicatedAlgebra
 from reptilt.tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
@@ -137,14 +136,14 @@ def test_m2_graph_matches_oracle():
 
 
 def test_oracle_then_bfs_certify_each_vertex_once(monkeypatch):
-    import reptilt.tiltquiver
-    certify = reptilt.tiltquiver.certify
+    import reptilt.tilting
+    certify = reptilt.tilting.certify
     calls = []
 
     def counted(alg, parts):
         calls.append(parts)
         return certify(alg, parts)
-    monkeypatch.setattr(reptilt.tiltquiver, "certify", counted)
+    monkeypatch.setattr(reptilt.tilting, "certify", counted)
     alg = duplicated(linear_quiver(2))
     oracle = exhaustive_tilting_oracle(alg)
     graph = explore(algebra=alg)
