@@ -27,6 +27,13 @@ class InputError(Exception):
     pass
 
 
+def _natural(value, what):
+    if type(value) is not int or value < 0:    # bool, float or str included
+        raise InputError("%s must be an integer >= 0, not %s"
+                         % (what, json.dumps(value)))
+    return value
+
+
 def load_algebra(path, field):
     """Algebra file: quiver JSON plus a replication degree ``m``."""
     try:
@@ -36,7 +43,7 @@ def load_algebra(path, field):
         raise InputError("cannot read algebra file %s: %s" % (path, e))
     try:
         quiver = Quiver.from_json(obj)
-        return ReplicatedAlgebra(quiver, int(obj.get("m", 1)), field)
+        return ReplicatedAlgebra(quiver, _natural(obj.get("m", 1), "m"), field)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError("invalid algebra file %s: %s" % (path, e))
 
@@ -86,7 +93,7 @@ def eval_module_expr(alg, expr):
         fn = {"proj": projective, "inj": injective, "simple": simple}[op]
         try:
             v, i = arg
-            return fn(alg, vkey.get(str(v), v), i)
+            return fn(alg, vkey[str(v)], _natural(i, "level"))
         except (KeyError, TypeError, ValueError) as e:
             raise InputError("bad %s %r (expected [vertex, level]): %s"
                              % (op, arg, e))
@@ -94,7 +101,8 @@ def eval_module_expr(alg, expr):
         return regular_module(alg)
     if op == "embed":
         try:
-            dims = {vkey[str(v)]: d for v, d in arg["dims"].items()}
+            dims = {vkey[str(v)]: _natural(d, "dim")
+                    for v, d in arg["dims"].items()}
             for v in alg.quiver.vertices:
                 dims.setdefault(v, 0)
             given = arg.get("maps", {})
@@ -106,7 +114,7 @@ def eval_module_expr(alg, expr):
                     maps[a.name] = Mat(dims[a.target], dims[a.source], data,
                                        alg.field)
             rep = Rep(alg.quiver, dims, maps, alg.field)
-            return embed_level(alg, rep, arg["level"])
+            return embed_level(alg, rep, _natural(arg["level"], "level"))
         except (KeyError, TypeError, ValueError) as e:
             raise InputError("bad embed expression: %s" % e)
     if op == "sum":

@@ -103,15 +103,16 @@ def certify_tilting(M):
 class Catalog:
     """One per algebra, in ``alg.cache``: the canonical representative of
     each isomorphism class of indecomposables met so far, bucketed by dim
-    grid, and the verdict of ``certify`` on each set of parts it has run
-    on.  Once ``indecomposables`` has enumerated every indecomposable (a
-    Dynkin base), a module that matches none of them is an internal
-    error."""
+    grid, the verdict of ``certify`` on each set of parts it has run on
+    and the complement chain of each T_bar it has walked.  Once
+    ``indecomposables`` has enumerated every indecomposable (a Dynkin
+    base), a module that matches none of them is an internal error."""
 
     def __init__(self, alg):
         self.algebra = alg
         self.by_grid = {}
         self.verdicts = {}
+        self.fans = {}
         self.nodes = None
 
     @staticmethod
@@ -166,6 +167,32 @@ class Catalog:
         if any(node is Y for Y in parts):
             return None
         return node if self.is_tilting(parts + [node]) else None
+
+    def fan(self, parts, seed):
+        """The complement chain of T_bar = (+) parts through the node
+        ``seed``, walked down and up from it once per set of parts: its
+        nodes bottom-up and the exchange witness between neighbours."""
+        key = self.parts_key(parts)
+        if key in self.fans:
+            return self.fans[key]
+        nodes, witnesses = [seed], []
+        for up in (False, True):
+            X = seed
+            for _ in range(2 * self.algebra.m + 3):
+                step = exchange(parts, X, up)
+                if step is None:
+                    break
+                X = self.complement(parts, step[0])
+                if X is None:
+                    raise RuntimeError("%s-walk produced a non-complement"
+                                       % ("up" if up else "down"))
+                # the down-walk extends the chain below, the up-walk above
+                nodes.insert(len(nodes) if up else 0, X)
+                witnesses.insert(len(witnesses) if up else 0, step[1])
+            else:
+                raise RuntimeError("complement chain exceeds its length bound")
+        self.fans[key] = nodes, witnesses
+        return nodes, witnesses
 
     def tilting_sets(self, chosen=()):
         """Each set of ``alg.delta`` pairwise Ext-orthogonal nodes that
@@ -286,11 +313,8 @@ def exchange(parts, X, up):
 def complement_fan(T_bar, seed=None):
     """All complements of an almost complete partial tilting module,
     reported bottom-up (cosyzygy order) with their projective dimensions.
-    The walk goes down from the seed and up from it, once each."""
+    The algebra's catalog walks the chain once; a seed is sought only then."""
     alg = T_bar.algebra
-    cached = T_bar.cache.get("fan")
-    if cached is not None:
-        return cached
     parts = basic_summands(T_bar)
     if not _self_orthogonal(parts):
         raise ValueError("input is not partial tilting")
@@ -298,35 +322,14 @@ def complement_fan(T_bar, seed=None):
         raise ValueError("input is not almost complete")
     catalog = Catalog.of(alg)
     parts = [catalog.canonical(X) for X in parts]
-    if seed is None:
-        seed = find_complement(T_bar, parts)
-    else:
+    if seed is not None:
         seed = catalog.complement(parts, seed)
         if seed is None:
             raise ValueError("provided seed is not a complement")
-    walks = {}
-    for up in (False, True):
-        walk = walks[up] = []
-        X = seed
-        for _ in range(2 * alg.m + 3):
-            step = exchange(parts, X, up)
-            if step is None:
-                break
-            X = catalog.complement(parts, step[0])
-            if X is None:
-                raise RuntimeError("%s-walk produced a non-complement"
-                                   % ("up" if up else "down"))
-            walk.append((X, step[1]))
-        else:
-            raise RuntimeError("complement chain exceeded its length bound")
-    # bottom-up: the down-walk reversed, the seed, then the up-walk
-    down = walks[False][::-1]
-    chain = [X for X, _ in down] + [seed] + [X for X, _ in walks[True]]
-    witnesses = [w for _, w in down + walks[True]]
-    fan = ComplementFan(T_bar, [(X, pd(X)) for X in chain], witnesses)
-    # the chain is unique regardless of the seed, so it is safe to cache
-    T_bar.cache["fan"] = fan
-    return fan
+    elif catalog.parts_key(parts) not in catalog.fans:
+        seed = find_complement(T_bar, parts)
+    nodes, witnesses = catalog.fan(parts, seed)
+    return ComplementFan(T_bar, [(X, pd(X)) for X in nodes], witnesses)
 
 
 def _level0_faithful(alg, parts):

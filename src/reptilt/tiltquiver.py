@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 
 from .krullschmidt import basic_summands, is_isomorphic
-from .tilting import Catalog, TiltingRecord, exchange
+from .tilting import Catalog, TiltingRecord
 
 
 class Registry:
@@ -59,7 +59,8 @@ def _record_from_parts(alg, parts, registry):
 
 
 def mutate_all(record, registry=None):
-    """All exchange neighbors of a tilting module.
+    """All exchange neighbors of a tilting module: across each summand X,
+    its neighbours in the complement chain of the rest.
 
     Returns a list of (neighbor record, direction, witness): direction
     "in" means the arrow points neighbor -> record, "out" the reverse,
@@ -72,17 +73,15 @@ def mutate_all(record, registry=None):
     out = []
     for idx, X in enumerate(parts):
         rest = parts[:idx] + parts[idx + 1:]
-        for up in (False, True):
-            step = exchange(rest, X, up)
-            if step is None:
-                continue
-            Y = registry.catalog.complement(rest, step[0])
-            if Y is None:
-                raise RuntimeError("exchange produced a non-complement")
-            neighbor = _record_from_parts(alg, rest + [Y], registry)
-            # down: 0 -> Y -> B -> X -> 0, arrow (rest+Y) -> (rest+X);
-            # up: 0 -> X -> B -> Y -> 0, arrow (rest+X) -> (rest+Y)
-            out.append((neighbor, "out" if up else "in", step[1]))
+        nodes, witnesses = registry.catalog.fan(rest, X)
+        k = nodes.index(X)
+        # below X: 0 -> Y -> B -> X -> 0, arrow (rest+Y) -> (rest+X);
+        # above X: 0 -> X -> B -> Y -> 0, arrow (rest+X) -> (rest+Y)
+        for j, direction in ((k - 1, "in"), (k + 1, "out")):
+            if 0 <= j < len(nodes):
+                neighbor = _record_from_parts(alg, rest + [nodes[j]],
+                                              registry)
+                out.append((neighbor, direction, witnesses[min(j, k)]))
     return out
 
 

@@ -157,6 +157,28 @@ def test_input_errors_exit_2(files, capsys):
     assert len(err) == 1 and err[0].startswith("input error:"), err
 
 
+@pytest.mark.parametrize("m, expr", [
+    # each was accepted before: m 1.5 and true ran as m = 1 (exit 0), the
+    # simple at vertex 3 was a zero module, a level or dim of true, 1.5 or
+    # "1" was read as 1 (exit 1), and a dim of -1 escaped as a ValueError
+    (1.5, {"regular": True}),
+    (True, {"regular": True}),
+    (1, {"simple": [3, 0]}),
+    (1, {"simple": [1, True]}),
+    (1, {"embed": {"level": True, "dims": {"1": 1}}}),
+    (1, {"embed": {"level": 0, "dims": {"1": -1}}}),
+    (1, {"embed": {"level": 0, "dims": {"1": 1.5}}}),
+    (1, {"embed": {"level": 0, "dims": {"1": "1"}}}),
+    (1, {"embed": {"level": 0, "dims": {"1": True}}})])
+def test_malformed_integer_or_vertex_exits_2(files, capsys, m, expr):
+    write, _ = files
+    alg = write("alg.json", dict(A2, m=m))
+    mod = write("mod.json", expr)
+    assert main(["check-tilting", alg, mod]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:"), err
+
+
 def test_complements_fan(files):
     write, _ = files
     alg = write("alg.json", KRONECKER)

@@ -200,11 +200,14 @@ def test_fans_match_exhaustive_partner_sets(a2, a2_oracle):
                 key = Catalog.parts_key(rest)
                 partners.setdefault(key, []).append(parts[drop])
                 rests[key] = rest
+        catalog = Catalog.of(alg)
         for key, expected in partners.items():
             grids = []
+            rest, _, _ = direct_sum(alg, rests[key])
             for seed in expected + [None]:
-                # a fresh sum each time: the fan is cached on T_bar
-                rest, _, _ = direct_sum(alg, rests[key])
+                # the chain is cached in the algebra's catalog: drop it so
+                # that every seed walks the fan
+                catalog.fans.pop(key, None)
                 fan = complement_fan(rest, seed=seed)
                 assert len(fan.complements) == len(expected)
                 for X, _ in fan.complements:
@@ -213,6 +216,27 @@ def test_fans_match_exhaustive_partner_sets(a2, a2_oracle):
                 grids.append(_fan_grids(fan))
             assert all(g == grids[0] for g in grids)
         assert Counter(len(e) for e in partners.values()) == sizes
+
+
+def test_seed_is_checked_against_a_cached_chain(a2, a2_oracle):
+    """Once the chain of T_bar is in the catalog, a seed that is no
+    complement is still refused, and one that is gets the cached chain."""
+    parts = [X for X, _ in a2_oracle[0].pieces]
+    rest = parts[1:]
+    T_bar, _, _ = direct_sum(a2, rest)
+    fan = complement_fan(T_bar)
+    nodes, witnesses = Catalog.of(a2).fans[Catalog.parts_key(rest)]
+    assert [X for X, _ in fan.complements] == nodes
+    assert fan.exchange_witnesses is witnesses
+    # a summand of T_bar, and a decomposable sum of two complements
+    decomposable, _, _ = direct_sum(a2, [parts[0], parts[0]])
+    for seed in (rest[0], decomposable):
+        with pytest.raises(ValueError, match="not a complement"):
+            complement_fan(T_bar, seed=seed)
+    for X in nodes:
+        again = complement_fan(T_bar, seed=X)
+        assert all(Y is Z for (Y, _), Z in zip(again.complements, nodes))
+        assert again.exchange_witnesses is witnesses
 
 
 @pytest.mark.parametrize("fixture", [kronecker_almost_complete_pd1,

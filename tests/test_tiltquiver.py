@@ -5,7 +5,8 @@ import pytest
 
 from reptilt.catalog import duplicated, kronecker_quiver, linear_quiver
 from reptilt.quiver import Quiver
-from reptilt.replicated import ReplicatedAlgebra
+from reptilt.replicated import ReplicatedAlgebra, direct_sum
+from reptilt.tilting import Catalog, complement_fan
 from reptilt.tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
                                 graph_to_json, mutate_all, record_key,
                                 records_isomorphic)
@@ -133,6 +134,41 @@ def test_m2_graph_matches_oracle():
     assert len(g.vertices) == len(oracle)
     for record in oracle:
         assert any(records_isomorphic(record, v) for v in g.vertices)
+
+
+@pytest.mark.parametrize("m, calls, arrows", [(1, 61, 11), (2, 231, 33)])
+def test_bfs_walks_each_almost_complete_part_once(m, calls, arrows,
+                                                  monkeypatch):
+    # a fan of n complements takes n + 1 exchange steps, of which the
+    # n - 1 that succeed are its arrows, so a BFS that walks each fan once
+    # makes one successful step per arrow; complement_fan then reads the
+    # fans the BFS walked and steps no more
+    import reptilt.tilting
+    exchange = reptilt.tilting.exchange
+    made = []
+
+    def counted(parts, X, up):
+        step = exchange(parts, X, up)
+        made.append(step is not None)
+        return step
+    monkeypatch.setattr(reptilt.tilting, "exchange", counted)
+    alg = ReplicatedAlgebra(linear_quiver(2), m)
+    graph = explore(algebra=alg)
+    assert (len(made), sum(made), len(graph.arrows)) == (calls, arrows,
+                                                         arrows)
+    del made[:]
+    partners, rests = {}, {}
+    for record in exhaustive_tilting_oracle(alg):
+        parts = [X for X, _ in record.pieces]
+        for drop in range(len(parts)):
+            rest = parts[:drop] + parts[drop + 1:]
+            key = Catalog.parts_key(rest)
+            partners.setdefault(key, set()).add(id(parts[drop]))
+            rests[key] = rest
+    for key, expected in partners.items():
+        fan = complement_fan(direct_sum(alg, rests[key])[0])
+        assert {id(X) for X, _ in fan.complements} == expected
+    assert made == []
 
 
 def test_oracle_then_bfs_certify_each_vertex_once(monkeypatch):
