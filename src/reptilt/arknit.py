@@ -5,7 +5,7 @@ Auslander-Reiten translation (computed via the inverse Nakayama functor)."""
 from __future__ import annotations
 
 from .homological import cokernel, injective_envelope_with_data, is_injective
-from .krullschmidt import is_indecomposable, is_isomorphic
+from .krullschmidt import is_indecomposable
 from .linalg import Mat
 from .replicated import (RMap, block_map, blocks, direct_sum, hom_space,
                          injective, map_from_projective, projective, zero_rmap)
@@ -117,20 +117,16 @@ def is_dynkin(quiver):
 
 def enumerate_indecomposables(alg):
     """All indecomposables of a representation-finite replicated algebra,
-    as the closure of the projectives under inverse translation."""
+    as the closure of the projectives under inverse translation.  tau^-
+    maps the non-injective indecomposables one-to-one onto the
+    non-projective ones, so the orbits of the P(v, i) are disjoint; the
+    catalog refuses a repeat."""
     if not is_dynkin(alg.quiver):
         raise ValueError("enumeration requires a Dynkin base quiver")
     nodes = []
-
-    def known(M):
-        return any(M.dim_grid() == N.dim_grid() and is_isomorphic(M, N)
-                   for N in nodes)
-
     queue = [projective(alg, v, i) for i, v in alg.cells]
     while queue:
         M = queue.pop(0)
-        if known(M):
-            continue
         if not is_indecomposable(M):
             raise RuntimeError("orbit produced a decomposable module")
         nodes.append(M)

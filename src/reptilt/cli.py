@@ -229,6 +229,9 @@ def cmd_tilting_quiver(args):
     from .tilting import Catalog
     from .tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
                              graph_to_json)
+    if args.max_nodes is not None and args.max_nodes < 1:
+        raise InputError("--max-nodes must be an integer >= 1, not %d"
+                         % args.max_nodes)
     alg = load_algebra(args.algebra, load_field(args.field))
     dynkin = is_dynkin(alg.quiver)
     if dynkin:

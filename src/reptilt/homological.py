@@ -145,14 +145,14 @@ def _ext_differential(res, k, N):
 
 
 def ext(i, M, N):
-    """dim Ext^i(M, N), read off the table of ``_ext_table``."""
+    """dim Ext^i(M, N), read off the table of ``ext_table``."""
     if i < 0:
         raise ValueError("negative Ext degree")
-    table = _ext_table(M, N)
+    table = ext_table(M, N)
     return table[i] if i < len(table) else 0
 
 
-def _ext_table(M, N):
+def ext_table(M, N):
     """[dim Ext^i(M, N) for i = 0..pd M] from a minimal projective
     resolution of M, memoized on M per target module like the Hom memo.
     With r_k the rank of g -> g o d_k (r_0 = r_{pd M + 1} = 0),

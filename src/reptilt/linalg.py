@@ -290,19 +290,6 @@ def kernel_basis(m):
     return column_space(vecs)
 
 
-def solve(m, b):
-    """Canonical solution of m x = b (free variables zero), or None.
-
-    ``b`` is a column Mat or a list.
-    """
-    if not isinstance(b, Mat):
-        b = Mat.column(b, m.field)
-    if b.rows != m.rows:
-        raise ValueError("rhs length %d does not match %d rows" % (b.rows, m.rows))
-    x = solve_matrix(m, b)
-    return None if x is None else x.col(0)
-
-
 def solve_matrix(m, b):
     """Solve m X = b for a matrix right-hand side; None when inconsistent.
 

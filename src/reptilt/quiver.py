@@ -45,7 +45,6 @@ class Quiver:
         for a in self.arrows:
             if a.source not in vset or a.target not in vset:
                 raise ValueError("arrow %s endpoints not in vertex set" % (a.name,))
-        self.arrow_by_name = {a.name: a for a in self.arrows}
         self._check_acyclic()
         self._check_connected()
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
@@ -125,12 +124,6 @@ class Quiver:
 
     def arrows_into(self, v):
         return [a for a in self.arrows if a.target == v]
-
-    def compose(self, p, q):
-        """The path 'first p then q' (defined when q starts where p ends)."""
-        if p.target != q.source:
-            raise ValueError("paths do not compose")
-        return Path(p.source, q.target, p.arrows + q.arrows)
 
     # -- serialization ------------------------------------------------
 

@@ -169,9 +169,6 @@ class DimGrid:
     def key(self):
         return self._key
 
-    def total(self):
-        return sum(self.entries.values())
-
     def __eq__(self, other):
         return isinstance(other, DimGrid) and self.entries == other.entries
 

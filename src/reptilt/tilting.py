@@ -6,7 +6,7 @@ classifiers."""
 from __future__ import annotations
 
 from .approx import left_approximation, right_approximation
-from .homological import (ext, ext1_classes, injective_envelope,
+from .homological import (ext1_classes, ext_table, injective_envelope,
                           is_injective, is_projective, pd, realize_extension)
 from .krullschmidt import (basic_summands, delta_count, is_indecomposable,
                            is_isomorphic)
@@ -34,11 +34,8 @@ class ComplementFan:
 
 
 def _ext_orthogonal(X, Y):
-    """Ext^i(X, Y) = 0 for all i >= 1 (bounded by pd X)."""
-    for i in range(1, pd(X) + 1):
-        if ext(i, X, Y):
-            return False
-    return True
+    """Ext^i(X, Y) = 0 for all i >= 1, one read of the Ext table."""
+    return not any(ext_table(X, Y)[1:])
 
 
 def _self_orthogonal(parts):
@@ -140,11 +137,16 @@ class Catalog:
 
     def indecomposables(self):
         """Every indecomposable, canonical; enumerated once, after which
-        the catalog is complete."""
+        the catalog is complete.  Two enumerated modules on one node are an
+        internal error."""
         if self.nodes is None:
             from .arknit import enumerate_indecomposables
-            self.nodes = [self.canonical(N)
-                          for N in enumerate_indecomposables(self.algebra)]
+            nodes = [self.canonical(N)
+                     for N in enumerate_indecomposables(self.algebra)]
+            if len(set(map(id, nodes))) < len(nodes):
+                raise RuntimeError("the enumeration of indecomposables "
+                                   "lists an isomorphism class twice")
+            self.nodes = nodes
         return self.nodes
 
     def is_tilting(self, parts):

@@ -9,17 +9,8 @@ from .krullschmidt import basic_summands, is_isomorphic
 from .tilting import Catalog, TiltingRecord
 
 
-class Registry:
-    """A walk's view of its algebra's Catalog.  The walk keeps its own
-    records, so a record lists its parts in the order the walk found
-    them."""
-
-    def __init__(self, alg):
-        self.catalog = Catalog.of(alg)
-        self.records = {}
-
-    def canonical(self, M):
-        return self.catalog.canonical(M)
+# perfbench's tracer patches and reads ``Registry.canonical``
+Registry = Catalog
 
 
 def record_key(record):
@@ -47,40 +38,43 @@ class TiltingQuiverGraph:
         self.exhausted = exhausted
 
 
-def _record_from_parts(alg, parts, registry):
-    """The walk's record of the tilting module (+) parts, parts canonical."""
+def _record_from_parts(alg, parts, records):
+    """The walk's record of the tilting module (+) parts, parts canonical;
+    ``records`` holds the walk's records by ``parts_key``."""
     ckey = Catalog.parts_key(parts)
-    record = registry.records.get(ckey)
+    record = records.get(ckey)
     if record is None:
-        if not registry.catalog.is_tilting(parts):
+        if not Catalog.of(alg).is_tilting(parts):
             raise RuntimeError("exchange produced a non-tilting module")
-        record = registry.records[ckey] = TiltingRecord(alg, parts)
+        record = records[ckey] = TiltingRecord(alg, parts)
     return record
 
 
-def mutate_all(record, registry=None):
+def mutate_all(record, records=None):
     """All exchange neighbors of a tilting module: across each summand X,
     its neighbours in the complement chain of the rest.
 
     Returns a list of (neighbor record, direction, witness): direction
     "in" means the arrow points neighbor -> record, "out" the reverse,
     following the exact-sequence orientation 0 -> X -> E -> Y -> 0
-    giving (rest (+) X) -> (rest (+) Y).
+    giving (rest (+) X) -> (rest (+) Y).  A neighbor's record is taken
+    from, or put in, the walk's ``records``.
     """
     alg = record.algebra
-    registry = registry or Registry(alg)
-    parts = [registry.canonical(X) for X, _ in record.pieces]
+    catalog = Catalog.of(alg)
+    records = {} if records is None else records
+    parts = [catalog.canonical(X) for X, _ in record.pieces]
     out = []
     for idx, X in enumerate(parts):
         rest = parts[:idx] + parts[idx + 1:]
-        nodes, witnesses = registry.catalog.fan(rest, X)
+        nodes, witnesses = catalog.fan(rest, X)
         k = nodes.index(X)
         # below X: 0 -> Y -> B -> X -> 0, arrow (rest+Y) -> (rest+X);
         # above X: 0 -> X -> B -> Y -> 0, arrow (rest+X) -> (rest+Y)
         for j, direction in ((k - 1, "in"), (k + 1, "out")):
             if 0 <= j < len(nodes):
                 neighbor = _record_from_parts(alg, rest + [nodes[j]],
-                                              registry)
+                                              records)
                 out.append((neighbor, direction, witnesses[min(j, k)]))
     return out
 
@@ -90,7 +84,8 @@ def explore(seed=None, algebra=None, max_vertices=None):
 
     ``exhausted`` is set only when the frontier empties within
     ``max_vertices``; in that case the vertex set is all tilting modules
-    (connectivity).
+    (connectivity).  The walk keeps its own records, so a record lists its
+    parts in the order the walk found them.
     """
     if seed is None:
         from .replicated import regular_module
@@ -98,9 +93,10 @@ def explore(seed=None, algebra=None, max_vertices=None):
     else:
         algebra = seed.algebra
         parts = [X for X, _ in seed.pieces]
-    registry = Registry(algebra)
+    catalog = Catalog.of(algebra)
+    records = {}
     seed = _record_from_parts(
-        algebra, [registry.canonical(X) for X in parts], registry)
+        algebra, [catalog.canonical(X) for X in parts], records)
     vertices = [seed]
     index_of = {Catalog.parts_key([X for X, _ in seed.pieces]): 0}
     arrows = []
@@ -109,7 +105,7 @@ def explore(seed=None, algebra=None, max_vertices=None):
     vidx = 0                             # vertices[vidx:] is the frontier
     while vidx < len(vertices):
         for neighbor, direction, witness in mutate_all(vertices[vidx],
-                                                       registry):
+                                                       records):
             nkey = Catalog.parts_key([X for X, _ in neighbor.pieces])
             nidx = index_of.get(nkey)
             if nidx is None:

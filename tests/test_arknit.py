@@ -7,7 +7,9 @@ from reptilt.arknit import (enumerate_indecomposables, is_dynkin,
                             translate_inverse)
 from reptilt.homological import cosyzygy, syzygy
 from reptilt.krullschmidt import is_isomorphic
-from reptilt.replicated import injective, projective, simple
+from reptilt.replicated import (injective, projective, rmodule_from_json,
+                                rmodule_to_json, simple)
+from reptilt.tilting import Catalog
 
 from reference import (almost_split_sequence, ar_quiver, translate,
                        verify_right_almost_split)
@@ -57,6 +59,23 @@ def test_duplicated_a2_node_list(a2, a2_nodes):
         for i in (0, 1):
             assert contains(a2_nodes, projective(a2, v, i))
             assert contains(a2_nodes, injective(a2, v, i))
+
+
+def test_catalog_refuses_a_repeated_enumeration(monkeypatch):
+    # the enumeration keeps no list of seen modules: its tau^- orbits are
+    # disjoint, and the catalog is where a repeat is caught
+    import reptilt.arknit
+    alg = duplicated(linear_quiver(2))
+    nodes = enumerate_indecomposables(alg)
+    assert not any(is_isomorphic(M, N)
+                   for k, M in enumerate(nodes) for N in nodes[:k])
+
+    def repeat_one(alg):
+        return nodes + [rmodule_from_json(alg, rmodule_to_json(nodes[3]))]
+    monkeypatch.setattr(reptilt.arknit, "enumerate_indecomposables",
+                        repeat_one)
+    with pytest.raises(RuntimeError, match="enumeration"):
+        Catalog.of(alg).indecomposables()
 
 
 def test_closure_adds_nothing(a2, a2_nodes):

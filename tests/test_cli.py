@@ -6,8 +6,8 @@ import pytest
 from reptilt.catalog import duplicated, linear_quiver
 from reptilt.cli import eval_module_expr, main
 from reptilt.krullschmidt import is_isomorphic
-from reptilt.replicated import (projective, radical, rmodule_to_json,
-                                simple)
+from reptilt.replicated import (projective, radical, rmodule_from_json,
+                                rmodule_to_json, simple)
 
 KRONECKER = {
     "vertices": [1, 2],
@@ -307,6 +307,18 @@ def test_tilting_quiver_limit(files):
     assert len(report["vertices"]) == 5
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_tilting_quiver_limit_below_one_exits_2(files, capsys, limit):
+    # the seed vertex is always kept, so a limit below 1 ran as 1 (exit 4)
+    write, _ = files
+    alg = write("alg.json", A2)
+    code, text = run(files, ["tilting-quiver", alg, "--max-nodes", limit])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:"), err
+
+
 def test_tilting_quiver_compares_vertex_sets(files, monkeypatch):
     # an oracle with the BFS's vertex count but another vertex set (one
     # record doubled, one left out) does not verify connectivity
@@ -348,6 +360,27 @@ def test_tilting_quiver_module_outside_catalog_exits_5(files, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert "matches no enumerated indecomposable" in err[0]
+
+
+def test_tilting_quiver_repeated_enumeration_exits_5(files, capsys,
+                                                     monkeypatch):
+    # the tau^- orbits of the projectives are disjoint, so an isomorphism
+    # class listed twice is an internal error of the enumeration
+    import reptilt.arknit
+    enumerate_all = reptilt.arknit.enumerate_indecomposables
+
+    def repeat_one(alg):
+        nodes = enumerate_all(alg)
+        return nodes + [rmodule_from_json(alg, rmodule_to_json(nodes[3]))]
+    monkeypatch.setattr(reptilt.arknit, "enumerate_indecomposables",
+                        repeat_one)
+    write, _ = files
+    alg = write("alg.json", A2)
+    code, _ = run(files, ["tilting-quiver", alg])
+    assert code == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "enumeration" in err[0]
 
 
 def test_prime_field_mode(files):

@@ -186,11 +186,14 @@ def test_fans_match_exhaustive_partner_sets(a2, a2_oracle):
     each partner and from no seed, must recover exactly the partners seen
     across the whole oracle list, with the same grids, pds and witness
     grids from every seed and exact witnesses; the census of fan sizes is
-    pinned."""
+    pinned, and counted two ways: the fans hold delta summands of each
+    vertex, and each fan of n partners is a chain of n - 1 arrows (11 and
+    33, as the BFS tests pin)."""
     a2m2 = ReplicatedAlgebra(linear_quiver(2), 2)
-    for alg, oracle, sizes in [
-            (a2, a2_oracle, {1: 18, 2: 3, 3: 4}),
-            (a2m2, exhaustive_tilting_oracle(a2m2), {1: 88, 4: 11})]:
+    for alg, oracle, sizes, census in [
+            (a2, a2_oracle, {1: 18, 2: 3, 3: 4}, (25, 36, 11)),
+            (a2m2, exhaustive_tilting_oracle(a2m2), {1: 88, 4: 11},
+             (99, 132, 33))]:
         partners = {}      # parts_key(rest) -> list of complements
         rests = {}
         for record in oracle:
@@ -216,6 +219,9 @@ def test_fans_match_exhaustive_partner_sets(a2, a2_oracle):
                 grids.append(_fan_grids(fan))
             assert all(g == grids[0] for g in grids)
         assert Counter(len(e) for e in partners.values()) == sizes
+        fans = [len(e) for e in partners.values()]
+        assert (len(fans), sum(fans), sum(n - 1 for n in fans)) == census
+        assert sum(fans) == alg.delta * len(oracle)
 
 
 def test_seed_is_checked_against_a_cached_chain(a2, a2_oracle):
