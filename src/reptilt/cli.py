@@ -229,15 +229,21 @@ def cmd_tilting_quiver(args):
     from .tilting import Catalog
     from .tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
                              graph_to_json)
-    if args.max_nodes is not None and args.max_nodes < 1:
-        raise InputError("--max-nodes must be an integer >= 1, not %d"
-                         % args.max_nodes)
+    limit = args.max_nodes
+    if limit is not None:
+        try:
+            limit = int(limit)
+        except ValueError:     # refused like a limit below 1
+            limit = 0
+        if limit < 1:
+            raise InputError("--max-nodes must be an integer >= 1, not %s"
+                             % args.max_nodes)
     alg = load_algebra(args.algebra, load_field(args.field))
     dynkin = is_dynkin(alg.quiver)
     if dynkin:
         # a complete catalog: a BFS module outside it is an internal error
         Catalog.of(alg).indecomposables()
-    graph = explore(algebra=alg, max_vertices=args.max_nodes)
+    graph = explore(algebra=alg, max_vertices=limit)
     if args.dot:
         _emit(args, export_dot(graph))
     else:
@@ -360,7 +366,7 @@ def build_parser():
     p = sub.add_parser("tilting-quiver",
                        help="mutation-BFS exploration of the tilting quiver")
     p.add_argument("algebra")
-    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--max-nodes", default=None)
     p.add_argument("--dot", action="store_true",
                    help="emit DOT instead of JSON")
     p.set_defaults(fn=cmd_tilting_quiver)

@@ -263,10 +263,6 @@ class Subspace:
                     self.basis.field)
         return x if self.basis * x == cols else None
 
-    def contains_matrix(self, cols):
-        """True if every column of ``cols`` lies in this subspace."""
-        return rank(Mat.hstack([self.basis, cols])) == self.dim
-
 
 def column_space(m):
     """Canonical column echelon basis of the column span of ``m``."""

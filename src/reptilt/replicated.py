@@ -82,18 +82,18 @@ class RModule:
             self.validate()
 
     def validate(self):
-        """The module axioms: connector shapes, the right rule
-        (p* a = (p minus a)* when p ends with a, else 0), the left rule
+        """The module axioms: the shape of each structure map, the right
+        rule (p* a = (p minus a)* when p ends with a, else 0), the left rule
         (a p* = (p minus a)* when p starts with a, else 0) and DA.DA = 0."""
+        for src, tgt, key, x in _structure_maps(self):
+            want = (self.dims(*tgt), self.dims(*src))
+            if (x.rows, x.cols) != want:
+                raise ValueError("%s has shape %dx%d, want %dx%d"
+                                 % ((_structure_name(key), x.rows, x.cols)
+                                    + want))
         quiver = self.algebra.quiver
         for j, conn in enumerate(self.connectors):
             lo, hi = self.levels[j], self.levels[j + 1]
-            for p, c in conn.items():
-                want = (lo.dims[p.source], hi.dims[p.target])
-                if (c.rows, c.cols) != want:
-                    raise ValueError(
-                        "connector %d at path %s has shape %dx%d, want %dx%d"
-                        % ((j, _path_name(p), c.rows, c.cols) + want))
             for a in quiver.arrows:
                 for p in quiver.paths_into(a.target):
                     got = conn[p] * hi.maps[a.name]
@@ -153,6 +153,53 @@ def _path_name(p):
     return ".".join(p.arrows) if p.arrows else "e%s" % (p.source,)
 
 
+def _structure_maps(M, paths=None):
+    """Each structure map of M as (source cell, target cell, key, matrix):
+    first each arrow a at each level i, key (i, a.name), then each connector
+    p* from (j + 1, t(p)) to (j, s(p)), key (j, p), for p in ``paths`` (every
+    path by default).  The only code that knows how the maps are laid out;
+    ``_module_from_maps`` is its inverse.  The cells and keys depend only on
+    the algebra, so they are built once per algebra and choice of paths."""
+    alg = M.algebra
+    memo = ("structure maps", None if paths is None else tuple(paths))
+    layout = alg.cache.get(memo)
+    if layout is None:
+        quiver = alg.quiver
+        layout = alg.cache[memo] = (
+            [((i, a.source), (i, a.target), (i, a.name))
+             for i in range(alg.m + 1) for a in quiver.arrows],
+            [((j + 1, p.target), (j, p.source), (j, p))
+             for j in range(alg.m)
+             for p in (quiver.paths if paths is None else paths)])
+    arrows, connectors = layout
+    for src, tgt, key in arrows:
+        yield src, tgt, key, M.levels[key[0]].maps[key[1]]
+    for src, tgt, key in connectors:
+        yield src, tgt, key, M.connectors[key[0]][key[1]]
+
+
+def _structure_name(key):
+    i, x = key
+    if isinstance(x, Path):
+        return "connector %d at path %s" % (i, _path_name(x))
+    return "arrow %s at level %d" % (x, i)
+
+
+def _module_from_maps(alg, dims, maps):
+    """The unchecked RModule with ``dims[(i, v)]`` at each cell and the
+    structure maps ``maps``, keyed as ``_structure_maps`` keys them; a
+    missing key is zero."""
+    levels = [{} for _ in range(alg.m + 1)]
+    conns = [{} for _ in range(alg.m)]
+    for (i, x), mat in maps.items():
+        (conns if isinstance(x, Path) else levels)[i][x] = mat
+    quiver = alg.quiver
+    return RModule(alg, [Rep(quiver, {v: dims[(i, v)] for v in quiver.vertices},
+                             lmaps, alg.field, check=False)
+                         for i, lmaps in enumerate(levels)],
+                   conns, check=False)
+
+
 class DimGrid:
     """Canonical printable signature of a module: (level, vertex) -> dim.
     Read-only, so one grid can be shared by every caller of
@@ -190,10 +237,6 @@ class DimGrid:
     def __repr__(self):
         return "DimGrid(%s)" % self
 
-    def to_json(self):
-        return [[i, v, d] for (i, v), d in sorted(self.entries.items(),
-                                                  key=lambda kv: (kv[0][0], str(kv[0][1])))]
-
 
 class RMap:
     """A morphism of replicated-algebra modules: one matrix per (level,
@@ -211,29 +254,20 @@ class RMap:
             self.validate()
 
     def validate(self):
-        """The shape of each cell, commutation with the arrows at each
-        level and with the connector matrices."""
+        """The shape of each cell and commutation with each structure map:
+        the arrows at each level and the connector matrices."""
         M, N = self.source, self.target
-        alg = M.algebra
         for (i, v), c in self.comps.items():
             want = (N.dims(i, v), M.dims(i, v))
             if (c.rows, c.cols) != want:
                 raise ValueError("component at level %d, vertex %r has shape "
                                  "%dx%d, want %dx%d"
                                  % ((i, v, c.rows, c.cols) + want))
-        for i in range(alg.m + 1):
-            for a in alg.quiver.arrows:
-                if (N.levels[i].maps[a.name] * self.comps[(i, a.source)]
-                        != self.comps[(i, a.target)]
-                        * M.levels[i].maps[a.name]):
-                    raise ValueError("map does not commute with arrow %s at "
-                                     "level %d" % (a.name, i))
-        for j in range(alg.m):
-            for p, phi in M.connectors[j].items():
-                if (self.comps[(j, p.source)] * phi
-                        != N.connectors[j][p] * self.comps[(j + 1, p.target)]):
-                    raise ValueError("map does not commute with connector %d"
-                                     % j)
+        for (src, tgt, key, x), (*_, y) in zip(_structure_maps(M),
+                                               _structure_maps(N)):
+            if y * self.comps[src] != self.comps[tgt] * x:
+                raise ValueError("map does not commute with %s"
+                                 % _structure_name(key))
 
     def component(self, i, v):
         return self.comps[(i, v)]
@@ -392,20 +426,11 @@ def direct_sum(alg, mods):
     mods = list(mods)
     if not mods:
         return zero_module(alg), [], []
-    quiver = alg.quiver
-    f = alg.field
-    levels = []
-    for i in range(alg.m + 1):
-        dims = {v: sum(M.levels[i].dims[v] for M in mods)
-                for v in quiver.vertices}
-        maps = {a.name: Mat.block_diag([M.levels[i].maps[a.name] for M in mods],
-                                       field=f)
-                for a in quiver.arrows}
-        levels.append(Rep(quiver, dims, maps, f, check=False))
-    conns = [{p: Mat.block_diag([M.connectors[j][p] for M in mods], field=f)
-              for p in quiver.paths}
-             for j in range(alg.m)]
-    S = RModule(alg, levels, conns, check=False)
+    dims = {(i, v): sum(M.levels[i].dims[v] for M in mods)
+            for i, v in alg.cells}
+    maps = {row[0][2]: Mat.block_diag([walk[3] for walk in row], field=alg.field)
+            for row in zip(*map(_structure_maps, mods))}
+    S = _module_from_maps(alg, dims, maps)
     S.cache["summands"] = mods
     return S, SummandMaps(S, True), SummandMaps(S, False)
 
@@ -488,31 +513,15 @@ def _all_subspaces(M, subspaces):
 def submodule(M, subspaces):
     """Submodule spanned by vertex-level subspaces (must be closed under
     arrows and connectors).  Returns (S, inclusion)."""
-    alg = M.algebra
-    quiver = alg.quiver
     subs = _all_subspaces(M, subspaces)
-    levels = []
-    for i in range(alg.m + 1):
-        maps = {}
-        for a in quiver.arrows:
-            img = M.levels[i].maps[a.name] * subs[(i, a.source)].basis
-            sol = subs[(i, a.target)].coords(img)
-            if sol is None:
-                raise ValueError("subspaces not closed under arrow %s" % a.name)
-            maps[a.name] = sol
-        dims = {v: subs[(i, v)].dim for v in quiver.vertices}
-        levels.append(Rep(quiver, dims, maps, alg.field, check=False))
-    conns = []
-    for j in range(alg.m):
-        conn = {}
-        for p, phi in M.connectors[j].items():
-            img = phi * subs[(j + 1, p.target)].basis
-            sol = subs[(j, p.source)].coords(img)
-            if sol is None:
-                raise ValueError("subspaces not closed under connector %d" % j)
-            conn[p] = sol
-        conns.append(conn)
-    S = RModule(alg, levels, conns, check=False)
+    maps = {}
+    for src, tgt, key, x in _structure_maps(M):
+        maps[key] = subs[tgt].coords(x * subs[src].basis)
+        if maps[key] is None:
+            raise ValueError("subspaces not closed under %s"
+                             % _structure_name(key))
+    S = _module_from_maps(M.algebra, {c: sub.dim for c, sub in subs.items()},
+                          maps)
     return S, RMap(S, M, {c: sub.basis for c, sub in subs.items()},
                    check=False)
 
@@ -527,20 +536,12 @@ def quotient_with_sections(M, subspaces):
     """(Q, projection, sections) for ``quotient_module``: ``sections[(i,
     v)]`` is a right inverse of the projection's matrix at (level i, vertex
     v), the lift of Q there that spans a complement of the subspace."""
-    alg = M.algebra
-    quiver = alg.quiver
     proj, sect = {}, {}
-    for (i, v), sub in _all_subspaces(M, subspaces).items():
-        proj[(i, v)], sect[(i, v)] = quotient_basis(M.levels[i].dims[v], sub)
-    levels = [Rep(quiver, {v: proj[(i, v)].rows for v in quiver.vertices},
-                  {a.name: proj[(i, a.target)] * M.levels[i].maps[a.name]
-                   * sect[(i, a.source)] for a in quiver.arrows},
-                  alg.field, check=False)
-              for i in range(alg.m + 1)]
-    conns = [{p: proj[(j, p.source)] * phi * sect[(j + 1, p.target)]
-              for p, phi in M.connectors[j].items()}
-             for j in range(alg.m)]
-    Q = RModule(alg, levels, conns, check=False)
+    for c, sub in _all_subspaces(M, subspaces).items():
+        proj[c], sect[c] = quotient_basis(M.dims(*c), sub)
+    Q = _module_from_maps(M.algebra, {c: p.rows for c, p in proj.items()},
+                          {key: proj[tgt] * x * sect[src]
+                           for src, tgt, key, x in _structure_maps(M)})
     return Q, RMap(M, Q, proj, check=False), sect
 
 
@@ -570,19 +571,15 @@ def cokernel(f):
 # -- radical, socle, top ---------------------------------------------
 
 def radical_subspaces(M):
-    """rad M at each (level, vertex): the column space of the arrow images
-    within the level and of the connector matrices from the level above,
-    the zero subspace where there are none."""
-    alg = M.algebra
-    quiver = alg.quiver
-    subs = {}
-    for i, w in alg.cells:
-        pieces = [M.levels[i].maps[a.name] for a in quiver.arrows_into(w)]
-        if i < alg.m:
-            pieces += [M.connectors[i][p] for p in quiver.paths_from(w)]
-        if pieces:
-            subs[(i, w)] = column_space(Mat.hstack(pieces, field=alg.field))
-    return _all_subspaces(M, subs)
+    """rad M at each (level, vertex): the column space of the structure
+    maps into it, the arrow images within the level and the connector
+    matrices from the level above, the zero subspace where there are none."""
+    f = M.algebra.field
+    into = {}
+    for _, tgt, _, x in _structure_maps(M):
+        into.setdefault(tgt, []).append(x)
+    return _all_subspaces(M, {c: column_space(Mat.hstack(xs, field=f))
+                              for c, xs in into.items()})
 
 
 def radical(M):
@@ -591,24 +588,17 @@ def radical(M):
 
 
 def socle_subspaces(M):
-    """soc M at each (level, vertex): the vectors killed by all arrows and
-    by the connector pairing."""
-    alg = M.algebra
-    quiver = alg.quiver
-    f = alg.field
-    subs = {}
-    for i, w in alg.cells:
-        rows = [M.levels[i].maps[a.name] for a in quiver.arrows_from(w)]
-        if i >= 1:
-            # x -> p* x for each path p into w: the action of
-            # P(w, i) on x down at level i - 1
-            rows += [a for u in quiver.vertices
-                     for a in generator_action(M, w, i, i - 1, u)]
-        if rows:
-            subs[(i, w)] = kernel_basis(Mat.vstack(rows, field=f))
-        else:
-            subs[(i, w)] = column_space(Mat.identity(M.dims(i, w), f))
-    return subs
+    """soc M at each (level, vertex): the kernel of the structure maps out
+    of it, the arrows within the level and the connector matrices p* down
+    to the level below (the action of P(w, i) at level i - 1), the whole
+    space where there are none."""
+    f = M.algebra.field
+    out = {}
+    for src, _, _, x in _structure_maps(M):
+        out.setdefault(src, []).append(x)
+    return {c: kernel_basis(Mat.vstack(out[c], field=f)) if c in out
+            else column_space(Mat.identity(M.dims(*c), f))
+            for c in M.algebra.cells}
 
 
 def socle(M):
@@ -753,7 +743,6 @@ def _hom_basis_r(M, N):
     to a sink: any other q extends to q.a or b.q, and Phi_q = Phi_{q.a} M_a
     or Phi_q = M_b Phi_{b.q} carries the commutation through the arrows."""
     alg = M.algebra
-    quiver = alg.quiver
     f = alg.field
     offsets = {}
     total = 0
@@ -761,17 +750,10 @@ def _hom_basis_r(M, N):
         offsets[(i, v)] = total
         total += N.levels[i].dims[v] * M.levels[i].dims[v]
     rows = []
-    for i in range(alg.m + 1):
-        for a in quiver.arrows:
-            rows += _commutation_rows(N.levels[i].maps[a.name],
-                                      M.levels[i].maps[a.name],
-                                      (i, a.source), (i, a.target),
-                                      offsets, total, f.zero)
-    for j in range(alg.m):
-        for p in quiver.maximal_paths:
-            rows += _commutation_rows(N.connectors[j][p], M.connectors[j][p],
-                                      (j + 1, p.target), (j, p.source),
-                                      offsets, total, f.zero)
+    paths = alg.quiver.maximal_paths
+    for (src, tgt, _, x_m), (*_, x_n) in zip(_structure_maps(M, paths),
+                                             _structure_maps(N, paths)):
+        rows += _commutation_rows(x_n, x_m, src, tgt, offsets, total, f.zero)
     sysmat = Mat(len(rows), total, rows, f) if rows else Mat.zeros(0, total, f)
     ker = kernel_basis(sysmat)
     vectors = [ker.basis.col(k) for k in range(ker.dim)]

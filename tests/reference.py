@@ -193,10 +193,15 @@ def sigma_set(alg, i):
     return out
 
 
+def contains_matrix(space, cols):
+    """True if every column of ``cols`` lies in the Subspace ``space``."""
+    return rank(Mat.hstack([space.basis, cols])) == space.dim
+
+
 def is_radical_valued(f):
     """True when the image of f lies in the radical of its target."""
     rad = radical_subspaces(f.target)
-    return all(rad[c].contains_matrix(column_space(m).basis)
+    return all(contains_matrix(rad[c], column_space(m).basis)
                for c, m in f.comps.items())
 
 

@@ -307,9 +307,11 @@ def test_tilting_quiver_limit(files):
     assert len(report["vertices"]) == 5
 
 
-@pytest.mark.parametrize("limit", ["0", "-3"])
+@pytest.mark.parametrize("limit", ["0", "-3", "abc", "1.5"])
 def test_tilting_quiver_limit_below_one_exits_2(files, capsys, limit):
-    # the seed vertex is always kept, so a limit below 1 ran as 1 (exit 4)
+    # the seed vertex is always kept, so a limit below 1 ran as 1 (exit 4);
+    # a value that is no integer is refused the same way, with one line
+    # and no argparse usage
     write, _ = files
     alg = write("alg.json", A2)
     code, text = run(files, ["tilting-quiver", alg, "--max-nodes", limit])

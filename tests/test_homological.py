@@ -12,14 +12,16 @@ from reptilt.homological import (_cover_with_data, _ext_differential,
                                  syzygy)
 from reptilt.hereditary import Rep
 from reptilt.krullschmidt import decompose
-from reptilt.linalg import Mat, column_space, solve_matrix
-from reptilt.quiver import Quiver
-from reptilt.replicated import (RMap, RModule, ReplicatedAlgebra, block_map,
+from reptilt.linalg import Mat, column_space, kernel_basis, solve_matrix
+from reptilt.quiver import Path, Quiver
+from reptilt.replicated import (RMap, RModule, ReplicatedAlgebra,
+                                _module_from_maps, _structure_maps, block_map,
                                 direct_sum, generator_action, hom_basis_r,
                                 injective, map_from_projective,
                                 projective, quotient_module, radical,
-                                regular_module, simple, summand_offsets,
-                                summands_of, top, zero_rmap)
+                                regular_module, simple, socle_subspaces,
+                                submodule, summand_offsets, summands_of, top,
+                                zero_rmap)
 from reptilt.tiltquiver import Catalog
 
 from reference import all_of_kind, hom_dim, is_radical_valued, sigma_set
@@ -420,6 +422,23 @@ def _radical_reference(M):
                    check=False)
 
 
+def _socle_reference(M):
+    """soc M as it was built before ``socle_subspaces`` read the structure
+    maps: the kernel of the arrows out of each (level, vertex) and, above
+    level 0, of the ``generator_action`` of P(w, i) down at level i - 1."""
+    alg = M.algebra
+    quiver, f = alg.quiver, alg.field
+    subs = {}
+    for i, w in alg.cells:
+        rows = [M.levels[i].maps[a.name] for a in quiver.arrows_from(w)]
+        if i >= 1:
+            rows += [a for u in quiver.vertices
+                     for a in generator_action(M, w, i, i - 1, u)]
+        subs[(i, w)] = (kernel_basis(Mat.vstack(rows, field=f)) if rows
+                        else column_space(Mat.identity(M.dims(i, w), f)))
+    return subs
+
+
 def _top_reference(M):
     """M / rad M, the quotient by the column spaces of the inclusion of the
     reference radical."""
@@ -520,6 +539,62 @@ def test_cover_radical_and_top_match_their_references(name, field):
     # several actions reach one vertex: the column layout is exercised
     labels = _cover_with_data(mods[-1])[2]
     assert len(set(labels)) < len(labels)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("name", list(COVER_ALGEBRAS))
+def test_structure_maps_rebuild_the_module(name, field):
+    quiver, m = COVER_ALGEBRAS[name]
+    alg = ReplicatedAlgebra(quiver(), m, field)
+    q = alg.quiver
+    for M in _cover_modules(alg):
+        maps = list(_structure_maps(M))
+        keys = [key for _, _, key, _ in maps]
+        assert len(set(keys)) == len(keys)
+        assert len(keys) == (m + 1) * len(q.arrows) + m * len(q.paths)
+        for src, tgt, _, x in maps:
+            assert (x.rows, x.cols) == (M.dims(*tgt), M.dims(*src))
+        dims = {c: M.dims(*c) for c in alg.cells}
+        rebuilt = _module_from_maps(alg, dims,
+                                    {key: x for _, _, key, x in maps})
+        assert _same_module(rebuilt, M)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("name", list(COVER_ALGEBRAS))
+def test_socle_matches_its_reference(name, field):
+    quiver, m = COVER_ALGEBRAS[name]
+    alg = ReplicatedAlgebra(quiver(), m, field)
+    for M in _cover_modules(alg):
+        assert socle_subspaces(M) == _socle_reference(M)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("name", list(COVER_ALGEBRAS))
+def test_submodule_names_the_map_it_is_not_closed_under(name, field):
+    # the whole space at one cell and zero elsewhere is closed under no
+    # nonzero map out of that cell; the first one in the walk is named
+    quiver, m = COVER_ALGEBRAS[name]
+    alg = ReplicatedAlgebra(quiver(), m, field)
+    kinds = set()
+    for M in _cover_modules(alg):
+        for c in alg.cells:
+            out = [key for src, _, key, x in _structure_maps(M)
+                   if src == c and not x.is_zero()]
+            if not out:
+                continue
+            i, x = out[0]
+            if isinstance(x, Path):
+                kinds.add("connector")
+                want = "connector %d at path " % i
+            else:
+                kinds.add("arrow")
+                want = "arrow %s at level %d" % (x, i)
+            whole = column_space(Mat.identity(M.dims(*c), field))
+            with pytest.raises(ValueError) as err:
+                submodule(M, {c: whole})
+            assert "not closed under " + want in str(err.value)
+    assert kinds == {"arrow", "connector"}
 
 
 DYNKIN_ALGEBRAS = {"a2-m1": (lambda: linear_quiver(2), 1),

@@ -6,9 +6,10 @@ quiver, the base-quiver Hom builder and a few predicates) live in
 ``tests/reference.py``.  This guard keeps it that way: starting from every
 name the benchmark harness mentions, every module-level statement of the
 library and a short list of documented public operations, it follows the
-names each reached definition mentions.  Matching is by name, so a dead
-definition that shares its name with a live one goes unseen, but a live
-definition is never flagged.
+names each reached definition mentions.  A method of a reached class
+whose name nothing reached mentions is flagged too.  Matching is by name,
+so a dead definition that shares its name with a live one goes unseen, but
+a live definition is never flagged.
 """
 
 import ast
@@ -19,9 +20,10 @@ SRC = ROOT / "src" / "reptilt"
 TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
-# documented module operations that no command reaches
+# documented module operations that no command reaches, and
+# Quiver.to_json, the inverse of Quiver.from_json
 PUBLIC = {"complete_partial_tilting", "is_faithful", "image", "radical",
-          "top", "rmodule_to_json"}
+          "top", "rmodule_to_json", "to_json"}
 
 
 def _names(node):
@@ -40,35 +42,65 @@ def _names(node):
     return out
 
 
-def unreached_definitions():
-    """Sorted "module.name" of each top-level def or class of the library
-    that no root reaches."""
-    defs = {}           # name -> [(module, node)]
-    roots = set(PUBLIC)
+def _walk():
+    """(defs, reached, mentioned): each top-level def or class of the
+    library by name, as [(module, node)]; the names of those a root
+    reaches; and every name the roots and the reached definitions
+    mention."""
+    defs = {}
+    mentioned = set(PUBLIC)
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 defs.setdefault(node.name, []).append((path.stem, node))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                roots |= _names(node)
+                mentioned |= _names(node)
     for path in sorted(PERFBENCH.glob("*.py")):
-        roots |= _names(ast.parse(path.read_text()))
+        mentioned |= _names(ast.parse(path.read_text()))
     reached = set()
-    todo = [name for name in roots if name in defs]
+    todo = [name for name in mentioned if name in defs]
     while todo:
         name = todo.pop()
         if name in reached:
             continue
         reached.add(name)
         for _, node in defs[name]:
-            todo.extend(n for n in _names(node) if n in defs)
+            names = _names(node)
+            mentioned |= names
+            todo.extend(n for n in names if n in defs)
+    return defs, reached, mentioned
+
+
+def unreached_definitions():
+    """Sorted "module.name" of each top-level def or class of the library
+    that no root reaches."""
+    defs, reached, _ = _walk()
     return sorted("%s.%s" % (mod, name) for name, nodes in defs.items()
                   if name not in reached for mod, _ in nodes)
 
 
+def unmentioned_methods():
+    """Sorted "module.Class.method" of each non-dunder method of a reached
+    class whose name no root and no reached definition mentions: nothing
+    outside the tests can call it."""
+    defs, reached, mentioned = _walk()
+    return sorted(
+        "%s.%s.%s" % (mod, cls.name, node.name)
+        for name in reached for mod, cls in defs[name]
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in mentioned)
+
+
 def test_library_defines_nothing_only_tests_reach():
     assert unreached_definitions() == []
+
+
+def test_library_classes_have_no_method_only_tests_call():
+    assert unmentioned_methods() == []
 
 
 def unused_imports(paths):
