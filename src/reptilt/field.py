@@ -1,7 +1,9 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and prime fields.
 
-Every matrix entry in this package is either a ``fractions.Fraction`` or a
-``GFElement``; no floating point is used anywhere.
+Every matrix entry in this package is exact: over QQ an ``int`` when the
+value is integral and a rational (``gmpy2.mpq``, or ``fractions.Fraction``
+without gmpy2) otherwise; over GF(p) a ``GFElement``.  No floating point is
+used anywhere.
 """
 
 from __future__ import annotations
@@ -14,18 +16,33 @@ except ImportError:  # pragma: no cover
     _mpq = Fraction
 
 
+def _normal(q):
+    """A rational as an ``int`` when it is integral."""
+    return int(q) if q.denominator == 1 else q
+
+
 class Rationals:
-    """The field of rational numbers (default ground field)."""
+    """The field of rational numbers (default ground field).  Integral
+    values are Python ints: ``+ - * ==`` stay exact on int/rational mixes,
+    and ``of`` and ``div`` turn an integral result back into an int."""
 
     name = "Q"
-    # scalars are never mutated in place, so one zero and one one serve all
-    zero = _mpq(0)
-    one = _mpq(1)
+    zero = 0
+    one = 1
 
     def of(self, x):
+        if type(x) is int:
+            return x
         if isinstance(x, Fraction):
-            return _mpq(x.numerator, x.denominator)
-        return _mpq(x)
+            return _normal(_mpq(x.numerator, x.denominator))
+        return _normal(_mpq(x))
+
+    def div(self, a, b):
+        """The exact quotient a / b."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return _mpq(a, b) if r else q
+        return _normal(a / b)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -99,6 +116,9 @@ class PrimeField:
             den = GFElement(self.p, x.denominator)
             return num / den
         return GFElement(self.p, x)
+
+    def div(self, a, b):
+        return a / b
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

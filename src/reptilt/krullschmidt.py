@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import random
 
-import sympy
-
 from .field import QQ
 from .linalg import Mat, kernel_basis
 from .replicated import (hom_basis_r, hom_space, identity_rmap,
@@ -52,6 +50,7 @@ def _fitting_split(M, f):
 
 def _min_poly(M, f):
     """Minimal polynomial of an endomorphism, as a sympy Poly over QQ."""
+    import sympy  # imported on first use: most runs never factor
     space = hom_space(M, M)
     powers = [identity_rmap(M)]
     g = f
@@ -90,6 +89,7 @@ def _require_char_zero(M, step):
 def _minpoly_split(M, f):
     """Split along coprime irreducible factors of the minimal polynomial."""
     _require_char_zero(M, "the minimal-polynomial split")
+    import sympy
     poly = _min_poly(M, f)
     factors = sympy.factor_list(poly.as_expr())[1]
     if len(factors) < 2:
@@ -168,6 +168,7 @@ def _certify_indecomposable(M):
     # certified by a generic element whose minimal polynomial has the full
     # degree (checked on the endomorphism itself, whose minimal polynomial
     # maps onto that of its image in the quotient)
+    import sympy
     rng = random.Random(SPLIT_SEED)
     for _ in range(SPLIT_TRIALS):
         f = _random_endo(space, rng)

@@ -183,8 +183,9 @@ class Mat:
         return s
 
 
-def _rref_inplace(data, rows, cols):
+def _rref_inplace(data, rows, cols, field):
     """Reduce ``data`` to reduced row echelon form; return pivot column list."""
+    div = field.div
     pivots = []
     r = 0
     for c in range(cols):
@@ -200,11 +201,11 @@ def _rref_inplace(data, rows, cols):
         if pr != r:
             data[r], data[pr] = data[pr], data[r]
         pv = data[r][c]
-        if pv != pv / pv:  # normalize pivot to 1
+        if pv != 1:  # normalize pivot to 1
             inv_row = data[r]
             for j in range(c, cols):
                 if inv_row[j]:
-                    inv_row[j] = inv_row[j] / pv
+                    inv_row[j] = div(inv_row[j], pv)
         for i in range(rows):
             if i != r and data[i][c]:
                 factor = data[i][c]
@@ -220,13 +221,13 @@ def _rref_inplace(data, rows, cols):
 def rref(m):
     """Reduced row echelon form of a Mat.  Returns (R, pivot_columns)."""
     data = [row[:] for row in m.data]
-    pivots = _rref_inplace(data, m.rows, m.cols)
+    pivots = _rref_inplace(data, m.rows, m.cols, m.field)
     return Mat._of(m.rows, m.cols, data, m.field), pivots
 
 
 def rank(m):
     data = [row[:] for row in m.data]
-    return len(_rref_inplace(data, m.rows, m.cols))
+    return len(_rref_inplace(data, m.rows, m.cols, m.field))
 
 
 class Subspace:

@@ -591,10 +591,12 @@ def socle_subspaces(M):
     """soc M at each (level, vertex): the kernel of the structure maps out
     of it, the arrows within the level and the connector matrices p* down
     to the level below (the action of P(w, i) at level i - 1), the whole
-    space where there are none."""
+    space where there are none.  Only the connectors of the paths from a
+    source to a sink are needed: any other q extends to q.a or b.q, and
+    Phi_q = Phi_{q.a} M_a or Phi_q = M_b Phi_{b.q} kills what they kill."""
     f = M.algebra.field
     out = {}
-    for src, _, _, x in _structure_maps(M):
+    for src, _, _, x in _structure_maps(M, M.algebra.quiver.maximal_paths):
         out.setdefault(src, []).append(x)
     return {c: kernel_basis(Mat.vstack(out[c], field=f)) if c in out
             else column_space(Mat.identity(M.dims(*c), f))

@@ -8,8 +8,8 @@ from __future__ import annotations
 from .approx import left_approximation, right_approximation
 from .homological import (ext1_classes, ext_table, injective_envelope,
                           is_injective, is_projective, pd, realize_extension)
-from .krullschmidt import (basic_summands, delta_count, is_indecomposable,
-                           is_isomorphic)
+from .krullschmidt import (_indec_isomorphic, basic_summands, delta_count,
+                           is_indecomposable, is_isomorphic)
 from .replicated import (cokernel, direct_sum, injective, kernel, projective,
                          regular_module, summands_of)
 
@@ -52,10 +52,15 @@ def coresolution(alg, parts):
     parts; A has a finite add(T)-coresolution iff every P(v, i) has one
     (Miyashita, *Tilting modules of finite projective dimension*, Math. Z.
     1986).  Returns the add(T) terms when every step is injective and each
-    chain reaches zero within 2m+1 steps; None otherwise.
+    chain reaches zero within 2m+1 steps; None otherwise.  A P(v, i)
+    isomorphic to a part T_j has the trivial chain 0 -> P -> T_j -> 0.
     """
     terms = []
     for current in summands_of(regular_module(alg)):
+        same = next((X for X in parts if _indec_isomorphic(current, X)), None)
+        if same is not None:
+            terms.append(same)
+            continue
         for _ in range(2 * alg.m + 2):
             if current.is_zero():
                 break

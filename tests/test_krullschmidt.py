@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -298,3 +303,14 @@ def test_random_dynkin_sum_splits_back_over_both_fields(a3_nodes, picks):
         assert match, "no part of the sum is isomorphic to %s" % X.dim_grid()
         rest.pop(match[0])
     assert rest == []
+
+
+def test_importing_tilting_leaves_sympy_unloaded():
+    """sympy is imported by the first minimal polynomial, not by every run
+    that imports the library."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, reptilt.tilting; sys.exit('sympy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reptilt.field import QQ, PrimeField
+from reptilt.field import QQ, PrimeField, _mpq
 from reptilt.linalg import (Mat, column_space, kernel_basis, quotient_basis,
-                            rank, solve_matrix)
+                            rank, rref, solve_matrix)
 
 
 def test_rank_identity():
@@ -19,6 +19,33 @@ def test_rank_zero():
 
 def test_rank_proportional_rows():
     assert rank(Mat.from_rows([[1, 2], [2, 4]])) == 1
+
+
+def test_rationals_store_integral_values_as_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.of(4)) is int
+    two = QQ.of(Fraction(4, 2))
+    assert two == 2 and type(two) is int
+    assert type(QQ.of("6/3")) is int
+    half = QQ.of("3/2")
+    assert half == Fraction(3, 2) and type(half) is _mpq
+    quotient = QQ.div(6, 3)
+    assert quotient == 2 and type(quotient) is int
+    assert QQ.div(1, 2) == Fraction(1, 2) and type(QQ.div(1, 2)) is _mpq
+    assert QQ.div(3, -6) == Fraction(-1, 2)
+    assert type(QQ.div(half, QQ.of("1/2"))) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+def test_rref_of_integer_matrix_with_non_unit_pivots():
+    r, pivots = rref(Mat.from_rows([[2, 1, 1], [0, 3, 1], [4, 5, 3]]))
+    assert pivots == [0, 1]
+    assert r == Mat.from_rows([[1, 0, Fraction(1, 3)], [0, 1, Fraction(1, 3)],
+                               [0, 0, 0]])
+    kinds = {type(x) for row in r.data for x in row}
+    assert kinds == {int, _mpq}
+    assert type(r.data[0][0]) is int and type(r.data[1][1]) is int
 
 
 def test_kernel_of_identity_is_zero():

@@ -17,6 +17,7 @@ from reptilt.linalg import Mat
 from reptilt.replicated import (ReplicatedAlgebra, cokernel, direct_sum,
                                 embed_level, injective, projective,
                                 regular_module, simple)
+from reptilt import tilting
 from reptilt.tilting import (Catalog, _level0_faithful, bongartz_complete,
                              certify, certify_tilting, classify_duplicated,
                              complement_fan, complete_partial_tilting,
@@ -126,6 +127,31 @@ def test_coresolution_per_projective_matches_whole_a(a2, a2_oracle):
     for alg, parts in almost:
         assert coresolution(alg, parts) is None
         assert _whole_a_coresolution(alg, parts) is None
+
+
+def test_coresolution_skips_the_projectives_among_the_parts(a2, a2_oracle,
+                                                           monkeypatch):
+    """A P(v, i) isomorphic to a part has the trivial chain, so no left
+    approximation runs on it: every tilting set of duplicated A2 holds the
+    projective-injectives P(v, 1), and on A itself none runs at all."""
+    approximated = []
+
+    def spy(M, parts):
+        approximated.append(M)
+        return left_approximation(M, parts)
+
+    monkeypatch.setattr(tilting, "left_approximation", spy)
+    upper = [projective(a2, v, i) for v in a2.quiver.vertices
+             for i in range(1, a2.m + 1)]
+    for record in a2_oracle:
+        parts = [X for X, _ in record.pieces]
+        assert all(any(is_isomorphic(P, X) for X in parts) for P in upper)
+        assert coresolution(a2, parts) is not None
+    assert approximated
+    assert not any(is_isomorphic(M, P) for M in approximated for P in upper)
+    approximated.clear()
+    assert coresolution(a2, basic_summands(regular_module(a2))) is not None
+    assert approximated == []
 
 
 def test_certify_raises_on_non_tilting(a2):

@@ -4,8 +4,11 @@ from pathlib import Path
 import pytest
 
 from reptilt.catalog import duplicated, kronecker_quiver, linear_quiver
+from reptilt.field import _mpq
+from reptilt.homological import minimal_resolution
 from reptilt.quiver import Quiver
-from reptilt.replicated import ReplicatedAlgebra, direct_sum
+from reptilt.replicated import (ReplicatedAlgebra, RMap, _structure_maps,
+                                direct_sum, hom_basis_r)
 from reptilt.tilting import Catalog, complement_fan
 from reptilt.tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
                                 graph_to_json, mutate_all, record_key,
@@ -198,3 +201,33 @@ def test_bfs_json_is_the_same_after_the_oracle(n):
     if n == 2:
         golden = GOLDEN / "tilting_quiver_duplicated_a2.json"
         assert alone == golden.read_text()
+
+
+def _matrices(x):
+    """The matrices of a map (its cells), of a module (its structure maps)
+    or of each value of an exchange witness."""
+    if isinstance(x, dict):
+        return [m for y in x.values() for m in _matrices(y)]
+    if isinstance(x, RMap):
+        return list(x.comps.values())
+    return [m for *_, m in _structure_maps(x)]
+
+
+def test_rational_entries_are_ints_or_exact_rationals(a2_graph):
+    """Exactness over QQ: every entry of the tilting-quiver records and
+    exchange witnesses of duplicated A2, of the Hom bases between their
+    parts and of the parts' minimal resolutions is an int or the exact
+    rational type, never a float."""
+    parts = list({id(X): X for record in a2_graph.vertices
+                  for X, _ in record.pieces}.values())
+    mats = [m for *_, witness in a2_graph.arrows for m in _matrices(witness)]
+    for X in parts:
+        mats += _matrices(X)
+        res = minimal_resolution(X)
+        for d in res.maps + [res.augmentation]:
+            mats += _matrices(d)
+        for Y in parts:
+            for h in hom_basis_r(X, Y):
+                mats += _matrices(h)
+    kinds = {type(x) for m in mats for row in m.data for x in row}
+    assert int in kinds and kinds <= {int, _mpq}
