@@ -21,6 +21,14 @@ def _normal(q):
     return int(q) if q.denominator == 1 else q
 
 
+def _exact(x):
+    """A "p/q" string as a Fraction; a float, whose binary value is not the
+    decimal it spells, is refused."""
+    if isinstance(x, float):
+        raise TypeError("float entry %r: give an int or a 'p/q' string" % x)
+    return Fraction(x) if isinstance(x, str) else x
+
+
 class Rationals:
     """The field of rational numbers (default ground field).  Integral
     values are Python ints: ``+ - * ==`` stay exact on int/rational mixes,
@@ -33,6 +41,7 @@ class Rationals:
     def of(self, x):
         if type(x) is int:
             return x
+        x = _exact(x)
         if isinstance(x, Fraction):
             return _normal(_mpq(x.numerator, x.denominator))
         return _normal(_mpq(x))
@@ -111,6 +120,7 @@ class PrimeField:
     def of(self, x):
         if isinstance(x, GFElement):
             return x
+        x = _exact(x)
         if isinstance(x, Fraction):
             num = GFElement(self.p, x.numerator)
             den = GFElement(self.p, x.denominator)

@@ -38,9 +38,6 @@ class Rep:
     def total_dim(self):
         return sum(self.dims.values())
 
-    def is_zero(self):
-        return self.total_dim == 0
-
     def __repr__(self):
         return "Rep(%s)" % ({v: d for v, d in self.dims.items() if d},)
 

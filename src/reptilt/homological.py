@@ -158,9 +158,9 @@ def ext_table(M, N):
     With r_k the rank of g -> g o d_k (r_0 = r_{pd M + 1} = 0),
     Ext^i = dim Hom(P_i, N) - r_i - r_{i+1}; each d_k is built once."""
     memo = M.cache.setdefault("ext", {})
-    got = memo.get(id(N))
-    if got is not None and got[0] is N:
-        return got[1]
+    table = memo.get(N)
+    if table is not None:
+        return table
     table = []
     if not (M.is_zero() or N.is_zero()):
         res = minimal_resolution(M)
@@ -168,7 +168,7 @@ def ext_table(M, N):
                    for k in range(1, res.length + 1)] + [0]
         table = [sum(N.dims(j, v) for (v, j) in res.summands[i])
                  - r[i] - r[i + 1] for i in range(res.length + 1)]
-    memo[id(N)] = (N, table)
+    memo[N] = table
     return table
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from fractions import Fraction
 from types import MappingProxyType
 
 from .field import QQ
@@ -621,19 +620,6 @@ def rmap_vector(g):
     return [x for m in g.comps.values() for row in m.data for x in row]
 
 
-def _rmap_from_vector(M, N, vec):
-    """The map M -> N whose ``rmap_vector`` is ``vec``."""
-    f = M.algebra.field
-    comps = {}
-    pos = 0
-    for i, v in M.algebra.cells:
-        r, c = N.levels[i].dims[v], M.levels[i].dims[v]
-        comps[(i, v)] = Mat(r, c, [vec[pos + a * c:pos + (a + 1) * c]
-                                   for a in range(r)], f)
-        pos += r * c
-    return RMap(M, N, comps, check=False)
-
-
 class HomSpace:
     """Hom(M, N) with its canonical basis.
 
@@ -643,15 +629,28 @@ class HomSpace:
     coordinates of a map are its entries at the pivots.
     """
 
-    __slots__ = ("source", "target", "basis", "vectors", "pivots", "ambient")
+    __slots__ = ("source", "target", "offsets", "ambient", "vectors",
+                 "pivots", "basis")
 
-    def __init__(self, source, target, basis, vectors, pivots, ambient):
+    def __init__(self, source, target, offsets, ambient, vectors, pivots):
         self.source = source
         self.target = target
-        self.basis = basis          # list of RMap
-        self.vectors = vectors      # their rmap_vector, one list each
-        self.pivots = pivots
+        self.offsets = offsets      # cell -> where its block starts
         self.ambient = ambient      # length of rmap_vector of a map M -> N
+        self.vectors = vectors      # the basis in rmap_vector, one list each
+        self.pivots = pivots
+        self.basis = [self._map(vec) for vec in vectors]   # list of RMap
+
+    def _map(self, vec):
+        """The map M -> N whose ``rmap_vector`` is ``vec``."""
+        M, N = self.source, self.target
+        f = M.algebra.field
+        comps = {}
+        for (i, v), pos in self.offsets.items():
+            r, c = N.levels[i].dims[v], M.levels[i].dims[v]
+            comps[(i, v)] = Mat(r, c, [vec[pos + a * c:pos + (a + 1) * c]
+                                       for a in range(r)], f)
+        return RMap(M, N, comps, check=False)
 
     def _combination(self, coeffs):
         """``rmap_vector`` of sum_k coeffs[k] basis[k] (field elements)."""
@@ -669,8 +668,7 @@ class HomSpace:
             raise ValueError("%d coefficients for a Hom space of dimension %d"
                              % (len(coeffs), len(self.basis)))
         field = self.source.algebra.field
-        vec = self._combination([field.of(c) for c in coeffs])
-        return _rmap_from_vector(self.source, self.target, vec)
+        return self._map(self._combination([field.of(c) for c in coeffs]))
 
     def coords(self, g):
         """Coordinates of g in the basis.  Raises ValueError when g is not a
@@ -703,11 +701,9 @@ def hom_space(M, N):
     if N.algebra is not M.algebra:
         raise ValueError("modules over different algebras")
     memo = M.cache.setdefault("hom", {})
-    got = memo.get(id(N))
-    if got is not None and got.target is N:
-        return got
-    space = _hom_basis_r(M, N)
-    memo[id(N)] = space
+    space = memo.get(N)
+    if space is None:
+        space = memo[N] = _hom_basis_r(M, N)
     return space
 
 
@@ -758,9 +754,8 @@ def _hom_basis_r(M, N):
         rows += _commutation_rows(x_n, x_m, src, tgt, offsets, total, f.zero)
     sysmat = Mat(len(rows), total, rows, f) if rows else Mat.zeros(0, total, f)
     ker = kernel_basis(sysmat)
-    vectors = [ker.basis.col(k) for k in range(ker.dim)]
-    basis = [_rmap_from_vector(M, N, vec) for vec in vectors]
-    return HomSpace(M, N, basis, vectors, ker.pivot_rows, total)
+    return HomSpace(M, N, offsets, total,
+                    [ker.basis.col(k) for k in range(ker.dim)], ker.pivot_rows)
 
 
 # -- maps out of projectives -----------------------------------------
@@ -826,7 +821,7 @@ def _mat_to_json(m):
 
 
 def _mat_from_json(obj, field):
-    data = [[field.of(Fraction(x)) for x in row] for row in obj["entries"]]
+    data = [[field.of(x) for x in row] for row in obj["entries"]]
     return Mat(obj["rows"], obj["cols"], data, field)
 
 

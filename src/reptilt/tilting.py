@@ -89,11 +89,6 @@ def certify(alg, parts):
     return TiltingRecord(alg, parts) if delta_ok else None
 
 
-def is_tilting(M):
-    """Tilting test with dual certificates; disagreement is fatal."""
-    return certify(M.algebra, basic_summands(M)) is not None
-
-
 def certify_tilting(M):
     """TiltingRecord for a tilting module (raises when M is not tilting)."""
     record = certify(M.algebra, basic_summands(M))
@@ -126,8 +121,9 @@ class Catalog:
 
     @staticmethod
     def parts_key(parts):
-        """Identity key for a multiset of canonical representatives."""
-        return tuple(sorted(id(p) for p in parts))
+        """The key of a set of canonical representatives: the set itself.
+        A module hashes by identity, so the key holds its nodes alive."""
+        return frozenset(parts)
 
     def canonical(self, M):
         bucket = self.by_grid.setdefault(M.dim_grid().key(), [])
@@ -148,7 +144,7 @@ class Catalog:
             from .arknit import enumerate_indecomposables
             nodes = [self.canonical(N)
                      for N in enumerate_indecomposables(self.algebra)]
-            if len(set(map(id, nodes))) < len(nodes):
+            if len(set(nodes)) < len(nodes):
                 raise RuntimeError("the enumeration of indecomposables "
                                    "lists an isomorphism class twice")
             self.nodes = nodes
@@ -171,7 +167,7 @@ class Catalog:
         if not is_indecomposable(X):
             return None
         node = self.canonical(X)
-        if any(node is Y for Y in parts):
+        if node in parts:
             return None
         return node if self.is_tilting(parts + [node]) else None
 
@@ -207,11 +203,11 @@ class Catalog:
         Ext-orthogonal; its modules are replaced by their nodes."""
         nodes = self.indecomposables()
         chosen = [self.canonical(X) for X in chosen]
-        pool = [X for X in nodes if not any(X is Y for Y in chosen)]
+        pool = [X for X in nodes if X not in chosen]
         target = self.algebra.delta
-
-        def orthogonal(X, Y):
-            return _ext_orthogonal(X, Y) and _ext_orthogonal(Y, X)
+        # a node is its own partner when it is self-orthogonal
+        partners = {X: {Y for Y in nodes if _ext_orthogonal(X, Y)
+                        and _ext_orthogonal(Y, X)} for X in nodes}
 
         def extend(chosen, start):
             if len(chosen) == target:
@@ -222,7 +218,7 @@ class Catalog:
                 return
             for idx in range(start, len(pool)):
                 X = pool[idx]
-                if all(orthogonal(X, Y) for Y in [X] + chosen):
+                if X in partners[X] and partners[X].issuperset(chosen):
                     yield from extend(chosen + [X], idx + 1)
 
         return extend(chosen, 0)

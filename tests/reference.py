@@ -2,7 +2,8 @@
 
 None of this is reached by the command line or the benchmark: the AR
 translate and its almost split sequences and AR quiver, the Hom builder of
-the base quiver, and a few predicates.  They stay as independent checks of
+the base quiver, a few predicates and the grouping of the tilting oracle by
+its almost complete parts.  They stay as independent checks of
 the library: ``translate`` against ``translate_inverse``, ``hom_basis``
 against ``hom_basis_r``, and ``all_of_kind`` (Krull-Schmidt plus an
 isomorphism search) against the dimension counts ``is_projective`` and
@@ -24,6 +25,7 @@ from reptilt.replicated import (SummandMaps, block_map, blocks, direct_sum,
                                 hom_basis_r, hom_space, identity_rmap,
                                 injective, kernel, map_from_projective,
                                 projective, radical_subspaces, zero_rmap)
+from reptilt.tilting import Catalog, certify
 
 
 # -- base-quiver morphisms and Hom ------------------------------------
@@ -119,6 +121,24 @@ def all_of_kind(parts, kind):
                    for v in p.algebra.quiver.vertices
                    for i in range(p.algebra.m + 1))
                for p in parts)
+
+
+def is_tilting(M):
+    """Tilting test with dual certificates; disagreement is fatal."""
+    return certify(M.algebra, basic_summands(M)) is not None
+
+
+def almost_complete(oracle):
+    """Each almost complete part T_bar of the oracle's tilting modules, by
+    ``Catalog.parts_key``: (T_bar's parts, its partners in oracle order).
+    The census step of CI reads it as well."""
+    out = {}
+    for record in oracle:
+        parts = [X for X, _ in record.pieces]
+        for drop, X in enumerate(parts):
+            rest = parts[:drop] + parts[drop + 1:]
+            out.setdefault(Catalog.parts_key(rest), (rest, []))[1].append(X)
+    return out
 
 
 def _inclusions(M):

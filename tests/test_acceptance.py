@@ -16,12 +16,12 @@ from reptilt.krullschmidt import basic_summands, decompose, is_isomorphic
 from reptilt.quiver import Quiver
 from reptilt.replicated import (ReplicatedAlgebra, direct_sum, injective,
                                 projective)
-from reptilt.tilting import (Catalog, complement_fan,
-                             complete_partial_tilting, is_partial_tilting)
+from reptilt.tilting import (complement_fan, complete_partial_tilting,
+                             is_partial_tilting)
 from reptilt.tiltquiver import (exhaustive_tilting_oracle, explore,
                                 records_isomorphic)
 
-from reference import is_radical_valued
+from reference import almost_complete, is_radical_valued
 
 
 def report(n, ok, detail):
@@ -137,34 +137,26 @@ def test_criterion_6_complement_distribution(small_algebras, oracles):
     for alg, oracle in [(small_algebras[0], oracles[0]),
                         (small_algebras[2], oracles[2])]:
         m = alg.m
-        seen = set()
-        for record in oracle:
-            parts = [X for X, _ in record.pieces]
-            for drop in range(len(parts)):
-                rest = parts[:drop] + parts[drop + 1:]
-                key = Catalog.parts_key(rest)
-                if key in seen:
-                    continue
-                seen.add(key)
-                T_bar, _, _ = direct_sum(alg, rest)
-                if pd(T_bar) > m or not is_faithful(T_bar):
-                    continue
-                fan = complement_fan(T_bar, seed=parts[drop])
-                low = [p for _, p in fan.complements if p <= m]
-                assert len(low) == m + 1, str(fan.pds)
-                chain = fan.pds[:m + 1]
-                if chain[0] == 0:
-                    assert chain == list(range(m + 1)), str(chain)
-                else:
-                    t = pd(T_bar)
-                    js = [j for j in range(t)
-                          if chain[j] == j + 1
-                          and (j + 1 > m or chain[j + 1] == j + 1)]
-                    assert len(js) == 1, str(chain)
-                    j = js[0]
-                    assert all(chain[i] == i + 1 for i in range(j + 1))
-                    assert all(chain[i] == i for i in range(j + 1, m + 1))
-                checked += 1
+        for rest, partners in almost_complete(oracle).values():
+            T_bar, _, _ = direct_sum(alg, rest)
+            if pd(T_bar) > m or not is_faithful(T_bar):
+                continue
+            fan = complement_fan(T_bar, seed=partners[0])
+            low = [p for _, p in fan.complements if p <= m]
+            assert len(low) == m + 1, str(fan.pds)
+            chain = fan.pds[:m + 1]
+            if chain[0] == 0:
+                assert chain == list(range(m + 1)), str(chain)
+            else:
+                t = pd(T_bar)
+                js = [j for j in range(t)
+                      if chain[j] == j + 1
+                      and (j + 1 > m or chain[j + 1] == j + 1)]
+                assert len(js) == 1, str(chain)
+                j = js[0]
+                assert all(chain[i] == i + 1 for i in range(j + 1))
+                assert all(chain[i] == i for i in range(j + 1, m + 1))
+            checked += 1
     report(6, checked > 0,
            "%d faithful low-pd almost complete modules match the "
            "m+1-complement distribution patterns" % checked)

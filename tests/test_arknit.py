@@ -35,6 +35,21 @@ def test_dynkin_guard():
     assert not is_dynkin(dtilde4_quiver())   # degree-4 branch vertex
     d4 = Quiver([1, 2, 3, 4], [("a", 2, 1), ("b", 3, 1), ("c", 4, 1)])
     assert is_dynkin(d4)
+    # D~5: two branch vertices, 2 and 5
+    assert not is_dynkin(Quiver([1, 2, 3, 4, 5, 6], [
+        ("a", 1, 2), ("b", 3, 2), ("c", 2, 5), ("d", 4, 5), ("e", 6, 5)]))
+    # three arms of the given lengths, arrows pointing to the branch vertex
+    # 0: D5, D6, E6, E7 and E8, then E~6, E~7 and E~8
+    for arms, dynkin in [
+            ((1, 1, 2), True), ((1, 1, 3), True), ((1, 2, 2), True),
+            ((1, 2, 3), True), ((1, 2, 4), True),
+            ((2, 2, 2), False), ((1, 3, 3), False), ((1, 2, 5), False)]:
+        arrows, n = [], 0
+        for length in arms:
+            arrows += [("a%d" % (n + k), n + k, n + k - 1 if k > 1 else 0)
+                       for k in range(1, length + 1)]
+            n += length
+        assert is_dynkin(Quiver(list(range(n + 1)), arrows)) is dynkin, arms
 
 
 def test_enumeration_refuses_non_dynkin():

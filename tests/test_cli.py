@@ -106,6 +106,11 @@ def test_input_errors_exit_2(files, capsys):
                    "maps": {"a1": [[1], [0, 1]]}}},
         {"sum": 5},
         {"raw": {"m": 1, "levels": 3, "connectors": []}},
+        {"proj": [1, 0], "inj": [1, 1]},
+        [{"proj": [1, 0]}],
+        # Hom(P(2, 0), S(2, 0)) has dimension 1
+        {"kernel": {"from": {"proj": [2, 0]}, "to": {"simple": [2, 0]},
+                    "coeffs": [1, 0]}},
     ]
     # raw modules that break one module axiom each: e2* must equal a1* a1
     # (right rule), a1 a1* must equal e1* (left rule), plus a shape and the
@@ -152,9 +157,14 @@ def test_input_errors_exit_2(files, capsys):
     assert len(err) == 1 and err[0].startswith("input error:"), err
     assert "does not vanish" in err[0], err
     mod = write("regular.json", {"regular": True})
-    assert main(["--field", "fp:4", "check-tilting", alg, mod]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("input error:"), err
+    no_arrows = write("no_arrows.json", {"vertices": [1, 2]})
+    for argv in (["--field", "fp:4", "check-tilting", alg, mod],
+                 ["--field", "r", "check-tilting", alg, mod],
+                 ["check-tilting", no_arrows, mod],
+                 ["check-tilting", alg, str(tmp_path / "missing.json")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:"), err
 
 
 @pytest.mark.parametrize("m, expr", [
@@ -177,6 +187,48 @@ def test_malformed_integer_or_vertex_exits_2(files, capsys, m, expr):
     assert main(["check-tilting", alg, mod]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error:"), err
+
+
+def test_cosyzygy_expression(files):
+    # cosyzygy(S(2, 0)) completes P(1, 1), P(2, 0) and P(2, 1) to a tilting
+    # module of duplicated A2
+    write, _ = files
+    mod = write("mod.json", {"sum": [
+        {"proj": [1, 1]}, {"proj": [2, 0]}, {"proj": [2, 1]},
+        {"cosyzygy": {"simple": [2, 0]}}]})
+    assert run(files, ["check-tilting", write("alg.json", A2), mod])[0] == 0
+
+
+def _scalar_exprs(x):
+    """An embed map and kernel and cokernel coefficients over duplicated A2
+    that read the scalar ``x``."""
+    return [{"embed": {"level": 0, "dims": {"1": 1, "2": 1},
+                       "maps": {"a1": [[x]]}}},
+            {"kernel": {"from": {"proj": [2, 0]}, "to": {"simple": [2, 0]},
+                        "coeffs": [x]}},
+            {"cokernel": {"from": {"proj": [1, 0]}, "to": {"proj": [2, 0]},
+                          "coeffs": [x]}}]
+
+
+@pytest.mark.parametrize("field", ["q", "fp:101"])
+def test_float_entries_exit_2(files, capsys, field):
+    # a float is read as its binary value (0.1 is 3602879701896397 /
+    # 36028797018963968), not as the decimal it spells, so it is refused;
+    # an int or a "p/q" string is read exactly
+    write, _ = files
+    alg = write("alg.json", A2)
+    floats = _scalar_exprs(0.1) + _scalar_exprs(1.0) + [
+        _raw_a2(2, "e2", [[1.0]])]
+    for k, expr in enumerate(floats):
+        mod = write("float%d.json" % k, expr)
+        assert main(["--field", field, "check-tilting", alg, mod]) == 2, expr
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:"), err
+        assert "float" in err[0], err
+    exact = _scalar_exprs(1) + _scalar_exprs("1/2") + _scalar_exprs("-3")
+    for k, expr in enumerate(exact + [_raw_a2(2)]):
+        mod = write("exact%d.json" % k, expr)
+        assert main(["--field", field, "check-tilting", alg, mod]) == 1, expr
 
 
 def test_complements_fan(files):

@@ -21,10 +21,10 @@ from reptilt import tilting
 from reptilt.tilting import (Catalog, _level0_faithful, bongartz_complete,
                              certify, certify_tilting, classify_duplicated,
                              complement_fan, complete_partial_tilting,
-                             coresolution, is_partial_tilting, is_tilting)
+                             coresolution, is_partial_tilting)
 from reptilt.tiltquiver import exhaustive_tilting_oracle
 
-from reference import _base_rep_faithful
+from reference import _base_rep_faithful, almost_complete, is_tilting
 
 
 @pytest.fixture(scope="module")
@@ -220,19 +220,11 @@ def test_fans_match_exhaustive_partner_sets(a2, a2_oracle):
             (a2, a2_oracle, {1: 18, 2: 3, 3: 4}, (25, 36, 11)),
             (a2m2, exhaustive_tilting_oracle(a2m2), {1: 88, 4: 11},
              (99, 132, 33))]:
-        partners = {}      # parts_key(rest) -> list of complements
-        rests = {}
-        for record in oracle:
-            parts = [X for X, _ in record.pieces]
-            for drop in range(len(parts)):
-                rest = parts[:drop] + parts[drop + 1:]
-                key = Catalog.parts_key(rest)
-                partners.setdefault(key, []).append(parts[drop])
-                rests[key] = rest
+        groups = almost_complete(oracle)
         catalog = Catalog.of(alg)
-        for key, expected in partners.items():
+        for key, (parts, expected) in groups.items():
             grids = []
-            rest, _, _ = direct_sum(alg, rests[key])
+            rest, _, _ = direct_sum(alg, parts)
             for seed in expected + [None]:
                 # the chain is cached in the algebra's catalog: drop it so
                 # that every seed walks the fan
@@ -244,8 +236,8 @@ def test_fans_match_exhaustive_partner_sets(a2, a2_oracle):
                 _assert_exact_witnesses(alg, fan)
                 grids.append(_fan_grids(fan))
             assert all(g == grids[0] for g in grids)
-        assert Counter(len(e) for e in partners.values()) == sizes
-        fans = [len(e) for e in partners.values()]
+        fans = [len(e) for _, e in groups.values()]
+        assert Counter(fans) == sizes
         assert (len(fans), sum(fans), sum(n - 1 for n in fans)) == census
         assert sum(fans) == alg.delta * len(oracle)
 
@@ -295,20 +287,11 @@ def test_fan_certifies_each_set_of_parts_once(fixture, monkeypatch):
 
 
 def test_fan_pds_are_unimodal_bottom_up(a2, a2_oracle):
-    seen = set()
-    for record in a2_oracle:
-        parts = [X for X, _ in record.pieces]
-        for drop in range(len(parts)):
-            rest = parts[:drop] + parts[drop + 1:]
-            key = Catalog.parts_key(rest)
-            if key in seen:
-                continue
-            seen.add(key)
-            T_bar, _, _ = direct_sum(a2, rest)
-            fan = complement_fan(T_bar, seed=parts[drop])
-            pds = fan.pds
-            # the walk goes bottom-up, so pds never decrease
-            assert pds == sorted(pds)
+    for rest, partners in almost_complete(a2_oracle).values():
+        T_bar, _, _ = direct_sum(a2, rest)
+        pds = complement_fan(T_bar, seed=partners[0]).pds
+        # the walk goes bottom-up, so pds never decrease
+        assert pds == sorted(pds)
 
 
 def test_complete_partial_tilting_with_candidates(a2):

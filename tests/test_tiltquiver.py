@@ -9,10 +9,12 @@ from reptilt.homological import minimal_resolution
 from reptilt.quiver import Quiver
 from reptilt.replicated import (ReplicatedAlgebra, RMap, _structure_maps,
                                 direct_sum, hom_basis_r)
-from reptilt.tilting import Catalog, complement_fan
+from reptilt.tilting import complement_fan
 from reptilt.tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
                                 graph_to_json, mutate_all, record_key,
                                 records_isomorphic)
+
+from reference import almost_complete
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -160,17 +162,10 @@ def test_bfs_walks_each_almost_complete_part_once(m, calls, arrows,
     assert (len(made), sum(made), len(graph.arrows)) == (calls, arrows,
                                                          arrows)
     del made[:]
-    partners, rests = {}, {}
-    for record in exhaustive_tilting_oracle(alg):
-        parts = [X for X, _ in record.pieces]
-        for drop in range(len(parts)):
-            rest = parts[:drop] + parts[drop + 1:]
-            key = Catalog.parts_key(rest)
-            partners.setdefault(key, set()).add(id(parts[drop]))
-            rests[key] = rest
-    for key, expected in partners.items():
-        fan = complement_fan(direct_sum(alg, rests[key])[0])
-        assert {id(X) for X, _ in fan.complements} == expected
+    for rest, expected in almost_complete(
+            exhaustive_tilting_oracle(alg)).values():
+        fan = complement_fan(direct_sum(alg, rest)[0])
+        assert {X for X, _ in fan.complements} == set(expected)
     assert made == []
 
 
