@@ -6,50 +6,17 @@ from __future__ import annotations
 
 from .homological import cokernel, injective_envelope_with_data, is_injective
 from .krullschmidt import is_indecomposable
-from .linalg import Mat
-from .replicated import (RMap, block_map, blocks, direct_sum, hom_space,
-                         injective, map_from_projective, projective, zero_rmap)
-
-
-def iota_path_map(alg, p):
-    """The map I(t(p), m) -> I(s(p), m) between the level-m injectives
-    induced by the path p (dual of left multiplication): r* -> x* when
-    r = (x then p)."""
-    src = injective(alg, p.target, alg.m)
-    tgt = injective(alg, p.source, alg.m)
-    comps = {}
-    for u in alg.quiver.vertices:
-        rs = src.levels[alg.m].path_basis[u]
-        index = {x.arrows: k
-                 for k, x in enumerate(tgt.levels[alg.m].path_basis[u])}
-        m = Mat.zeros(len(index), len(rs), alg.field)
-        for c, r in enumerate(rs):
-            cut = len(r.arrows) - len(p.arrows)
-            if cut >= 0 and r.arrows[cut:] == p.arrows:
-                m.data[index[r.arrows[:cut]]][c] = alg.field.one
-        comps[(alg.m, u)] = m
-    return RMap(src, tgt, comps, check=False)
+from .replicated import (block_map, blocks, direct_sum, map_from_projective,
+                         projective)
 
 
 def _nu_inverse_block(alg, h, v, i, w, j):
-    """nu-inverse of a map I(v,i) -> I(w,j), as a map P(v,i) -> P(w,j)."""
-    if i < alg.m:
-        comp = h.component(i + 1, v)
-        coords = [comp.data[r][0] for r in range(comp.rows)]
-        return map_from_projective(alg, v, i, projective(alg, w, j), coords)
-    if j < alg.m:
-        if not h.is_zero():
-            raise RuntimeError("impossible inverse Nakayama block")
-        return zero_rmap(projective(alg, v, alg.m), projective(alg, w, j))
-    # decompose h over the path-induced maps I(v,m) -> I(w,m)
-    paths = alg.base_projective(w).path_basis[v]
-    iotas = [iota_path_map(alg, p) for p in paths]
-    space = hom_space(injective(alg, v, alg.m), injective(alg, w, alg.m))
-    sol = space.solve(iotas, [h])
-    if sol is None:
-        raise RuntimeError("level-m injective map is not path-induced")
-    return map_from_projective(alg, v, alg.m, projective(alg, w, alg.m),
-                               sol.col(0))
+    """nu-inverse of a map h: I(v, i) -> I(w, j), as a map P(v, i) ->
+    P(w, j).  h is determined by its socle functional, the single row of h
+    at (j, w); by Hom(M, I(w, j)) = D(M at (j, w)) that row lists the
+    generator image of the block in P(w, j) at (i, v)."""
+    return map_from_projective(alg, v, i, projective(alg, w, j),
+                               h.component(j, w).data[0])
 
 
 def translate_inverse(M):

@@ -9,8 +9,8 @@ from .replicated import (RMap, block_map, cokernel, direct_sum,
                          generator_action, hom_space, image_subspaces,
                          injective, kernel, map_from_projectives, projective,
                          quotient_with_sections, radical_subspaces,
-                         regular_module, socle, socle_subspaces,
-                         summand_offsets, summands_of)
+                         regular_module, socle_subspaces, summand_offsets,
+                         summands_of)
 
 
 class Resolution:
@@ -48,25 +48,19 @@ def projective_cover(M):
 
 def _cover_with_data(M):
     """(P, epi, labels): one P(v, i) per basis vector of top(M) at (i, v),
-    its generator sent to a lift of that vector.  The lifts are taken
-    through the projection of M at (i, v) onto its quotient by rad M, so
+    its generator sent to the unit vector at a row of M at (i, v) that is
+    not a pivot row of rad M's echelon basis there (the section of
+    ``quotient_basis``).  Those unit vectors span a complement of rad M, so
     neither rad M nor top M is built as a module."""
     alg = M.algebra
-    f = alg.field
     rad = radical_subspaces(M)
     labels = []
     groups = []
     for i, v in alg.cells:
-        proj, _ = quotient_basis(M.dims(i, v), rad[(i, v)])
-        d = proj.rows
-        if not d:
-            continue
-        # lift each top basis vector through the quotient projection
-        lifts = solve_matrix(proj, Mat.identity(d, f))
-        if lifts is None:
-            raise RuntimeError("top projection is not surjective")
-        labels.extend([(v, i)] * d)
-        groups.append((v, i, lifts))
+        _, lifts = quotient_basis(M.dims(i, v), rad[(i, v)])
+        if lifts.cols:
+            labels.extend([(v, i)] * lifts.cols)
+            groups.append((v, i, lifts))
     if not labels:
         raise ValueError("projective cover of the zero module")
     P, _, _ = direct_sum(alg, [projective(alg, v, i) for (v, i) in labels])
@@ -201,46 +195,33 @@ def syzygy(M):
 
 
 def injective_envelope(M):
-    """The injective envelope (E, mono), with the mono extending the socle
-    inclusion (solved as a linear system; solvability is injectivity)."""
+    """The injective envelope (E, mono)."""
     E, mono, _ = injective_envelope_with_data(M)
     return E, mono
 
 
 def injective_envelope_with_data(M):
     """Envelope plus the (v, i) labels of its summands I(v, i), in the order
-    of the direct sum E: (E, mono, labels)."""
+    of the direct sum E: (E, mono, labels).
+
+    Hom(M, I(v, i)) is D(M at (i, v)): the basis of I(v, i) at (lev, w)
+    lists that of P(w, lev) at (i, v), so the map of the coordinate
+    functional at row r of M at (i, v) has, at (lev, w), the rows r of the
+    generator actions of P(w, lev) at (i, v).  Copy k of I(v, i) takes the
+    k-th pivot row of soc M at (i, v); the socle's echelon basis is the
+    identity at its pivot rows, so the map is mono on soc M, hence on M."""
     alg = M.algebra
-    f = alg.field
-    S, sincl = socle(M)
-    labels = []
-    for i, v in alg.cells:
-        labels.extend([(v, i)] * S.dims(i, v))
-    if not labels:
+    soc = socle_subspaces(M)
+    picks = [(v, i, r) for i, v in alg.cells for r in soc[(i, v)].pivot_rows]
+    if not picks:
         raise ValueError("injective envelope of the zero module")
-    injs = [injective(alg, v, i) for (v, i) in labels]
-    E, _, _ = direct_sum(alg, injs)
-    # canonical map S -> E hitting the socle of each injective copy
-    counters = {}
-    column = []
-    for (v, i), I in zip(labels, injs):
-        c = counters.get((v, i), 0)
-        counters[(v, i)] = c + 1
-        # socle coordinate of I: the e_v functional at (level i, vertex v)
-        soc_idx = next(j for j, p in enumerate(I.levels[i].path_basis[v])
-                       if not p.arrows)
-        comp = Mat.zeros(I.levels[i].dims[v], S.dims(i, v), f)
-        comp.data[soc_idx][c] = f.one
-        column.append([RMap(S, I, {(i, v): comp}, check=False)])
-    sigma = block_map(S, E, column)
-    # extend sigma over M: find h in Hom(M, E) with h o sincl = sigma,
-    # solved in Hom(S, E) coordinates
-    space = hom_space(M, E)
-    sol = hom_space(S, E).solve([h.compose(sincl) for h in space.basis],
-                                [sigma])
-    if sol is None:
-        raise RuntimeError("socle inclusion does not extend (not injective?)")
-    mono = space.combine(sol.col(0))
+    labels = [(v, i) for v, i, _ in picks]
+    E, _, _ = direct_sum(alg, [injective(alg, v, i) for (v, i) in labels])
+    mono = RMap(M, E, {
+        (lev, w): Mat(E.dims(lev, w), M.dims(lev, w),
+                      [a.data[r][:] for v, i, r in picks
+                       for a in generator_action(M, w, lev, i, v)], alg.field)
+        for lev, w in alg.cells}, check=False)
     if not mono.is_mono():
         raise RuntimeError("injective envelope map is not injective")
     return E, mono, labels

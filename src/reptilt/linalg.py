@@ -64,10 +64,6 @@ class Mat:
 
     # -- basic algebra ------------------------------------------------
 
-    def copy(self):
-        return Mat._of(self.rows, self.cols, [row[:] for row in self.data],
-                       self.field)
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -89,10 +85,6 @@ class Mat:
         return Mat._of(self.rows, self.cols,
                        [[a - b for a, b in zip(r1, r2)]
                         for r1, r2 in zip(self.data, other.data)], self.field)
-
-    def __neg__(self):
-        return Mat._of(self.rows, self.cols,
-                       [[-a for a in r] for r in self.data], self.field)
 
     def scale(self, c):
         c = self.field.of(c)

@@ -572,10 +572,13 @@ def cokernel(f):
 def radical_subspaces(M):
     """rad M at each (level, vertex): the column space of the structure
     maps into it, the arrow images within the level and the connector
-    matrices from the level above, the zero subspace where there are none."""
+    matrices from the level above, the zero subspace where there are none.
+    Only the connectors of the paths from a source to a sink are needed:
+    any other q extends to q.a or b.q, and Phi_q = Phi_{q.a} M_a lies in
+    the image of Phi_{q.a}, or Phi_q = M_b Phi_{b.q} in the image of M_b."""
     f = M.algebra.field
     into = {}
-    for _, tgt, _, x in _structure_maps(M):
+    for _, tgt, _, x in _structure_maps(M, M.algebra.quiver.maximal_paths):
         into.setdefault(tgt, []).append(x)
     return _all_subspaces(M, {c: column_space(Mat.hstack(xs, field=f))
                               for c, xs in into.items()})

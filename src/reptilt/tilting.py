@@ -76,9 +76,16 @@ def coresolution(alg, parts):
 
 def certify(alg, parts):
     """The TiltingRecord of T = (+) parts, or None when T is not tilting;
-    ``parts`` are pairwise non-isomorphic indecomposables.  Both the delta
-    criterion and the coresolution certificate run on a partial tilting T,
-    and their disagreement is fatal."""
+    ``parts`` are pairwise non-isomorphic indecomposables, and two
+    isomorphic parts (compared only when their dim grids are equal) are a
+    ValueError.  Both the delta criterion and the coresolution certificate
+    run on a partial tilting T, and their disagreement is fatal."""
+    by_grid = {}
+    for X in parts:
+        same = by_grid.setdefault(X.dim_grid(), [])
+        if any(_indec_isomorphic(X, Y) for Y in same):
+            raise ValueError("isomorphic parts of dim grid %s" % X.dim_grid())
+        same.append(X)
     partial = _self_orthogonal(parts)
     delta_ok = partial and len(parts) == alg.delta
     cores_ok = partial and coresolution(alg, parts) is not None

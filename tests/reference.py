@@ -15,16 +15,17 @@ module: pytest collects nothing here.
 from __future__ import annotations
 
 from reptilt.approx import left_approximation, right_approximation
-from reptilt.arknit import enumerate_indecomposables, iota_path_map
+from reptilt.arknit import enumerate_indecomposables
 from reptilt.homological import (cosyzygy, ext1_classes, is_projective,
                                  minimal_resolution, realize_extension)
 from reptilt.krullschmidt import (basic_summands, end_radical_basis,
                                   is_isomorphic, try_split)
 from reptilt.linalg import Mat, column_space, kernel_basis, rank
-from reptilt.replicated import (SummandMaps, block_map, blocks, direct_sum,
-                                hom_basis_r, hom_space, identity_rmap,
-                                injective, kernel, map_from_projective,
-                                projective, radical_subspaces, zero_rmap)
+from reptilt.replicated import (RMap, SummandMaps, block_map, blocks,
+                                direct_sum, hom_basis_r, hom_space,
+                                identity_rmap, injective, kernel,
+                                map_from_projective, projective,
+                                radical_subspaces, zero_rmap)
 from reptilt.tilting import Catalog, certify
 
 
@@ -240,6 +241,26 @@ def is_cogenerated_by(M, T):
 
 
 # -- AR translation, almost split sequences, the AR quiver ------------
+
+def iota_path_map(alg, p):
+    """The map I(t(p), m) -> I(s(p), m) between the level-m injectives
+    induced by the path p (dual of left multiplication): r* -> x* when
+    r = (x then p)."""
+    src = injective(alg, p.target, alg.m)
+    tgt = injective(alg, p.source, alg.m)
+    comps = {}
+    for u in alg.quiver.vertices:
+        rs = src.levels[alg.m].path_basis[u]
+        index = {x.arrows: k
+                 for k, x in enumerate(tgt.levels[alg.m].path_basis[u])}
+        m = Mat.zeros(len(index), len(rs), alg.field)
+        for c, r in enumerate(rs):
+            cut = len(r.arrows) - len(p.arrows)
+            if cut >= 0 and r.arrows[cut:] == p.arrows:
+                m.data[index[r.arrows[:cut]]][c] = alg.field.one
+        comps[(alg.m, u)] = m
+    return RMap(src, tgt, comps, check=False)
+
 
 def _nu_block(alg, f, v, i, w, j):
     """nu of a map P(v,i) -> P(w,j), as a map I(v,i) -> I(w,j)."""

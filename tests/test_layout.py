@@ -23,7 +23,7 @@ PERFBENCH = ROOT / "perfbench"
 # documented module operations that no command reaches, and
 # Quiver.to_json, the inverse of Quiver.from_json
 PUBLIC = {"complete_partial_tilting", "is_faithful", "image", "radical",
-          "top", "rmodule_to_json", "to_json"}
+          "socle", "top", "rmodule_to_json", "to_json"}
 
 
 def _names(node):

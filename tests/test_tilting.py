@@ -11,7 +11,8 @@ from reptilt.catalog import (d4_almost_complete_pd1, d4_almost_complete_pd2,
                              kronecker_almost_complete_pd3, kronecker_quiver,
                              linear_quiver)
 from reptilt.hereditary import Rep
-from reptilt.homological import injective_envelope, is_faithful, pd
+from reptilt.homological import (cosyzygy, injective_envelope, is_faithful,
+                                 pd)
 from reptilt.krullschmidt import (basic_summands, decompose, is_isomorphic)
 from reptilt.linalg import Mat
 from reptilt.replicated import (ReplicatedAlgebra, cokernel, direct_sum,
@@ -81,6 +82,17 @@ def test_certify_agrees_with_is_tilting_of_the_sum(a2, a2_oracle):
             assert record.algebra is a2
             assert len(record.pieces) == len(parts)
             assert all(X is Y for (X, _), Y in zip(record.pieces, parts))
+
+
+def test_certify_refuses_isomorphic_parts(a2):
+    # I(1, 0) is P(1, 1) itself; the one-summand sum is a distinct copy,
+    # and the delta count would take either for a fourth class
+    for twin in (injective(a2, 1, 0),
+                 direct_sum(a2, [projective(a2, 1, 1)])[0]):
+        parts = [projective(a2, 1, 1), projective(a2, 2, 0), twin,
+                 cosyzygy(simple(a2, 2, 0))]
+        with pytest.raises(ValueError, match="isomorphic parts"):
+            certify(a2, parts)
 
 
 def _whole_a_coresolution(alg, parts):

@@ -9,7 +9,7 @@ from reptilt.homological import minimal_resolution
 from reptilt.quiver import Quiver
 from reptilt.replicated import (ReplicatedAlgebra, RMap, _structure_maps,
                                 direct_sum, hom_basis_r)
-from reptilt.tilting import complement_fan
+from reptilt.tilting import Catalog, complement_fan
 from reptilt.tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
                                 graph_to_json, mutate_all, record_key,
                                 records_isomorphic)
@@ -48,6 +48,21 @@ def test_duplicated_a2_graph_equals_oracle(a2, a2_graph):
     assert len(a2_graph.vertices) == len(oracle) == 9
     for record in oracle:
         assert any(records_isomorphic(record, v) for v in a2_graph.vertices)
+
+
+def test_explore_from_each_oracle_record(a2):
+    # the seeded walk of the benchmark: from any vertex it closes up on the
+    # whole quiver, and the seed is vertex 0
+    def key(record):
+        return Catalog.parts_key([X for X, _ in record.pieces])
+
+    oracle = exhaustive_tilting_oracle(a2)
+    for record in oracle:
+        graph = explore(seed=record)
+        assert graph.exhausted
+        assert (len(graph.vertices), len(graph.arrows)) == (9, 11)
+        assert key(graph.vertices[0]) == key(record)
+        assert set(map(key, graph.vertices)) == set(map(key, oracle))
 
 
 def test_arrows_are_single_exchanges(a2_graph):
