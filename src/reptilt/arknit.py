@@ -4,38 +4,36 @@ Auslander-Reiten translation (computed via the inverse Nakayama functor)."""
 
 from __future__ import annotations
 
-from .homological import cokernel, injective_envelope_with_data, is_injective
+from .homological import (cokernel, envelope_copies,
+                          injective_envelope_with_data, is_injective)
 from .krullschmidt import is_indecomposable
-from .replicated import (block_map, blocks, direct_sum, map_from_projective,
-                         projective)
-
-
-def _nu_inverse_block(alg, h, v, i, w, j):
-    """nu-inverse of a map h: I(v, i) -> I(w, j), as a map P(v, i) ->
-    P(w, j).  h is determined by its socle functional, the single row of h
-    at (j, w); by Hom(M, I(w, j)) = D(M at (j, w)) that row lists the
-    generator image of the block in P(w, j) at (i, v)."""
-    return map_from_projective(alg, v, i, projective(alg, w, j),
-                               h.component(j, w).data[0])
+from .linalg import Mat
+from .replicated import (direct_sum, map_from_projectives, projective,
+                         summand_offsets, summands_of)
 
 
 def translate_inverse(M):
-    """The inverse AR translation: cokernel of nu-inverse applied to a
-    minimal injective copresentation."""
+    """The inverse AR translation: the cokernel of nu-inverse of a minimal
+    injective copresentation E0 -> E1 of M.  Copy (w, j, r) of E1, the
+    envelope of C = E0 / M, has the unit row r at (j, w), so its socle
+    functional on E0 is row r of the projection E0 -> C there; cut along
+    E0's copies, by Hom(X, I(w, j)) = D(X at (j, w)) it lists the images in
+    P(w, j) of the generators of nu-inverse E0."""
     alg = M.algebra
     E0, mono, labels0 = injective_envelope_with_data(M)
     C, cproj = cokernel(mono)
-    if C.is_zero():
+    copies1 = envelope_copies(C)
+    if not copies1:
         raise ValueError("inverse translation of an injective module")
-    E1, mono1, labels1 = injective_envelope_with_data(C)
-    g = blocks(mono1.compose(cproj))
-    p0 = direct_sum(alg, [projective(alg, v, i) for (v, i) in labels0])[0]
-    p1 = direct_sum(alg, [projective(alg, w, j) for (w, j) in labels1])[0]
-    total = block_map(p0, p1, [
-        [_nu_inverse_block(alg, g[k][l], v, i, w, j)
-         for l, (v, i) in enumerate(labels0)]
-        for k, (w, j) in enumerate(labels1)])
-    C2, _ = cokernel(total)
+    parts = summands_of(E0)
+    rows = [(cproj.component(j, w).data[r], summand_offsets(parts, j, w))
+            for w, j, r in copies1]
+    gens = [(v, i, Mat.column([x for row, cut in rows
+                               for x in row[cut[l]:cut[l + 1]]], alg.field))
+            for l, (v, i) in enumerate(labels0)]
+    p0 = direct_sum(alg, [projective(alg, v, i) for v, i in labels0])[0]
+    p1 = direct_sum(alg, [projective(alg, w, j) for w, j, _ in copies1])[0]
+    C2, _ = cokernel(map_from_projectives(p0, p1, gens))
     return C2
 
 

@@ -179,10 +179,8 @@ def is_projective(M):
 def is_injective(M):
     """True when M is injective: its injective envelope, one I(v, i) per
     basis vector of soc(M) at (i, v), has the dimension of M."""
-    alg = M.algebra
-    soc = socle_subspaces(M)
-    return M.total_dim == sum(soc[(i, v)].dim * injective(alg, v, i).total_dim
-                              for i, v in alg.cells)
+    return M.total_dim == sum(injective(M.algebra, v, i).total_dim
+                              for v, i, _ in envelope_copies(M))
 
 
 def syzygy(M):
@@ -200,6 +198,16 @@ def injective_envelope(M):
     return E, mono
 
 
+def envelope_copies(M):
+    """The summands of the injective envelope of M in the order of its
+    direct sum: (v, i, r) for each pivot row r of soc M's echelon basis at
+    (i, v), cells in order; copy (v, i, r) of I(v, i) takes the coordinate
+    functional at row r."""
+    soc = socle_subspaces(M)
+    return [(v, i, r) for i, v in M.algebra.cells
+            for r in soc[(i, v)].pivot_rows]
+
+
 def injective_envelope_with_data(M):
     """Envelope plus the (v, i) labels of its summands I(v, i), in the order
     of the direct sum E: (E, mono, labels).
@@ -207,12 +215,11 @@ def injective_envelope_with_data(M):
     Hom(M, I(v, i)) is D(M at (i, v)): the basis of I(v, i) at (lev, w)
     lists that of P(w, lev) at (i, v), so the map of the coordinate
     functional at row r of M at (i, v) has, at (lev, w), the rows r of the
-    generator actions of P(w, lev) at (i, v).  Copy k of I(v, i) takes the
-    k-th pivot row of soc M at (i, v); the socle's echelon basis is the
-    identity at its pivot rows, so the map is mono on soc M, hence on M."""
+    generator actions of P(w, lev) at (i, v).  The copies are those of
+    ``envelope_copies``; the socle's echelon basis is the identity at its
+    pivot rows, so the map is mono on soc M, hence on M."""
     alg = M.algebra
-    soc = socle_subspaces(M)
-    picks = [(v, i, r) for i, v in alg.cells for r in soc[(i, v)].pivot_rows]
+    picks = envelope_copies(M)
     if not picks:
         raise ValueError("injective envelope of the zero module")
     labels = [(v, i) for v, i, _ in picks]

@@ -211,21 +211,22 @@ def decompose(M):
 
 def is_isomorphic(M, N):
     """Exact isomorphism test."""
-    if M.dim_grid() != N.dim_grid():
+    return (M.dim_grid() == N.dim_grid()
+            and same_classes(decompose(M), decompose(N)))
+
+
+def same_classes(xs, ys):
+    """True when the indecomposables ``xs`` and ``ys`` match one to one up
+    to isomorphism."""
+    rest = list(ys)
+    if len(xs) != len(rest):
         return False
-    pm = decompose(M)
-    pn = list(decompose(N))
-    if len(pm) != len(pn):
-        return False
-    for a in pm:
-        hit = None
-        for idx, b in enumerate(pn):
-            if _indec_isomorphic(a, b):
-                hit = idx
-                break
+    for a in xs:
+        hit = next((k for k, b in enumerate(rest) if _indec_isomorphic(a, b)),
+                   None)
         if hit is None:
             return False
-        pn.pop(hit)
+        rest.pop(hit)
     return True
 
 

@@ -464,8 +464,8 @@ def summand_map(S, k, into):
     return block_map(S, parts[k], [grid])
 
 
-def block_map(source, target, blocks):
-    """The map (+)_l T_l -> (+)_k U_k with block (k, l) blocks[k][l]: T_l ->
+def block_map(source, target, grid):
+    """The map (+)_l T_l -> (+)_k U_k with block (k, l) grid[k][l]: T_l ->
     U_k, laid out as ``direct_sum`` lays out the sums.  The layout is read
     off the blocks (the targets of a row, the sources of a column), so a
     recorded sum may stand as one block."""
@@ -473,31 +473,13 @@ def block_map(source, target, blocks):
     comps = {}
     for i, v in alg.cells:
         data = []
-        for row in blocks:
+        for row in grid:
             mats = [b.comps[(i, v)] for b in row]
             data.extend(sum((m.data[r] for m in mats), [])
                         for r in range(mats[0].rows))
         comps[(i, v)] = Mat(target.levels[i].dims[v], source.levels[i].dims[v],
                             data, alg.field)
     return RMap(source, target, comps, check=False)
-
-
-def blocks(f):
-    """The blocks f[k][l]: T_l -> U_k of f along ``summands_of(f.source)``
-    (the T_l) and ``summands_of(f.target)`` (the U_k)."""
-    alg = f.source.algebra
-    rows, cols = summands_of(f.target), summands_of(f.source)
-    cuts = {c: (summand_offsets(rows, *c), summand_offsets(cols, *c))
-            for c in alg.cells}
-
-    def block(k, l):
-        return RMap(cols[l], rows[k], {
-            c: Mat(ro[k + 1] - ro[k], co[l + 1] - co[l],
-                   [row[co[l]:co[l + 1]]
-                    for row in f.comps[c].data[ro[k]:ro[k + 1]]], alg.field)
-            for c, (ro, co) in cuts.items()}, check=False)
-
-    return [[block(k, l) for l in range(len(cols))] for k in range(len(rows))]
 
 
 # -- sub and quotient modules ----------------------------------------
@@ -783,16 +765,6 @@ def generator_action(M, v, i, lev, w):
         else:
             memo[key] = []
     return memo[key]
-
-
-def map_from_projective(alg, v, i, M, x):
-    """The module map P(v, i) -> M sending the canonical generator to the
-    element with coordinates ``x`` in M at level i, vertex v."""
-    P = projective(alg, v, i)
-    xcol = x if isinstance(x, Mat) else Mat.column(x, alg.field)
-    if xcol.rows != M.levels[i].dims[v]:
-        raise ValueError("generator image has wrong dimension")
-    return map_from_projectives(P, M, [(v, i, xcol)])
 
 
 def map_from_projectives(P, M, gens):

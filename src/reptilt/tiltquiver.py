@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 
-from .krullschmidt import basic_summands, is_isomorphic
+from .krullschmidt import basic_summands, same_classes
 from .tilting import Catalog, TiltingRecord
 
 
@@ -19,16 +19,8 @@ def record_key(record):
 
 
 def records_isomorphic(r1, r2):
-    if record_key(r1) != record_key(r2):
-        return False
-    rest = [X for X, _ in r2.pieces]
-    for X, _ in r1.pieces:
-        hit = next((i for i, Y in enumerate(rest) if is_isomorphic(X, Y)),
-                   None)
-        if hit is None:
-            return False
-        rest.pop(hit)
-    return True
+    return record_key(r1) == record_key(r2) and same_classes(
+        [X for X, _ in r1.pieces], [X for X, _ in r2.pieces])
 
 
 class TiltingQuiverGraph:

@@ -16,16 +16,17 @@ from __future__ import annotations
 
 from reptilt.approx import left_approximation, right_approximation
 from reptilt.arknit import enumerate_indecomposables
-from reptilt.homological import (cosyzygy, ext1_classes, is_projective,
-                                 minimal_resolution, realize_extension)
+from reptilt.homological import (_at_generators, cosyzygy, ext1_classes,
+                                 is_projective, minimal_resolution,
+                                 realize_extension)
 from reptilt.krullschmidt import (basic_summands, end_radical_basis,
                                   is_isomorphic, try_split)
 from reptilt.linalg import Mat, column_space, kernel_basis, rank
-from reptilt.replicated import (RMap, SummandMaps, block_map, blocks,
-                                direct_sum, hom_basis_r, hom_space,
-                                identity_rmap, injective, kernel,
-                                map_from_projective, projective,
-                                radical_subspaces, zero_rmap)
+from reptilt.replicated import (RMap, SummandMaps, block_map, direct_sum,
+                                hom_basis_r, hom_space, identity_rmap,
+                                injective, kernel, map_from_projectives,
+                                projective, radical_subspaces,
+                                summand_offsets, summands_of, zero_rmap)
 from reptilt.tilting import Catalog, certify
 
 
@@ -262,12 +263,13 @@ def iota_path_map(alg, p):
     return RMap(src, tgt, comps, check=False)
 
 
-def _nu_block(alg, f, v, i, w, j):
-    """nu of a map P(v,i) -> P(w,j), as a map I(v,i) -> I(w,j)."""
-    coords = [f.component(i, v).data[r][0]
-              for r in range(f.component(i, v).rows)]
+def _nu_block(alg, coords, v, i, w, j):
+    """nu of the map P(v,i) -> P(w,j) sending the generator to ``coords``
+    in P(w,j) at (i,v), as a map I(v,i) -> I(w,j)."""
     if i < alg.m:
-        return map_from_projective(alg, v, i + 1, injective(alg, w, j), coords)
+        gen = Mat.column(coords, alg.field)
+        return map_from_projectives(projective(alg, v, i + 1),
+                                    injective(alg, w, j), [(v, i + 1, gen)])
     # source I(v,m) is the embedded base injective; only j = m can be hit
     if j < alg.m:
         if any(coords):
@@ -281,16 +283,23 @@ def _nu_block(alg, f, v, i, w, j):
 
 def translate(M):
     """The AR translation: kernel of nu applied to a minimal projective
-    presentation."""
+    presentation P1 -> P0, read at the generators of P1."""
     alg = M.algebra
     res = minimal_resolution(M)
     if res.length == 0:
         raise ValueError("translation of a projective module")
     nu0, nu1 = (direct_sum(alg, [injective(alg, v, i) for (v, i) in labels])[0]
                 for labels in res.summands[:2])
-    d1 = blocks(res.maps[0])
+    gens = _at_generators(res.maps[0], res.summands[1])
+    parts = summands_of(res.modules[0])
+
+    def coords(k, l):
+        v, i = res.summands[1][l]
+        cut = summand_offsets(parts, i, v)
+        return [gens[l].data[r][0] for r in range(cut[k], cut[k + 1])]
+
     total = block_map(nu1, nu0, [
-        [_nu_block(alg, d1[k][l], v, i, w, j)
+        [_nu_block(alg, coords(k, l), v, i, w, j)
          for l, (v, i) in enumerate(res.summands[1])]
         for k, (w, j) in enumerate(res.summands[0])])
     K, _ = kernel(total)

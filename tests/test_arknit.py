@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
@@ -7,8 +10,8 @@ from reptilt.arknit import (enumerate_indecomposables, is_dynkin,
                             translate_inverse)
 from reptilt.homological import cosyzygy, syzygy
 from reptilt.krullschmidt import is_isomorphic
-from reptilt.replicated import (injective, projective, rmodule_from_json,
-                                rmodule_to_json, simple)
+from reptilt.replicated import (ReplicatedAlgebra, injective, projective,
+                                rmodule_from_json, rmodule_to_json, simple)
 from reptilt.tilting import Catalog
 
 from reference import (almost_split_sequence, ar_quiver, translate,
@@ -74,6 +77,22 @@ def test_duplicated_a2_node_list(a2, a2_nodes):
         for i in (0, 1):
             assert contains(a2_nodes, projective(a2, v, i))
             assert contains(a2_nodes, injective(a2, v, i))
+
+
+@pytest.mark.parametrize("vertices, arrows, m, count, digest", [
+    ([1, 2, 3], [("a1", 2, 1), ("a2", 3, 2)], 2, 30,
+     "009a0261ecbec8d2214d75b8c5e6b83948742453ffc320b2a89a1ad662c92ef4"),
+    ([1, 2, 3, 4], [("a", 2, 1), ("b", 3, 1), ("c", 4, 1)], 1, 36,
+     "2a9fa7751ea0ebad5c4412ace70d779f26b509b95a1b2d60cfe0da08f8ddbbaf"),
+], ids=["A3_m2", "D4_m1"])
+def test_enumeration_bytes_are_pinned(vertices, arrows, m, count, digest):
+    # the bases of every node, as serialized: a change of basis in tau^-
+    # changes the bytes the tilting quiver prints
+    alg = ReplicatedAlgebra(Quiver(vertices, arrows), m)
+    nodes = enumerate_indecomposables(alg)
+    assert len(nodes) == count
+    data = json.dumps([rmodule_to_json(N) for N in nodes], sort_keys=True)
+    assert hashlib.sha256(data.encode()).hexdigest() == digest
 
 
 def test_catalog_refuses_a_repeated_enumeration(monkeypatch):
@@ -166,7 +185,6 @@ def test_ar_quiver_mesh_symmetry(a2):
 
 
 def test_ar_quiver_m2_one_vertex():
-    from reptilt.replicated import ReplicatedAlgebra
     alg = ReplicatedAlgebra(Quiver([1], []), 2)
     nodes = enumerate_indecomposables(alg)
     # m=2 one-vertex is the A_3 quiver with zero composite: the five

@@ -17,7 +17,7 @@ from reptilt.quiver import Path, Quiver
 from reptilt.replicated import (RMap, RModule, ReplicatedAlgebra,
                                 _module_from_maps, _structure_maps, block_map,
                                 direct_sum, generator_action, hom_basis_r,
-                                injective, map_from_projective,
+                                injective, map_from_projectives,
                                 projective, quotient_module, radical,
                                 regular_module, simple, socle_subspaces,
                                 submodule, summand_offsets, summands_of, top,
@@ -331,7 +331,9 @@ def _ext_differential_by_composition(res, k, N):
                 x = [alg.field.zero] * sizes[c2]
                 if c2 == c:
                     x[t] = alg.field.one
-                row.append(map_from_projective(alg, w, j, N, x))
+                row.append(map_from_projectives(
+                    projective(alg, w, j), N,
+                    [(w, j, Mat.column(x, alg.field))]))
             g = block_map(res.modules[k - 1], N, [row])
             comp = g.compose(res.maps[k - 1])
             cols.append([e for l, (v, i) in enumerate(tgt)

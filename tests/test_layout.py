@@ -7,9 +7,10 @@ quiver, the base-quiver Hom builder and a few predicates) live in
 name the benchmark harness mentions, every module-level statement of the
 library and a short list of documented public operations, it follows the
 names each reached definition mentions.  A method of a reached class
-whose name nothing reached mentions is flagged too.  Matching is by name,
-so a dead definition that shares its name with a live one goes unseen, but
-a live definition is never flagged.
+whose name nothing reached mentions as an attribute or a string is flagged
+too: a bare name, such as a local variable, does not reach a method.
+Matching is by name, so a dead definition that shares its name with a live
+one goes unseen, but a live definition is never flagged.
 """
 
 import ast
@@ -27,37 +28,46 @@ PUBLIC = {"complete_partial_tilting", "is_faithful", "image", "radical",
 
 
 def _names(node):
-    """Every identifier that ``node`` mentions: names, attributes, and
-    string constants spelling a (dotted) identifier."""
-    out = set()
+    """(names, members): the bare names that ``node`` mentions, and the
+    attributes and string constants spelling a (dotted) identifier that it
+    mentions.  Only a member can reach a method: a local variable that
+    shares a method's name calls nothing."""
+    names, members = set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            members.add(sub.attr)
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             parts = sub.value.split(".")
             if all(p.isidentifier() for p in parts):
-                out.update(parts)
-    return out
+                members.update(parts)
+    return names, members
 
 
 def _walk():
-    """(defs, reached, mentioned): each top-level def or class of the
+    """(defs, reached, members): each top-level def or class of the
     library by name, as [(module, node)]; the names of those a root
-    reaches; and every name the roots and the reached definitions
-    mention."""
+    reaches, through any name or member; and every member the roots and
+    the reached definitions mention."""
     defs = {}
-    mentioned = set(PUBLIC)
+    mentioned, members = set(PUBLIC), set(PUBLIC)
+
+    def mention(node):
+        names, attrs = _names(node)
+        mentioned.update(names, attrs)
+        members.update(attrs)
+        return names | attrs
+
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 defs.setdefault(node.name, []).append((path.stem, node))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                mentioned |= _names(node)
+                mention(node)
     for path in sorted(PERFBENCH.glob("*.py")):
-        mentioned |= _names(ast.parse(path.read_text()))
+        mention(ast.parse(path.read_text()))
     reached = set()
     todo = [name for name in mentioned if name in defs]
     while todo:
@@ -66,10 +76,8 @@ def _walk():
             continue
         reached.add(name)
         for _, node in defs[name]:
-            names = _names(node)
-            mentioned |= names
-            todo.extend(n for n in names if n in defs)
-    return defs, reached, mentioned
+            todo.extend(n for n in mention(node) if n in defs)
+    return defs, reached, members
 
 
 def unreached_definitions():
@@ -82,9 +90,9 @@ def unreached_definitions():
 
 def unmentioned_methods():
     """Sorted "module.Class.method" of each non-dunder method of a reached
-    class whose name no root and no reached definition mentions: nothing
-    outside the tests can call it."""
-    defs, reached, mentioned = _walk()
+    class whose name no root and no reached definition mentions as a
+    member: nothing outside the tests can call it."""
+    defs, reached, members = _walk()
     return sorted(
         "%s.%s.%s" % (mod, cls.name, node.name)
         for name in reached for mod, cls in defs[name]
@@ -92,7 +100,7 @@ def unmentioned_methods():
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in mentioned)
+        and node.name not in members)
 
 
 def test_library_defines_nothing_only_tests_reach():

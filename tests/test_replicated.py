@@ -12,10 +12,10 @@ from reptilt.field import QQ, PrimeField
 from reptilt.krullschmidt import decompose, is_isomorphic
 from reptilt.linalg import Mat, kernel_basis, rank
 from reptilt.homological import cosyzygy, minimal_resolution
-from reptilt.replicated import (RMap, ReplicatedAlgebra, block_map, blocks,
+from reptilt.replicated import (RMap, ReplicatedAlgebra, block_map,
                                 cokernel, direct_sum, embed_level, hom_basis_r,
                                 hom_space, identity_rmap, injective, kernel,
-                                map_from_projective, projective, radical,
+                                map_from_projectives, projective, radical,
                                 regular_module, rmap_vector, rmodule_from_json,
                                 rmodule_to_json, simple, socle, summands_of,
                                 top, zero_rmap)
@@ -117,7 +117,8 @@ def test_map_from_projective_is_valid_and_spans():
         for j in range(d):
             x = [0] * d
             x[j] = 1
-            f = map_from_projective(alg, v, i, M, x)
+            f = map_from_projectives(projective(alg, v, i), M,
+                                     [(v, i, Mat.column(x, alg.field))])
             f.validate()
 
 
@@ -495,11 +496,6 @@ def test_block_map_matches_inclusion_projection_sums(quiver):
         f.validate()
         assert rmap_vector(f) == rmap_vector(
             _compose_reference(grid, S, incls, T, projs))
-        got = blocks(f)
-        assert [[rmap_vector(g) for g in row] for row in got] == \
-            [[rmap_vector(g) for g in row] for row in grid]
-        assert all(g.source is X and g.target is Y
-                   for Y, row in zip(rows, got) for X, g in zip(cols, row))
         nonzero += not f.is_zero()
     assert nonzero >= 6
 
@@ -518,20 +514,3 @@ def test_block_map_takes_a_recorded_sum_as_one_block():
     ref = _compose_reference(grid, reg, incls, T, [identity_rmap(reg)])
     assert rmap_vector(f) == rmap_vector(ref)
     assert not f.is_zero()
-
-
-@pytest.mark.parametrize("quiver", [kronecker_quiver, lambda: linear_quiver(3)],
-                         ids=["kronecker", "A3"])
-def test_blocks_reassemble_resolution_differentials(quiver):
-    alg = duplicated(quiver())
-    seen = 0
-    for v in alg.quiver.vertices:
-        for i in range(alg.m + 1):
-            for d in minimal_resolution(simple(alg, v, i)).maps:
-                grid = blocks(d)
-                assert len(grid) == len(summands_of(d.target))
-                assert len(grid[0]) == len(summands_of(d.source))
-                again = block_map(d.source, d.target, grid)
-                assert rmap_vector(again) == rmap_vector(d)
-                seen += 1
-    assert seen >= 4
