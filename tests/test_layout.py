@@ -51,11 +51,10 @@ def _walk():
     reaches, through any name or member; and every member the roots and
     the reached definitions mention."""
     defs = {}
-    mentioned, members = set(PUBLIC), set(PUBLIC)
+    roots, members = set(PUBLIC), set(PUBLIC)
 
     def mention(node):
         names, attrs = _names(node)
-        mentioned.update(names, attrs)
         members.update(attrs)
         return names | attrs
 
@@ -65,11 +64,11 @@ def _walk():
                                  ast.ClassDef)):
                 defs.setdefault(node.name, []).append((path.stem, node))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                mention(node)
+                roots |= mention(node)
     for path in sorted(PERFBENCH.glob("*.py")):
-        mention(ast.parse(path.read_text()))
+        roots |= mention(ast.parse(path.read_text()))
     reached = set()
-    todo = [name for name in mentioned if name in defs]
+    todo = [name for name in roots if name in defs]
     while todo:
         name = todo.pop()
         if name in reached:
