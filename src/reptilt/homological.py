@@ -202,10 +202,12 @@ def envelope_copies(M):
     """The summands of the injective envelope of M in the order of its
     direct sum: (v, i, r) for each pivot row r of soc M's echelon basis at
     (i, v), cells in order; copy (v, i, r) of I(v, i) takes the coordinate
-    functional at row r."""
-    soc = socle_subspaces(M)
-    return [(v, i, r) for i, v in M.algebra.cells
-            for r in soc[(i, v)].pivot_rows]
+    functional at row r.  Kept in ``M.cache``."""
+    if "envelope" not in M.cache:
+        soc = socle_subspaces(M)
+        M.cache["envelope"] = [(v, i, r) for i, v in M.algebra.cells
+                               for r in soc[(i, v)].pivot_rows]
+    return M.cache["envelope"]
 
 
 def injective_envelope_with_data(M):

@@ -97,6 +97,8 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
+        if not (self.rows and other.cols):
+            return Mat.zeros(self.rows, other.cols, self.field)
         # the nonzero entries of each row of ``other`` are listed once;
         # entry (r, j) still sums a[r][k] * b[k][j] over increasing k,
         # skipping zero factors, so every sum is formed in the same order
@@ -151,21 +153,6 @@ class Mat:
         for m in mats:
             data.extend(row[:] for row in m.data)
         return Mat._of(len(data), cols, data, mats[0].field)
-
-    @staticmethod
-    def block_diag(mats, field=QQ):
-        mats = list(mats)
-        f = mats[0].field if mats else field
-        rows = sum(m.rows for m in mats)
-        cols = sum(m.cols for m in mats)
-        out = Mat.zeros(rows, cols, f)
-        r0 = c0 = 0
-        for m in mats:
-            for i in range(m.rows):
-                out.data[r0 + i][c0:c0 + m.cols] = m.data[i][:]
-            r0 += m.rows
-            c0 += m.cols
-        return out
 
     def trace(self):
         assert self.rows == self.cols
@@ -259,6 +246,8 @@ class Subspace:
 
 def column_space(m):
     """Canonical column echelon basis of the column span of ``m``."""
+    if not (m.rows and m.cols):
+        return Subspace(m.rows, Mat.zeros(m.rows, 0, m.field), [])
     rt, pivots = rref(m.transpose())
     basis_rows = [rt.data[i] for i in range(len(pivots))]
     basis = Mat._of(len(pivots), m.rows, basis_rows, m.field).transpose()
@@ -267,6 +256,9 @@ def column_space(m):
 
 def kernel_basis(m):
     """Canonical echelon basis of {x : m x = 0}."""
+    if not (m.rows and m.cols):
+        return Subspace(m.cols, Mat.identity(m.cols, m.field),
+                        list(range(m.cols)))
     r, pivots = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]

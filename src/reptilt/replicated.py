@@ -84,7 +84,7 @@ class RModule:
         """The module axioms: the shape of each structure map, the right
         rule (p* a = (p minus a)* when p ends with a, else 0), the left rule
         (a p* = (p minus a)* when p starts with a, else 0) and DA.DA = 0."""
-        for src, tgt, key, x in _structure_maps(self):
+        for src, tgt, key, x in _structure_maps(self, every=True):
             want = (self.dims(*tgt), self.dims(*src))
             if (x.rows, x.cols) != want:
                 raise ValueError("%s has shape %dx%d, want %dx%d"
@@ -152,13 +152,14 @@ def _path_name(p):
     return ".".join(p.arrows) if p.arrows else "e%s" % (p.source,)
 
 
-def _structure_maps(M, paths=None):
+def _structure_maps(M, paths=None, every=False):
     """Each structure map of M as (source cell, target cell, key, matrix):
     first each arrow a at each level i, key (i, a.name), then each connector
     p* from (j + 1, t(p)) to (j, s(p)), key (j, p), for p in ``paths`` (every
-    path by default).  The only code that knows how the maps are laid out;
-    ``_module_from_maps`` is its inverse.  The cells and keys depend only on
-    the algebra, so they are built once per algebra and choice of paths."""
+    path by default), only those between two nonzero cells unless ``every``.
+    The only code that knows how the maps are laid out; ``_module_from_maps``
+    is its inverse.  The cells and keys depend only on the algebra, so they
+    are built once per algebra and choice of paths."""
     alg = M.algebra
     memo = ("structure maps", None if paths is None else tuple(paths))
     layout = alg.cache.get(memo)
@@ -171,10 +172,13 @@ def _structure_maps(M, paths=None):
              for j in range(alg.m)
              for p in (quiver.paths if paths is None else paths)])
     arrows, connectors = layout
+    support = M.dim_grid().entries
     for src, tgt, key in arrows:
-        yield src, tgt, key, M.levels[key[0]].maps[key[1]]
+        if every or (src in support and tgt in support):
+            yield src, tgt, key, M.levels[key[0]].maps[key[1]]
     for src, tgt, key in connectors:
-        yield src, tgt, key, M.connectors[key[0]][key[1]]
+        if every or (src in support and tgt in support):
+            yield src, tgt, key, M.connectors[key[0]][key[1]]
 
 
 def _structure_name(key):
@@ -254,7 +258,9 @@ class RMap:
 
     def validate(self):
         """The shape of each cell and commutation with each structure map:
-        the arrows at each level and the connector matrices."""
+        the arrows at each level and the connector matrices.  A map x from
+        cell s to cell t gives an equation from M at s to N at t, empty
+        when either is zero."""
         M, N = self.source, self.target
         for (i, v), c in self.comps.items():
             want = (N.dims(i, v), M.dims(i, v))
@@ -262,9 +268,10 @@ class RMap:
                 raise ValueError("component at level %d, vertex %r has shape "
                                  "%dx%d, want %dx%d"
                                  % ((i, v, c.rows, c.cols) + want))
-        for (src, tgt, key, x), (*_, y) in zip(_structure_maps(M),
-                                               _structure_maps(N)):
-            if y * self.comps[src] != self.comps[tgt] * x:
+        for (src, tgt, key, x), (*_, y) in zip(_structure_maps(M, every=True),
+                                               _structure_maps(N, every=True)):
+            if (M.dims(*src) and N.dims(*tgt)
+                    and y * self.comps[src] != self.comps[tgt] * x):
                 raise ValueError("map does not commute with %s"
                                  % _structure_name(key))
 
@@ -425,11 +432,16 @@ def direct_sum(alg, mods):
     mods = list(mods)
     if not mods:
         return zero_module(alg), [], []
-    dims = {(i, v): sum(M.levels[i].dims[v] for M in mods)
-            for i, v in alg.cells}
-    maps = {row[0][2]: Mat.block_diag([walk[3] for walk in row], field=alg.field)
-            for row in zip(*map(_structure_maps, mods))}
-    S = _module_from_maps(alg, dims, maps)
+    cuts = {(i, v): summand_offsets(mods, i, v) for i, v in alg.cells}
+    maps = {}   # summand k's nonzero maps, each at k's offsets; zero elsewhere
+    for k, M in enumerate(mods):
+        for src, tgt, key, x in _structure_maps(M):
+            if key not in maps:
+                maps[key] = Mat.zeros(cuts[tgt][-1], cuts[src][-1], alg.field)
+            c0 = cuts[src][k]
+            for r, row in enumerate(x.data, cuts[tgt][k]):
+                maps[key].data[r][c0:c0 + x.cols] = row
+    S = _module_from_maps(alg, {c: cut[-1] for c, cut in cuts.items()}, maps)
     S.cache["summands"] = mods
     return S, SummandMaps(S, True), SummandMaps(S, False)
 
@@ -734,11 +746,13 @@ def _hom_basis_r(M, N):
         total += N.levels[i].dims[v] * M.levels[i].dims[v]
     rows = []
     paths = alg.quiver.maximal_paths
-    for (src, tgt, _, x_m), (*_, x_n) in zip(_structure_maps(M, paths),
-                                             _structure_maps(N, paths)):
-        rows += _commutation_rows(x_n, x_m, src, tgt, offsets, total, f.zero)
-    sysmat = Mat(len(rows), total, rows, f) if rows else Mat.zeros(0, total, f)
-    ker = kernel_basis(sysmat)
+    for (src, tgt, _, x_m), (*_, x_n) in zip(
+            _structure_maps(M, paths, every=True),
+            _structure_maps(N, paths, every=True)):
+        if M.dims(*src) and N.dims(*tgt):
+            rows += _commutation_rows(x_n, x_m, src, tgt, offsets, total,
+                                      f.zero)
+    ker = kernel_basis(Mat(len(rows), total, rows, f))
     return HomSpace(M, N, offsets, total,
                     [ker.basis.col(k) for k in range(ker.dim)], ker.pivot_rows)
 

@@ -2,20 +2,22 @@
 
 None of this is reached by the command line or the benchmark: the AR
 translate and its almost split sequences and AR quiver, the Hom builder of
-the base quiver, a few predicates and the grouping of the tilting oracle by
-its almost complete parts.  They stay as independent checks of
-the library: ``translate`` against ``translate_inverse``, ``hom_basis``
-against ``hom_basis_r``, and ``all_of_kind`` (Krull-Schmidt plus an
-isomorphism search) against the dimension counts ``is_projective`` and
-``is_injective``, and ``_base_rep_faithful`` (the path actions, vectorized)
-against the approximation test of ``classify_duplicated``.  Not a test
-module: pytest collects nothing here.
+the base quiver, a few predicates, the block-diagonal matrix and the
+grouping of the tilting oracle by its almost complete parts.  They stay as
+independent checks of the library: ``translate`` against
+``translate_inverse``, ``hom_basis`` against ``hom_basis_r``,
+``all_of_kind`` (Krull-Schmidt plus an isomorphism search) against the
+dimension counts ``is_projective`` and ``is_injective``, ``block_diag``
+against the structure maps of ``direct_sum``, and ``_base_rep_faithful``
+(the path actions, vectorized) against the approximation test of
+``classify_duplicated``.  Not a test module: pytest collects nothing here.
 """
 
 from __future__ import annotations
 
 from reptilt.approx import left_approximation, right_approximation
 from reptilt.arknit import enumerate_indecomposables
+from reptilt.field import QQ
 from reptilt.homological import (_at_generators, cosyzygy, ext1_classes,
                                  is_projective, minimal_resolution,
                                  realize_extension)
@@ -28,6 +30,24 @@ from reptilt.replicated import (RMap, SummandMaps, block_map, direct_sum,
                                 projective, radical_subspaces,
                                 summand_offsets, summands_of, zero_rmap)
 from reptilt.tilting import Catalog, certify
+
+
+# -- block-diagonal matrices --------------------------------------------
+
+def block_diag(mats, field=QQ):
+    """The block-diagonal matrix of ``mats``, each block copied in at the
+    sums of the shapes before it: the reference for the structure maps of
+    ``direct_sum``."""
+    mats = list(mats)
+    f = mats[0].field if mats else field
+    out = Mat.zeros(sum(m.rows for m in mats), sum(m.cols for m in mats), f)
+    r0 = c0 = 0
+    for m in mats:
+        for i in range(m.rows):
+            out.data[r0 + i][c0:c0 + m.cols] = m.data[i][:]
+        r0 += m.rows
+        c0 += m.cols
+    return out
 
 
 # -- base-quiver morphisms and Hom ------------------------------------

@@ -95,6 +95,25 @@ def test_enumeration_bytes_are_pinned(vertices, arrows, m, count, digest):
     assert hashlib.sha256(data.encode()).hexdigest() == digest
 
 
+def test_enumeration_computes_each_socle_once(monkeypatch):
+    # is_injective and then translate_inverse read the injective envelope
+    # of each non-injective node, so both need its socle
+    import reptilt.homological
+    asked = []
+    socle_subspaces = reptilt.homological.socle_subspaces
+
+    def counted(M):
+        asked.append(M)
+        return socle_subspaces(M)
+    monkeypatch.setattr(reptilt.homological, "socle_subspaces", counted)
+    alg = ReplicatedAlgebra(
+        Quiver([1, 2, 3, 4], [("a", 2, 1), ("b", 3, 1), ("c", 4, 1)]), 1)
+    assert len(enumerate_indecomposables(alg)) == 36
+    # ``asked`` keeps every module alive, so no two share an id
+    assert len(asked) >= 36
+    assert len({id(M) for M in asked}) == len(asked)
+
+
 def test_catalog_refuses_a_repeated_enumeration(monkeypatch):
     # the enumeration keeps no list of seen modules: its tau^- orbits are
     # disjoint, and the catalog is where a repeat is caught

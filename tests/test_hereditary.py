@@ -6,7 +6,7 @@ from reptilt.linalg import Mat, rank
 from reptilt.quiver import Quiver
 from reptilt.replicated import ReplicatedAlgebra, embed_level, projective
 
-from reference import AMap, hom_basis
+from reference import AMap, block_diag, hom_basis
 
 
 def kronecker():
@@ -72,7 +72,7 @@ def test_hom_additive_in_direct_sums():
     s1 = simple_rep(1, q)
     # hom(S1, P2 (+) P2) via a doubled rep
     doubled = Rep(q, {1: 4, 2: 2},
-                  {n: Mat.block_diag([p2.maps[n], p2.maps[n]])
+                  {n: block_diag([p2.maps[n], p2.maps[n]])
                    for n in ("a", "b")})
     assert len(hom_basis(s1, doubled)) == 2 * len(hom_basis(s1, p2))
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
@@ -21,10 +23,11 @@ from reptilt.replicated import (RMap, RModule, ReplicatedAlgebra,
                                 projective, quotient_module, radical,
                                 regular_module, simple, socle_subspaces,
                                 submodule, summand_offsets, summands_of, top,
-                                zero_rmap)
+                                zero_module, zero_rmap)
 from reptilt.tiltquiver import Catalog
 
-from reference import all_of_kind, hom_dim, is_radical_valued, sigma_set
+from reference import (all_of_kind, block_diag, hom_dim, is_radical_valued,
+                       sigma_set)
 
 
 def dgrid(M):
@@ -230,7 +233,8 @@ def test_m2_a2_stays_below_bound():
 
 EULER_ALGEBRAS = {"kronecker-m1": (kronecker_quiver, 1),
                   "a3-m1": (lambda: linear_quiver(3), 1),
-                  "a2-m2": (lambda: linear_quiver(2), 2)}
+                  "a2-m2": (lambda: linear_quiver(2), 2),
+                  "a2-m3": (lambda: linear_quiver(2), 3)}
 
 
 def _euler_modules(alg):
@@ -495,7 +499,8 @@ def _same_module(A, B):
 
 COVER_ALGEBRAS = {"kronecker-m1": (kronecker_quiver, 1),
                   "a3-m2": (lambda: linear_quiver(3), 2),
-                  "dtilde4-m2": (dtilde4_quiver, 2)}
+                  "dtilde4-m2": (dtilde4_quiver, 2),
+                  "a2-m3": (lambda: linear_quiver(2), 3)}
 
 
 def _cover_modules(alg):
@@ -549,17 +554,51 @@ def test_structure_maps_rebuild_the_module(name, field):
     quiver, m = COVER_ALGEBRAS[name]
     alg = ReplicatedAlgebra(quiver(), m, field)
     q = alg.quiver
+    skipped = 0
     for M in _cover_modules(alg):
-        maps = list(_structure_maps(M))
-        keys = [key for _, _, key, _ in maps]
+        every = list(_structure_maps(M, every=True))
+        keys = [key for _, _, key, _ in every]
         assert len(set(keys)) == len(keys)
         assert len(keys) == (m + 1) * len(q.arrows) + m * len(q.paths)
-        for src, tgt, _, x in maps:
+        for src, tgt, _, x in every:
             assert (x.rows, x.cols) == (M.dims(*tgt), M.dims(*src))
+        # the default walk keeps exactly the maps between two nonzero cells,
+        # in the same order, and they alone rebuild M
+        maps = list(_structure_maps(M))
+        assert maps == [walk for walk in every
+                        if M.dims(*walk[0]) and M.dims(*walk[1])]
+        skipped += len(every) - len(maps)
         dims = {c: M.dims(*c) for c in alg.cells}
-        rebuilt = _module_from_maps(alg, dims,
-                                    {key: x for _, _, key, x in maps})
-        assert _same_module(rebuilt, M)
+        for walk in (every, maps):
+            rebuilt = _module_from_maps(alg, dims,
+                                        {key: x for _, _, key, x in walk})
+            assert _same_module(rebuilt, M)
+    assert skipped
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("name", list(COVER_ALGEBRAS))
+def test_direct_sum_matches_block_diagonal_reference(name, field):
+    # direct_sum writes only the summands' maps between nonzero cells, each
+    # at its offsets; every map of the full walk is still block diagonal
+    quiver, m = COVER_ALGEBRAS[name]
+    alg = ReplicatedAlgebra(quiver(), m, field)
+    vs = alg.quiver.vertices
+    mods = _cover_modules(alg)
+    low, high = simple(alg, vs[0], 0), injective(alg, vs[-1], m)
+    assert not set(low.dim_grid().entries) & set(high.dim_grid().entries)
+    rng = random.Random(5)
+    cases = [mods, [zero_module(alg)], [low, high], [high, low],
+             [zero_module(alg), high, zero_module(alg), low]]
+    cases += [rng.sample(mods, len(mods)) for _ in range(3)]
+    for parts in cases:
+        S = direct_sum(alg, parts)[0]
+        walks = [list(_structure_maps(X, every=True)) for X in parts]
+        for k, (src, tgt, key, x) in enumerate(_structure_maps(S, every=True)):
+            assert x == block_diag([walk[k][3] for walk in walks], field), key
+            assert (x.rows, x.cols) == (S.dims(*tgt), S.dims(*src))
+        for c in alg.cells:
+            assert S.dims(*c) == sum(X.dims(*c) for X in parts)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])

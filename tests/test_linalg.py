@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reptilt.field import QQ, PrimeField, _mpq
-from reptilt.linalg import (Mat, column_space, kernel_basis, quotient_basis,
-                            rank, rref, solve_matrix)
+from reptilt.linalg import (Mat, Subspace, column_space, kernel_basis,
+                            quotient_basis, rank, rref, solve_matrix)
 
 
 def test_rank_identity():
@@ -245,6 +245,55 @@ def test_product_of_empty_shapes():
         Mat.zeros(2, 3) * Mat.zeros(2, 3)
     assert Mat.zeros(0, 3).transpose() == Mat.zeros(3, 0)
     assert Mat.zeros(3, 0).transpose() == Mat.zeros(0, 3)
+
+
+def _unshared(*mats):
+    """No row list of ``mats`` is another's: callers write into rows."""
+    rows = [r for x in mats for r in x.data]
+    return len({id(r) for r in rows}) == len(rows)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("r, c", [(0, 3), (3, 0), (0, 0)])
+def test_empty_shapes_match_the_general_code(r, c, field):
+    # column_space and kernel_basis of an empty matrix skip the elimination;
+    # the zero matrix with one more row (or column) still runs it wherever
+    # that one is not empty
+    a = Mat.zeros(r, c, field)
+    taller, wider = Mat.zeros(r + 1, c, field), Mat.zeros(r, c + 1, field)
+    assert rank(a) == rank(taller) == rank(wider) == 0
+    ech, pivots = rref(a)
+    assert (ech, pivots) == (a, []) and _unshared(ech, a)
+    zero = Subspace(r, Mat.zeros(r, 0, field), [])
+    for sub in (column_space(a), column_space(wider)):
+        assert (sub, sub.pivot_rows) == (zero, [])
+    whole = Subspace(c, Mat.identity(c, field), list(range(c)))
+    for sub in (kernel_basis(a), kernel_basis(taller)):
+        assert (sub, sub.pivot_rows) == (whole, whole.pivot_rows)
+    assert _unshared(a, column_space(a).basis, column_space(a).basis,
+                     kernel_basis(a).basis, kernel_basis(a).basis)
+    for k, n in [(r, c), (c, r)]:
+        got = a * Mat.zeros(c, k, field)
+        assert got == Mat.zeros(r, k, field) == _product_reference(
+            a, Mat.zeros(c, k, field))
+        assert _unshared(got, a)
+        got = Mat.zeros(n, r, field) * a
+        assert got == Mat.zeros(n, c, field)
+        assert _unshared(got, a)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_quotient_by_zero_is_two_fresh_identities(n, field):
+    proj, sect = quotient_basis(n, column_space(Mat.zeros(n, 0, field)))
+    assert proj == sect == Mat.identity(n, field)
+    assert _unshared(proj, sect)
+    # the general code, by the span of e_0, keeps all but its pivot row 0
+    if n:
+        e0 = Mat.column([1] + [0] * (n - 1), field)
+        proj1, sect1 = quotient_basis(n, column_space(e0))
+        assert proj1.data == proj.data[1:]
+        assert sect1.data == [row[1:] for row in sect.data]
 
 
 def test_public_constructors_check_the_shape():

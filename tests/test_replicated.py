@@ -9,8 +9,10 @@ from reptilt import replicated
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
 from reptilt.field import QQ, PrimeField
+from reptilt.hereditary import Rep, zero_rep
 from reptilt.krullschmidt import decompose, is_isomorphic
 from reptilt.linalg import Mat, kernel_basis, rank
+from reptilt.quiver import Path
 from reptilt.homological import cosyzygy, minimal_resolution
 from reptilt.replicated import (RMap, ReplicatedAlgebra, block_map,
                                 cokernel, direct_sum, embed_level, hom_basis_r,
@@ -20,7 +22,7 @@ from reptilt.replicated import (RMap, ReplicatedAlgebra, block_map,
                                 rmodule_to_json, simple, socle, summands_of,
                                 top, zero_rmap)
 
-from reference import hom_basis as base_hom_basis
+from reference import block_diag, hom_basis as base_hom_basis
 
 
 def dgrid(M):
@@ -239,6 +241,38 @@ def test_named_modules_satisfy_the_module_axioms(quiver, m):
                for phi in conn.values())
 
 
+@pytest.mark.parametrize("key", ["a1", "e1", "a1 conn"])
+def test_module_check_sees_the_shape_at_a_zero_cell(key):
+    # the shape check walks every key, also one whose cells are zero: here
+    # the only nonzero cell is (0, 2), and one map is 1x1 instead of empty
+    alg = duplicated(linear_quiver(2))
+    q = alg.quiver
+    bad = Mat.identity(1)
+    level0 = Rep(q, {2: 1}, {"a1": bad} if key == "a1" else {}, check=False)
+    paths = {"e1": Path(1, 1, ()), "a1 conn": Path(2, 1, ("a1",))}
+    assert set(paths.values()) <= set(q.paths)
+    conn = {paths[key]: bad} if key in paths else {}
+    with pytest.raises(ValueError, match="has shape 1x1"):
+        replicated.RModule(alg, [level0, zero_rep(q)], [conn], check=True)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_map_check_sees_an_empty_target_cell_of_the_source(level):
+    # f sends the simple S(v, level) onto the top of P(v, level); the
+    # structure map out of (level, v) is zero on S, whose target cell there
+    # is zero, but not on P: f breaks commutation only at that key
+    alg = duplicated(linear_quiver(2))
+    v = 2 if level == 0 else 1
+    S, P = simple(alg, v, level), projective(alg, v, level)
+    assert P.dims(level, v) == 1
+    onto_top = {(level, v): Mat.identity(1)}
+    with pytest.raises(ValueError, match="does not commute with %s"
+                       % ("arrow a1 at level 0" if level == 0 else
+                          "connector 0 at path")):
+        RMap(S, P, onto_top, check=True)
+    RMap(S, P, {}, check=True)
+
+
 @pytest.mark.parametrize("quiver,m", REPLICATED, ids=REPLICATED_IDS)
 def test_sum_connectors_are_block_diagonal(quiver, m):
     alg = ReplicatedAlgebra(quiver(), m)
@@ -252,7 +286,7 @@ def test_sum_connectors_are_block_diagonal(quiver, m):
         f.validate()
     for j in range(m):
         for p in q.paths:
-            assert S.connectors[j][p] == Mat.block_diag(
+            assert S.connectors[j][p] == block_diag(
                 [X.connectors[j][p] for X in parts])
 
 
