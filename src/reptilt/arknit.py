@@ -26,7 +26,7 @@ def translate_inverse(M):
     if not copies1:
         raise ValueError("inverse translation of an injective module")
     parts = summands_of(E0)
-    rows = [(cproj.component(j, w).data[r], summand_offsets(parts, j, w))
+    rows = [(cproj.comps[(j, w)].data[r], summand_offsets(parts, j, w))
             for w, j, r in copies1]
     gens = [(v, i, Mat.column([x for row, cut in rows
                                for x in row[cut[l]:cut[l + 1]]], alg.field))

@@ -23,10 +23,13 @@ def _normal(q):
 
 def _exact(x):
     """A "p/q" string as a Fraction; a float, whose binary value is not the
-    decimal it spells, is refused."""
+    decimal it spells, is refused, and so is a zero denominator."""
     if isinstance(x, float):
         raise TypeError("float entry %r: give an int or a 'p/q' string" % x)
-    return Fraction(x) if isinstance(x, str) else x
+    try:
+        return Fraction(x) if isinstance(x, str) else x
+    except ZeroDivisionError:
+        raise ValueError("entry %r has a zero denominator" % x) from None
 
 
 class Rationals:
@@ -122,9 +125,10 @@ class PrimeField:
             return x
         x = _exact(x)
         if isinstance(x, Fraction):
-            num = GFElement(self.p, x.numerator)
             den = GFElement(self.p, x.denominator)
-            return num / den
+            if not den:
+                raise ValueError("%s: zero denominator mod %d" % (x, self.p))
+            return GFElement(self.p, x.numerator) / den
         return GFElement(self.p, x)
 
     def div(self, a, b):

@@ -1,4 +1,4 @@
-"""Representations of the base quiver: projectives, injectives and simples.
+"""Representations of the base quiver: projectives and injectives.
 
 Left modules over the path algebra are quiver representations: an arrow
 a: u -> w acts as a matrix of shape dims[w] x dims[u].
@@ -34,19 +34,8 @@ class Rep:
                                      % (a.name, m.rows, m.cols,
                                         self.dims[a.target], self.dims[a.source]))
 
-    @property
-    def total_dim(self):
-        return sum(self.dims.values())
-
     def __repr__(self):
         return "Rep(%s)" % ({v: d for v, d in self.dims.items() if d},)
-
-    def path_action(self, p):
-        """Composite of arrow maps along path p: component s(p) -> t(p)."""
-        m = Mat.identity(self.dims[p.source], self.field)
-        for name in p.arrows:
-            m = self.maps[name] * m
-        return m
 
 
 # -- structural representations --------------------------------------
@@ -89,11 +78,3 @@ def injective_rep(v, quiver, field=QQ):
     rep = Rep(quiver, dims, maps, field, check=False)
     rep.path_basis = basis
     return rep
-
-
-def simple_rep(v, quiver, field=QQ):
-    return Rep(quiver, {v: 1}, {}, field, check=False)
-
-
-def zero_rep(quiver, field=QQ):
-    return Rep(quiver, {}, {}, field, check=False)

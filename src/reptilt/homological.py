@@ -56,8 +56,8 @@ def _cover_with_data(M):
     rad = radical_subspaces(M)
     labels = []
     groups = []
-    for i, v in alg.cells:
-        _, lifts = quotient_basis(M.dims(i, v), rad[(i, v)])
+    for (i, v), d in M.support.items():
+        _, lifts = quotient_basis(d, rad[(i, v)])
         if lifts.cols:
             labels.extend([(v, i)] * lifts.cols)
             groups.append((v, i, lifts))
@@ -105,7 +105,7 @@ def _at_generators(f, labels):
     P(v, i), labelled in ``labels``, as columns of N at (i, v)."""
     parts = summands_of(f.source)
     cuts = {(v, i): summand_offsets(parts, i, v) for (v, i) in set(labels)}
-    return [f.component(i, v).submatrix_cols([cuts[(v, i)][l]])
+    return [f.comps[(i, v)].submatrix_cols([cuts[(v, i)][l]])
             for l, (v, i) in enumerate(labels)]
 
 
@@ -169,11 +169,10 @@ def ext_table(M, N):
 def is_projective(M):
     """True when M is projective: its projective cover, one P(v, i) per
     basis vector of top(M) at (i, v), has the dimension of M."""
-    alg = M.algebra
     rad = radical_subspaces(M)
     return M.total_dim == sum(
-        (M.dims(i, v) - rad[(i, v)].dim) * projective(alg, v, i).total_dim
-        for i, v in alg.cells)
+        (d - rad[(i, v)].dim) * projective(M.algebra, v, i).total_dim
+        for (i, v), d in M.support.items())
 
 
 def is_injective(M):
@@ -205,8 +204,8 @@ def envelope_copies(M):
     functional at row r.  Kept in ``M.cache``."""
     if "envelope" not in M.cache:
         soc = socle_subspaces(M)
-        M.cache["envelope"] = [(v, i, r) for i, v in M.algebra.cells
-                               for r in soc[(i, v)].pivot_rows]
+        M.cache["envelope"] = [(v, i, r) for (i, v), sub in soc.items()
+                               for r in sub.pivot_rows]
     return M.cache["envelope"]
 
 
@@ -227,10 +226,10 @@ def injective_envelope_with_data(M):
     labels = [(v, i) for v, i, _ in picks]
     E, _, _ = direct_sum(alg, [injective(alg, v, i) for (v, i) in labels])
     mono = RMap(M, E, {
-        (lev, w): Mat(E.dims(lev, w), M.dims(lev, w),
+        (lev, w): Mat(E.dims(lev, w), d,
                       [a.data[r][:] for v, i, r in picks
                        for a in generator_action(M, w, lev, i, v)], alg.field)
-        for lev, w in alg.cells}, check=False)
+        for (lev, w), d in M.support.items()}, check=False)
     if not mono.is_mono():
         raise RuntimeError("injective envelope map is not injective")
     return E, mono, labels
@@ -275,8 +274,9 @@ def ext1_classes(X, Y):
     # that image in Hom(K, Y) coordinates
     gens = _at_generators(cover, res.summands[1])
     embed = Mat.hstack(
-        [Mat.vstack([h.component(i, v) * x
-                     for (v, i), x in zip(res.summands[1], gens)])
+        [Mat.vstack([h.comps[(i, v)] * x
+                     for (v, i), x in zip(res.summands[1], gens)
+                     if (i, v) in h.comps])
          for h in space.basis], field=X.algebra.field)
     img = solve_matrix(embed, _ext_differential(res, 1, Y))
     if img is None:
@@ -297,8 +297,8 @@ def realize_extension(X, Y, h):
     iY = eproj.compose(incls[1])
     # g = (augmentation, 0) vanishes on the image: it is g o section on E
     g = res.augmentation.compose(projs[0])
-    pX = RMap(E, X, {c: g.comps[c] * s for c, s in sections.items()},
-              check=False)
+    pX = RMap(E, X, {c: g.comps[c] * s for c, s in sections.items()
+                     if c in g.comps}, check=False)
     if not (pX.compose(eproj) - g).is_zero():
         raise RuntimeError("the augmentation does not factor through E")
     return E, iY, pX

@@ -1,25 +1,25 @@
 """The m-replicated algebra of a hereditary path algebra and its modules.
 
 The replicated algebra is the triangular matrix algebra with m + 1 copies of
-A on the diagonal and DA below it, so a module is a tuple of base-quiver
-representations M_0..M_m (one per level) together with connectors
-phi_j: DA (x)_A M_{j+1} -> M_j.  A connector is stored as the action of the
-basis of DA: one matrix per path p: w -> u of the base quiver, from
-(M_{j+1})_u to (M_j)_w, the image of p* (x) x.  Level 0 is the copy whose
-projectives stay projective over the replicated algebra; connectors point
-downward, so a projective-injective P(v,i) has its top at level i and its
-socle at level i-1.
+A on the diagonal and DA below it.  A module is stored as its support: the
+dims at its nonzero cells (level i, vertex v) and, between two of them, the
+arrow maps of each level and the connectors phi_j: DA (x)_A M_{j+1} -> M_j.
+A connector is stored as the action of the basis of DA: one matrix per path
+p: w -> u of the base quiver, from (j + 1, u) to (j, w), the image of p* (x)
+x.  Level 0 is the copy whose projectives stay projective over the
+replicated algebra; connectors point downward, so a projective-injective
+P(v,i) has its top at level i and its socle at level i-1.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from types import MappingProxyType
+from functools import reduce
+from types import MappingProxyType, SimpleNamespace
 
 from .field import QQ
-from .hereditary import (Rep, injective_rep, projective_rep, simple_rep,
-                         zero_rep)
+from .hereditary import injective_rep, projective_rep
 from .linalg import (Mat, column_space, kernel_basis, quotient_basis, rank,
                      solve_matrix)
 from .quiver import Path
@@ -59,89 +59,83 @@ class ReplicatedAlgebra:
 
 
 class RModule:
-    """A module over a replicated algebra: level representations plus
-    downward connectors, ``connectors[j][p]`` the action of p* from level
-    j + 1 to level j.  A missing path acts as zero."""
+    """A module over a replicated algebra: the dim ``support[(i, v)]`` of
+    each nonzero cell, in ``cells`` order, and ``maps`` between two of them,
+    keyed as ``_layout`` keys them; a missing key is zero.  With ``check``,
+    a map given at a zero cell is dropped once its shape is checked."""
 
-    def __init__(self, algebra, levels, connectors, check=True):
+    def __init__(self, algebra, dims, maps, check=True):
         self.algebra = algebra
-        self.levels = list(levels)
-        if len(self.levels) != algebra.m + 1:
-            raise ValueError("expected %d levels" % (algebra.m + 1))
-        if len(connectors) != algebra.m:
-            raise ValueError("expected %d connectors" % algebra.m)
-        f = algebra.field
-        self.connectors = [
-            {p: conn[p] if p in conn else
-             Mat.zeros(lo.dims[p.source], hi.dims[p.target], f)
-             for p in algebra.quiver.paths}
-            for conn, lo, hi in zip(connectors, self.levels, self.levels[1:])]
+        self.support = {c: dims[c] for c in algebra.cells if dims.get(c)}
+        self.maps = maps
         self.cache = {}
         if check:
             self.validate()
+            self.maps = {key: x for key, x in maps.items() if all(
+                c in self.support for c in _layout(algebra)[key])}
 
     def validate(self):
         """The module axioms: the shape of each structure map, the right
         rule (p* a = (p minus a)* when p ends with a, else 0), the left rule
         (a p* = (p minus a)* when p starts with a, else 0) and DA.DA = 0."""
-        for src, tgt, key, x in _structure_maps(self, every=True):
-            want = (self.dims(*tgt), self.dims(*src))
+        ends = _layout(self.algebra)
+        for key, x in self.maps.items():
+            if key not in ends:
+                raise ValueError("no structure map %r" % (key,))
+            want = tuple(self.dims(*c) for c in reversed(ends[key]))
             if (x.rows, x.cols) != want:
                 raise ValueError("%s has shape %dx%d, want %dx%d"
                                  % ((_structure_name(key), x.rows, x.cols)
                                     + want))
         quiver = self.algebra.quiver
-        for j, conn in enumerate(self.connectors):
-            lo, hi = self.levels[j], self.levels[j + 1]
+        get = self.maps.get
+        for j in range(self.algebra.m):
             for a in quiver.arrows:
                 for p in quiver.paths_into(a.target):
-                    got = conn[p] * hi.maps[a.name]
-                    if p.arrows[-1:] == (a.name,):
-                        q = Path(p.source, a.source, p.arrows[:-1])
-                        ok = got == conn[q]
-                    else:
-                        ok = got.is_zero()
-                    if not ok:
+                    want = (get((j, Path(p.source, a.source, p.arrows[:-1])))
+                            if p.arrows[-1:] == (a.name,) else None)
+                    if not _agree(get((j, p)), get((j + 1, a.name)), want):
                         raise ValueError("connector %d breaks the right rule "
                                          "at path %s and arrow %s"
                                          % (j, _path_name(p), a.name))
                 for p in quiver.paths_from(a.source):
-                    got = lo.maps[a.name] * conn[p]
-                    if p.arrows[:1] == (a.name,):
-                        q = Path(a.target, p.target, p.arrows[1:])
-                        ok = got == conn[q]
-                    else:
-                        ok = got.is_zero()
-                    if not ok:
+                    want = (get((j, Path(a.target, p.target, p.arrows[1:])))
+                            if p.arrows[:1] == (a.name,) else None)
+                    if not _agree(get((j, a.name)), get((j, p)), want):
                         raise ValueError("connector %d breaks the left rule "
                                          "at arrow %s and path %s"
                                          % (j, a.name, _path_name(p)))
         for j in range(1, self.algebra.m):
-            lower, upper = self.connectors[j - 1], self.connectors[j]
             for p in quiver.paths:
                 for q in quiver.paths_from(p.target):
-                    if not (lower[p] * upper[q]).is_zero():
+                    if not _agree(get((j - 1, p)), get((j, q)), None):
                         raise ValueError("connector composite does not "
                                          "vanish at %d" % j)
 
     @property
     def total_dim(self):
-        return sum(l.total_dim for l in self.levels)
+        return sum(self.support.values())
 
     def is_zero(self):
-        return self.total_dim == 0
+        return not self.support
 
     def dims(self, i, v):
-        return self.levels[i].dims[v]
+        return self.support.get((i, v), 0)
+
+    @property
+    def levels(self):
+        """``levels[i].dims[v]``, for the benchmark tracer until ROADMAP item
+        3's benchmark change moves the tracer onto library counters."""
+        vs = self.algebra.quiver.vertices
+        return [SimpleNamespace(dims={v: self.dims(i, v) for v in vs})
+                for i in range(self.algebra.m + 1)]
 
     def dim_grid(self):
         """The module's DimGrid, built once: no module's dims change after
         it is constructed."""
         grid = self.cache.get("dim_grid")
         if grid is None:
-            grid = self.cache["dim_grid"] = DimGrid(
-                {(i, v): d for i, v in self.algebra.cells
-                 if (d := self.levels[i].dims[v])})
+            grid = self.cache["dim_grid"] = DimGrid(self.support)
         return grid
 
     def __repr__(self):
@@ -152,33 +146,41 @@ def _path_name(p):
     return ".".join(p.arrows) if p.arrows else "e%s" % (p.source,)
 
 
-def _structure_maps(M, paths=None, every=False):
-    """Each structure map of M as (source cell, target cell, key, matrix):
-    first each arrow a at each level i, key (i, a.name), then each connector
-    p* from (j + 1, t(p)) to (j, s(p)), key (j, p), for p in ``paths`` (every
-    path by default), only those between two nonzero cells unless ``every``.
-    The only code that knows how the maps are laid out; ``_module_from_maps``
-    is its inverse.  The cells and keys depend only on the algebra, so they
-    are built once per algebra and choice of paths."""
-    alg = M.algebra
+def _layout(alg, paths=None):
+    """key -> (source cell, target cell) of each structure map: arrow a at
+    level i, key (i, a.name), and connector p* from (j + 1, t(p)) to (j,
+    s(p)), key (j, p), for p in ``paths`` (all by default).  The only code
+    that knows the layout; built once per algebra and choice of paths."""
     memo = ("structure maps", None if paths is None else tuple(paths))
-    layout = alg.cache.get(memo)
-    if layout is None:
+    if memo not in alg.cache:
         quiver = alg.quiver
-        layout = alg.cache[memo] = (
-            [((i, a.source), (i, a.target), (i, a.name))
-             for i in range(alg.m + 1) for a in quiver.arrows],
-            [((j + 1, p.target), (j, p.source), (j, p))
-             for j in range(alg.m)
-             for p in (quiver.paths if paths is None else paths)])
-    arrows, connectors = layout
-    support = M.dim_grid().entries
-    for src, tgt, key in arrows:
-        if every or (src in support and tgt in support):
-            yield src, tgt, key, M.levels[key[0]].maps[key[1]]
-    for src, tgt, key in connectors:
-        if every or (src in support and tgt in support):
-            yield src, tgt, key, M.connectors[key[0]][key[1]]
+        alg.cache[memo] = {(i, a.name): ((i, a.source), (i, a.target))
+                           for i in range(alg.m + 1) for a in quiver.arrows}
+        alg.cache[memo].update(
+            ((j, p), ((j + 1, p.target), (j, p.source))) for j in range(alg.m)
+            for p in (quiver.paths if paths is None else paths))
+    return alg.cache[memo]
+
+
+def _structure_maps(M, paths=None):
+    """Each map M stores as (source cell, target cell, key, matrix), the
+    connectors only for p in ``paths`` (every path by default)."""
+    layout = _layout(M.algebra, paths)
+    for key, x in M.maps.items():
+        ends = layout.get(key)
+        if ends is not None:
+            yield ends[0], ends[1], key, x
+
+
+def _map_pairs(M, N, paths=None):
+    """(source cell, target cell, key, x on M, x on N), None where x is not
+    stored, for each map M or N stores from a cell where M is nonzero to
+    one where N is: the equations of a map M -> N that are not 0 = 0."""
+    layout = _layout(M.algebra, paths)
+    for key in {**M.maps, **N.maps}:
+        ends = layout.get(key)
+        if ends is not None and ends[0] in M.support and ends[1] in N.support:
+            yield ends[0], ends[1], key, M.maps.get(key), N.maps.get(key)
 
 
 def _structure_name(key):
@@ -188,19 +190,12 @@ def _structure_name(key):
     return "arrow %s at level %d" % (x, i)
 
 
-def _module_from_maps(alg, dims, maps):
-    """The unchecked RModule with ``dims[(i, v)]`` at each cell and the
-    structure maps ``maps``, keyed as ``_structure_maps`` keys them; a
-    missing key is zero."""
-    levels = [{} for _ in range(alg.m + 1)]
-    conns = [{} for _ in range(alg.m)]
-    for (i, x), mat in maps.items():
-        (conns if isinstance(x, Path) else levels)[i][x] = mat
-    quiver = alg.quiver
-    return RModule(alg, [Rep(quiver, {v: dims[(i, v)] for v in quiver.vertices},
-                             lmaps, alg.field, check=False)
-                         for i, lmaps in enumerate(levels)],
-                   conns, check=False)
+def _agree(x, y, want):
+    """x * y == want, None standing for a zero matrix."""
+    got = None if x is None or y is None else x * y
+    if got is None or want is None:
+        return all(z is None or z.is_zero() for z in (got, want))
+    return got == want
 
 
 class DimGrid:
@@ -211,8 +206,7 @@ class DimGrid:
     __slots__ = ("entries", "_key")
 
     def __init__(self, entries):
-        self.entries = MappingProxyType(
-            {k: int(d) for k, d in entries.items() if d})
+        self.entries = MappingProxyType(entries)   # the nonzero cells
         self._key = tuple(sorted((i, str(v), d)
                                  for (i, v), d in self.entries.items()))
 
@@ -242,25 +236,24 @@ class DimGrid:
 
 
 class RMap:
-    """A morphism of replicated-algebra modules: one matrix per (level,
-    vertex), ``comps[(i, v)]`` from the source at (i, v) to the target
-    there, kept in ``cells`` order.  A missing cell is zero."""
+    """A morphism of replicated-algebra modules: ``comps[(i, v)]``, from
+    the source at (level i, vertex v) to the target there, at each cell
+    where both are nonzero, in ``cells`` order; a missing one is zero."""
 
     def __init__(self, source, target, comps, check=True):
         self.source = source
         self.target = target
-        f = source.algebra.field
-        self.comps = {c: comps[c] if c in comps else
-                      Mat.zeros(target.dims(*c), source.dims(*c), f)
-                      for c in source.algebra.cells}
+        self.comps = comps
         if check:
             self.validate()
+        f = source.algebra.field
+        self.comps = {c: comps.get(c) or
+                      Mat.zeros(target.dims(*c), source.dims(*c), f)
+                      for c in _shared_cells(source, target)}
 
     def validate(self):
-        """The shape of each cell and commutation with each structure map:
-        the arrows at each level and the connector matrices.  A map x from
-        cell s to cell t gives an equation from M at s to N at t, empty
-        when either is zero."""
+        """The shape of each component and commutation with each structure
+        map of ``_map_pairs``: y f_s = f_t x for x from cell s to cell t."""
         M, N = self.source, self.target
         for (i, v), c in self.comps.items():
             want = (N.dims(i, v), M.dims(i, v))
@@ -268,19 +261,17 @@ class RMap:
                 raise ValueError("component at level %d, vertex %r has shape "
                                  "%dx%d, want %dx%d"
                                  % ((i, v, c.rows, c.cols) + want))
-        for (src, tgt, key, x), (*_, y) in zip(_structure_maps(M, every=True),
-                                               _structure_maps(N, every=True)):
-            if (M.dims(*src) and N.dims(*tgt)
-                    and y * self.comps[src] != self.comps[tgt] * x):
+        comps = self.comps
+        for src, tgt, key, x, y in _map_pairs(M, N):
+            rhs = None if x is None or tgt not in comps else comps[tgt] * x
+            if not _agree(y, comps.get(src), rhs):
                 raise ValueError("map does not commute with %s"
                                  % _structure_name(key))
 
-    def component(self, i, v):
-        return self.comps[(i, v)]
-
     def compose(self, other):
         return RMap(other.source, self.target,
-                    {c: m * other.comps[c] for c, m in self.comps.items()},
+                    {c: m * other.comps[c] for c, m in self.comps.items()
+                     if c in other.comps},
                     check=False)
 
     def __add__(self, other):
@@ -318,30 +309,33 @@ class RMap:
         return "RMap(%s -> %s)" % (self.source.dim_grid(), self.target.dim_grid())
 
 
+def _shared_cells(M, N):
+    """The cells where M and N are both nonzero, in ``cells`` order."""
+    return [c for c in M.support if c in N.support]
+
+
 def zero_rmap(M, N):
     return RMap(M, N, {}, check=False)
 
 
 def identity_rmap(M):
-    f = M.algebra.field
-    return RMap(M, M, {c: Mat.identity(M.dims(*c), f)
-                       for c in M.algebra.cells}, check=False)
+    return RMap(M, M, {c: Mat.identity(d, M.algebra.field)
+                       for c, d in M.support.items()}, check=False)
 
 
 # -- structural modules ----------------------------------------------
 
 def zero_module(alg):
-    z = [zero_rep(alg.quiver, alg.field) for _ in range(alg.m + 1)]
-    return RModule(alg, z, [{}] * alg.m, check=False)
+    return RModule(alg, {}, {}, check=False)
 
 
 def embed_level(alg, rep, i):
     """Place a base representation at level i with zero connectors."""
     if not 0 <= i <= alg.m:
         raise ValueError("level out of range")
-    levels = [zero_rep(alg.quiver, alg.field) for _ in range(alg.m + 1)]
-    levels[i] = rep
-    return RModule(alg, levels, [{}] * alg.m, check=False)
+    return RModule(alg, {(i, v): d for v, d in rep.dims.items()},
+                   {(i, a.name): rep.maps[a.name] for a in rep.quiver.arrows
+                    if rep.dims[a.source] and rep.dims[a.target]}, check=False)
 
 
 def projective(alg, v, i):
@@ -355,12 +349,13 @@ def projective(alg, v, i):
     if i == 0:
         mod = embed_level(alg, alg.base_projective(v), 0)
     else:
-        levels = [zero_rep(alg.quiver, alg.field) for _ in range(alg.m + 1)]
-        levels[i] = P = alg.base_projective(v)
-        levels[i - 1] = I = alg.base_injective(v)
-        conns = [{} for _ in range(alg.m)]
+        P, I = alg.base_projective(v), alg.base_injective(v)
+        hi, lo = embed_level(alg, P, i), embed_level(alg, I, i - 1)
+        maps = {**hi.maps, **lo.maps}
         # p* sends the basis path q of A e_v to r* when p = (r then q)
         for p in alg.quiver.paths:
+            if not (I.dims[p.source] and P.dims[p.target]):
+                continue
             phi = Mat.zeros(I.dims[p.source], P.dims[p.target], alg.field)
             index = {r: k for k, r in enumerate(I.path_basis[p.source])}
             for c, q in enumerate(P.path_basis[p.target]):
@@ -369,8 +364,8 @@ def projective(alg, v, i):
                     k = index.get(Path(p.source, v, p.arrows[:cut]))
                     if k is not None:
                         phi.data[k][c] = alg.field.one
-            conns[i - 1][p] = phi
-        mod = RModule(alg, levels, conns, check=False)
+            maps[(i - 1, p)] = phi
+        mod = RModule(alg, {**hi.support, **lo.support}, maps, check=False)
     alg.cache[key] = mod
     return mod
 
@@ -393,7 +388,7 @@ def simple(alg, v, i):
     if key not in alg.cache:
         if not 0 <= i <= alg.m:
             raise ValueError("level out of range")
-        alg.cache[key] = embed_level(alg, simple_rep(v, alg.quiver, alg.field), i)
+        alg.cache[key] = RModule(alg, {(i, v): 1}, {}, check=False)
     return alg.cache[key]
 
 
@@ -421,7 +416,7 @@ def summand_offsets(mods, i, v):
     vertex v), followed by the total dimension there."""
     out = [0]
     for M in mods:
-        out.append(out[-1] + M.levels[i].dims[v])
+        out.append(out[-1] + M.dims(i, v))
     return out
 
 
@@ -432,16 +427,19 @@ def direct_sum(alg, mods):
     mods = list(mods)
     if not mods:
         return zero_module(alg), [], []
-    cuts = {(i, v): summand_offsets(mods, i, v) for i, v in alg.cells}
-    maps = {}   # summand k's nonzero maps, each at k's offsets; zero elsewhere
-    for k, M in enumerate(mods):
+    dims, starts = {}, []   # starts[k][c]: where summand k starts at c
+    for M in mods:
+        starts.append({c: dims.get(c, 0) for c in M.support})
+        dims.update((c, at + M.support[c]) for c, at in starts[-1].items())
+    maps = {}   # summand k's maps, each at k's offsets; zero elsewhere
+    for M, at in zip(mods, starts):
         for src, tgt, key, x in _structure_maps(M):
             if key not in maps:
-                maps[key] = Mat.zeros(cuts[tgt][-1], cuts[src][-1], alg.field)
-            c0 = cuts[src][k]
-            for r, row in enumerate(x.data, cuts[tgt][k]):
+                maps[key] = Mat.zeros(dims[tgt], dims[src], alg.field)
+            c0 = at[src]
+            for r, row in enumerate(x.data, at[tgt]):
                 maps[key].data[r][c0:c0 + x.cols] = row
-    S = _module_from_maps(alg, {c: cut[-1] for c, cut in cuts.items()}, maps)
+    S = RModule(alg, dims, maps, check=False)
     S.cache["summands"] = mods
     return S, SummandMaps(S, True), SummandMaps(S, False)
 
@@ -481,40 +479,36 @@ def block_map(source, target, grid):
     U_k, laid out as ``direct_sum`` lays out the sums.  The layout is read
     off the blocks (the targets of a row, the sources of a column), so a
     recorded sum may stand as one block."""
-    alg = source.algebra
     comps = {}
-    for i, v in alg.cells:
+    for c in _shared_cells(source, target):
         data = []
         for row in grid:
-            mats = [b.comps[(i, v)] for b in row]
-            data.extend(sum((m.data[r] for m in mats), [])
-                        for r in range(mats[0].rows))
-        comps[(i, v)] = Mat(target.levels[i].dims[v], source.levels[i].dims[v],
-                            data, alg.field)
+            mats = [b.comps[c] for b in row if c in b.comps]
+            if mats:
+                data.extend(sum((m.data[r] for m in mats), [])
+                            for r in range(mats[0].rows))
+        comps[c] = Mat(target.dims(*c), source.dims(*c), data,
+                       source.algebra.field)
     return RMap(source, target, comps, check=False)
 
 
 # -- sub and quotient modules ----------------------------------------
 
-def _all_subspaces(M, subspaces):
-    """``subspaces``, with the zero subspace at each missing (level, vertex)."""
-    f = M.algebra.field
-    return {c: subspaces.get(c) or column_space(Mat.zeros(M.dims(*c), 0, f))
-            for c in M.algebra.cells}
-
-
 def submodule(M, subspaces):
-    """Submodule spanned by vertex-level subspaces (must be closed under
-    arrows and connectors).  Returns (S, inclusion)."""
-    subs = _all_subspaces(M, subspaces)
+    """Submodule spanned by vertex-level subspaces, zero at a missing cell
+    (must be closed under arrows and connectors).  Returns (S, inclusion)."""
+    subs = {c: sub for c, sub in subspaces.items() if sub.dim}
     maps = {}
     for src, tgt, key, x in _structure_maps(M):
-        maps[key] = subs[tgt].coords(x * subs[src].basis)
-        if maps[key] is None:
-            raise ValueError("subspaces not closed under %s"
-                             % _structure_name(key))
-    S = _module_from_maps(M.algebra, {c: sub.dim for c, sub in subs.items()},
-                          maps)
+        if src in subs:
+            y = x * subs[src].basis
+            if tgt in subs:
+                y = maps[key] = subs[tgt].coords(y)
+            if y is None or tgt not in subs and not y.is_zero():
+                raise ValueError("subspaces not closed under %s"
+                                 % _structure_name(key))
+    S = RModule(M.algebra, {c: sub.dim for c, sub in subs.items()}, maps,
+                check=False)
     return S, RMap(S, M, {c: sub.basis for c, sub in subs.items()},
                    check=False)
 
@@ -530,11 +524,13 @@ def quotient_with_sections(M, subspaces):
     v)]`` is a right inverse of the projection's matrix at (level i, vertex
     v), the lift of Q there that spans a complement of the subspace."""
     proj, sect = {}, {}
-    for c, sub in _all_subspaces(M, subspaces).items():
-        proj[c], sect[c] = quotient_basis(M.dims(*c), sub)
-    Q = _module_from_maps(M.algebra, {c: p.rows for c, p in proj.items()},
-                          {key: proj[tgt] * x * sect[src]
-                           for src, tgt, key, x in _structure_maps(M)})
+    for c, d in M.support.items():
+        proj[c], sect[c] = quotient_basis(d, subspaces.get(c) or column_space(
+            Mat.zeros(d, 0, M.algebra.field)))
+    Q = RModule(M.algebra, {c: p.rows for c, p in proj.items()},
+                {key: proj[tgt] * x * sect[src]
+                 for src, tgt, key, x in _structure_maps(M)
+                 if proj[src].rows and proj[tgt].rows}, check=False)
     return Q, RMap(M, Q, proj, check=False), sect
 
 
@@ -544,7 +540,9 @@ def kernel(f):
 
 
 def kernel_subspaces(f):
-    return {c: kernel_basis(m) for c, m in f.comps.items()}
+    return {c: kernel_basis(f.comps.get(c) or
+                            Mat.zeros(0, d, f.source.algebra.field))
+            for c, d in f.source.support.items()}
 
 
 def image_subspaces(f):
@@ -574,8 +572,9 @@ def radical_subspaces(M):
     into = {}
     for _, tgt, _, x in _structure_maps(M, M.algebra.quiver.maximal_paths):
         into.setdefault(tgt, []).append(x)
-    return _all_subspaces(M, {c: column_space(Mat.hstack(xs, field=f))
-                              for c, xs in into.items()})
+    return {c: column_space(Mat.hstack(into[c], field=f) if c in into
+                            else Mat.zeros(d, 0, f))
+            for c, d in M.support.items()}
 
 
 def radical(M):
@@ -594,9 +593,9 @@ def socle_subspaces(M):
     out = {}
     for src, _, _, x in _structure_maps(M, M.algebra.quiver.maximal_paths):
         out.setdefault(src, []).append(x)
-    return {c: kernel_basis(Mat.vstack(out[c], field=f)) if c in out
-            else column_space(Mat.identity(M.dims(*c), f))
-            for c in M.algebra.cells}
+    return {c: kernel_basis(Mat.vstack(out[c], field=f) if c in out
+                            else Mat.zeros(0, d, f))
+            for c, d in M.support.items()}
 
 
 def socle(M):
@@ -632,7 +631,7 @@ class HomSpace:
     def __init__(self, source, target, offsets, ambient, vectors, pivots):
         self.source = source
         self.target = target
-        self.offsets = offsets      # cell -> where its block starts
+        self.offsets = offsets      # shared cell -> where its block starts
         self.ambient = ambient      # length of rmap_vector of a map M -> N
         self.vectors = vectors      # the basis in rmap_vector, one list each
         self.pivots = pivots
@@ -643,10 +642,10 @@ class HomSpace:
         M, N = self.source, self.target
         f = M.algebra.field
         comps = {}
-        for (i, v), pos in self.offsets.items():
-            r, c = N.levels[i].dims[v], M.levels[i].dims[v]
-            comps[(i, v)] = Mat(r, c, [vec[pos + a * c:pos + (a + 1) * c]
-                                       for a in range(r)], f)
+        for c, pos in self.offsets.items():
+            r, k = N.support[c], M.support[c]
+            comps[c] = Mat(r, k, [vec[pos + a * k:pos + (a + 1) * k]
+                                  for a in range(r)], f)
         return RMap(M, N, comps, check=False)
 
     def _combination(self, coeffs):
@@ -700,7 +699,8 @@ def hom_space(M, N):
     memo = M.cache.setdefault("hom", {})
     space = memo.get(N)
     if space is None:
-        space = memo[N] = _hom_basis_r(M, N)
+        space = memo[N] = (_hom_basis_r(M, N) if _shared_cells(M, N)
+                           else HomSpace(M, N, {}, 0, [], []))
     return space
 
 
@@ -709,22 +709,22 @@ def hom_basis_r(M, N):
     return hom_space(M, N).basis
 
 
-def _commutation_rows(x_n, x_m, src, tgt, offsets, total, zero):
-    """The nonzero rows of x_n f_src - f_tgt x_m = 0, for x acting from
-    (level, vertex) ``src`` to ``tgt`` as x_m on M and x_n on N, in the
+def _commutation_rows(x_n, x_m, src, tgt, shape, offsets, total, zero):
+    """The nonzero rows of x_n f_src - f_tgt x_m = 0, x from ``src`` to
+    ``tgt`` (None for zero, ``shape`` (dim N at tgt, dim M at src)), in the
     ``rmap_vector`` unknowns of a map f: M -> N laid out at ``offsets``."""
-    m_src, m_tgt = x_m.cols, x_m.rows
+    n_tgt, m_src = shape
     rows = []
-    for r in range(x_n.rows):
+    for r in range(n_tgt):
         for c in range(m_src):
             row = [zero] * total
-            for k, e in enumerate(x_n.data[r]):
+            for k, e in enumerate(x_n.data[r] if x_n is not None else ()):
                 if e:
                     row[offsets[src] + k * m_src + c] = e
-            for l in range(m_tgt):
+            for l in range(x_m.rows if x_m is not None else 0):
                 e = x_m.data[l][c]
                 if e:
-                    idx = offsets[tgt] + r * m_tgt + l
+                    idx = offsets[tgt] + r * x_m.rows + l
                     row[idx] = row[idx] - e
             if any(row):
                 rows.append(row)
@@ -733,25 +733,22 @@ def _commutation_rows(x_n, x_m, src, tgt, offsets, total, zero):
 
 def _hom_basis_r(M, N):
     """Solve the Hom system for maps M -> N; returns their HomSpace.  A map
-    commutes with every arrow at every level and with every connector
-    matrix p*.  Connector rows are needed only for the paths from a source
-    to a sink: any other q extends to q.a or b.q, and Phi_q = Phi_{q.a} M_a
-    or Phi_q = M_b Phi_{b.q} carries the commutation through the arrows."""
+    commutes with every arrow and connector matrix p* of ``_map_pairs``.
+    Connector rows are needed only for the paths from a source to a sink:
+    any other q extends to q.a or b.q, and Phi_q = Phi_{q.a} M_a or Phi_q =
+    M_b Phi_{b.q} carries the commutation through the arrows."""
     alg = M.algebra
     f = alg.field
     offsets = {}
     total = 0
-    for i, v in alg.cells:
-        offsets[(i, v)] = total
-        total += N.levels[i].dims[v] * M.levels[i].dims[v]
+    for c in _shared_cells(M, N):
+        offsets[c] = total
+        total += N.support[c] * M.support[c]
     rows = []
-    paths = alg.quiver.maximal_paths
-    for (src, tgt, _, x_m), (*_, x_n) in zip(
-            _structure_maps(M, paths, every=True),
-            _structure_maps(N, paths, every=True)):
-        if M.dims(*src) and N.dims(*tgt):
-            rows += _commutation_rows(x_n, x_m, src, tgt, offsets, total,
-                                      f.zero)
+    for src, tgt, _, x_m, x_n in _map_pairs(M, N, alg.quiver.maximal_paths):
+        rows += _commutation_rows(x_n, x_m, src, tgt,
+                                  (N.dims(*tgt), M.dims(*src)), offsets,
+                                  total, f.zero)
     ker = kernel_basis(Mat(len(rows), total, rows, f))
     return HomSpace(M, N, offsets, total,
                     [ker.basis.col(k) for k in range(ker.dim)], ker.pivot_rows)
@@ -769,15 +766,20 @@ def generator_action(M, v, i, lev, w):
         alg = M.algebra
         if lev == i:
             # the paths from v to w act on x through the arrow maps
-            memo[key] = [M.levels[i].path_action(p)
-                         for p in alg.base_projective(v).path_basis[w]]
+            steps = [[(i, a) for a in p.arrows]
+                     for p in alg.base_projective(v).path_basis[w]]
         elif lev == i - 1:
             # the functionals r* on the paths r: w -> v act on x through
             # the connector
-            memo[key] = [M.connectors[i - 1][r]
-                         for r in alg.base_injective(v).path_basis[w]]
+            steps = [[(i - 1, r)] for r in alg.base_injective(v).path_basis[w]]
         else:
-            memo[key] = []
+            steps = []
+        # the composite of the maps along each step, zero if one is missing
+        rows, cols = M.dims(lev, w), M.dims(i, v)
+        memo[key] = [reduce(lambda a, k: M.maps[k] * a, keys,
+                            Mat.identity(cols, alg.field))
+                     if all(k in M.maps for k in keys)
+                     else Mat.zeros(rows, cols, alg.field) for keys in steps]
     return memo[key]
 
 
@@ -788,17 +790,16 @@ def map_from_projectives(P, M, gens):
     Each generator action is applied to all of X in one product.  At each
     (level, vertex) the columns are generator-major and action-minor, the
     layout ``block_map`` gives to the maps of the single generators."""
-    alg = M.algebra
     comps = {}
-    for lev, w in alg.cells:
+    for lev, w in _shared_cells(P, M):
         rows = [[] for _ in range(M.dims(lev, w))]
         for v, i, X in gens:
             images = [a * X for a in generator_action(M, v, i, lev, w)]
-            if images:
-                for r, row in enumerate(rows):
-                    for entries in zip(*[y.data[r] for y in images]):
-                        row.extend(entries)
-        comps[(lev, w)] = Mat(M.dims(lev, w), P.dims(lev, w), rows, alg.field)
+            for r, row in enumerate(rows):
+                for entries in zip(*[y.data[r] for y in images]):
+                    row.extend(entries)
+        comps[(lev, w)] = Mat(M.dims(lev, w), P.dims(lev, w), rows,
+                              M.algebra.field)
     return RMap(P, M, comps, check=False)
 
 
@@ -816,38 +817,43 @@ def _mat_from_json(obj, field):
 
 def rmodule_to_json(M):
     """Levels as dims and arrow matrices; each connector as one matrix per
-    path, in ``quiver.paths`` order."""
-    alg = M.algebra
-    out = {"m": alg.m, "levels": [], "connectors": []}
-    for rep in M.levels:
-        out["levels"].append({
-            "dims": [[str(v), rep.dims[v]] for v in alg.quiver.vertices],
-            "maps": {a.name: _mat_to_json(rep.maps[a.name])
-                     for a in alg.quiver.arrows}})
-    for conn in M.connectors:
-        out["connectors"].append([_mat_to_json(conn[p])
-                                  for p in alg.quiver.paths])
-    return out
+    path, in ``quiver.paths`` order.  A map M does not store is zero."""
+    alg, quiver = M.algebra, M.algebra.quiver
+    mats = {key: _mat_to_json(M.maps.get(key) or
+                              Mat.zeros(M.dims(*tgt), M.dims(*src), alg.field))
+            for key, (src, tgt) in _layout(alg).items()}
+    return {"m": alg.m,
+            "levels": [{"dims": [[str(v), M.dims(i, v)]
+                                 for v in quiver.vertices],
+                        "maps": {a.name: mats[(i, a.name)]
+                                 for a in quiver.arrows}}
+                       for i in range(alg.m + 1)],
+            "connectors": [[mats[(j, p)] for p in quiver.paths]
+                           for j in range(alg.m)]}
 
 
 def rmodule_from_json(alg, obj):
+    """The module ``rmodule_to_json`` wrote, checked as ``RModule`` checks
+    it: each dim must be an integer >= 0, given once."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    if obj["m"] != alg.m:
-        raise ValueError("replication degree mismatch")
-    levels = []
+    paths, conns = alg.quiver.paths, obj["connectors"]
+    if ((obj["m"], len(obj["levels"]), len(conns)) != (alg.m, alg.m + 1, alg.m)
+            or any(len(cj) != len(paths) for cj in conns)):
+        raise ValueError("expected m = %d: %d levels and %d connectors of one "
+                         "matrix per path (%d)" % (alg.m, alg.m + 1, alg.m,
+                                                   len(paths)))
     vkey = {str(v): v for v in alg.quiver.vertices}
-    for lev in obj["levels"]:
-        dims = {vkey[v]: d for v, d in lev["dims"]}
-        maps = {name: _mat_from_json(mj, alg.field)
-                for name, mj in lev["maps"].items()}
-        levels.append(Rep(alg.quiver, dims, maps, alg.field))
-    paths = alg.quiver.paths
-    conns = []
-    for cj in obj["connectors"]:
-        if len(cj) != len(paths):
-            raise ValueError("a connector needs one matrix per path (%d), "
-                             "got %d" % (len(paths), len(cj)))
-        conns.append({p: _mat_from_json(mj, alg.field)
-                      for p, mj in zip(paths, cj)})
-    return RModule(alg, levels, conns, check=True)
+    dims, maps = {}, {}
+    for i, lev in enumerate(obj["levels"]):
+        for v, d in lev["dims"]:
+            if type(d) is not int or d < 0 or (i, vkey[v]) in dims:
+                raise ValueError("dim %s at level %d, vertex %s: give one "
+                                 "integer >= 0" % (json.dumps(d), i, v))
+            dims[(i, vkey[v])] = d
+        maps.update(((i, name), _mat_from_json(mj, alg.field))
+                    for name, mj in lev["maps"].items())
+    for j, cj in enumerate(conns):
+        maps.update(((j, p), _mat_from_json(mj, alg.field))
+                    for p, mj in zip(paths, cj))
+    return RModule(alg, dims, maps, check=True)

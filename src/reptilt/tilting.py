@@ -373,10 +373,7 @@ def classify_duplicated(T_bar):
     # level-0 part of T_bar with the projective-injectives removed
     non_pi = [X for X in basic_summands(T_bar)
               if not (is_projective(X) and is_injective(X))]
-    level0 = [X for X in non_pi
-              if all(X.dims(i, v) == 0
-                     for i in range(1, alg.m + 1)
-                     for v in alg.quiver.vertices)]
+    level0 = [X for X in non_pi if all(i == 0 for i, _ in X.support)]
     if level0 and len(level0) == len(non_pi):
         report["level0_part_faithful"] = _level0_faithful(alg, level0)
     report["fan"] = fan

@@ -2,15 +2,18 @@
 
 None of this is reached by the command line or the benchmark: the AR
 translate and its almost split sequences and AR quiver, the Hom builder of
-the base quiver, a few predicates, the block-diagonal matrix and the
-grouping of the tilting oracle by its almost complete parts.  They stay as
-independent checks of the library: ``translate`` against
-``translate_inverse``, ``hom_basis`` against ``hom_basis_r``,
-``all_of_kind`` (Krull-Schmidt plus an isomorphism search) against the
-dimension counts ``is_projective`` and ``is_injective``, ``block_diag``
-against the structure maps of ``direct_sum``, and ``_base_rep_faithful``
-(the path actions, vectorized) against the approximation test of
-``classify_duplicated``.  Not a test module: pytest collects nothing here.
+the base quiver, a few predicates, the block-diagonal matrix, the grouping
+of the tilting oracle by its almost complete parts, the simple and zero
+representations and their path actions, and a module's structure maps and
+levels read on the full grid, as modules stored them before they stored
+only their support.  They stay as independent checks of the library:
+``translate`` against ``translate_inverse``, ``hom_basis`` against
+``hom_basis_r``, ``all_of_kind`` (Krull-Schmidt plus an isomorphism search)
+against the dimension counts ``is_projective`` and ``is_injective``,
+``block_diag`` against the structure maps of ``direct_sum``, and
+``_base_rep_faithful`` (the path actions, vectorized) against the
+approximation test of ``classify_duplicated``.  Not a test module: pytest
+collects nothing here.
 """
 
 from __future__ import annotations
@@ -18,17 +21,19 @@ from __future__ import annotations
 from reptilt.approx import left_approximation, right_approximation
 from reptilt.arknit import enumerate_indecomposables
 from reptilt.field import QQ
+from reptilt.hereditary import Rep
 from reptilt.homological import (_at_generators, cosyzygy, ext1_classes,
                                  is_projective, minimal_resolution,
                                  realize_extension)
 from reptilt.krullschmidt import (basic_summands, end_radical_basis,
                                   is_isomorphic, try_split)
 from reptilt.linalg import Mat, column_space, kernel_basis, rank
-from reptilt.replicated import (RMap, SummandMaps, block_map, direct_sum,
-                                hom_basis_r, hom_space, identity_rmap,
-                                injective, kernel, map_from_projectives,
-                                projective, radical_subspaces,
-                                summand_offsets, summands_of, zero_rmap)
+from reptilt.replicated import (RMap, SummandMaps, _layout, block_map,
+                                direct_sum, hom_basis_r, hom_space,
+                                identity_rmap, injective, kernel,
+                                map_from_projectives, projective,
+                                radical_subspaces, summand_offsets,
+                                summands_of, zero_rmap)
 from reptilt.tilting import Catalog, certify
 
 
@@ -48,6 +53,42 @@ def block_diag(mats, field=QQ):
         r0 += m.rows
         c0 += m.cols
     return out
+
+
+# -- base-quiver representations and the full grid of a module -------
+
+def simple_rep(v, quiver, field=QQ):
+    return Rep(quiver, {v: 1}, {}, field, check=False)
+
+
+def zero_rep(quiver, field=QQ):
+    return Rep(quiver, {}, {}, field, check=False)
+
+
+def path_action(rep, p):
+    """Composite of the arrow maps of ``rep`` along the path p: its
+    component s(p) -> t(p)."""
+    m = Mat.identity(rep.dims[p.source], rep.field)
+    for name in p.arrows:
+        m = rep.maps[name] * m
+    return m
+
+
+def structure_map(M, key):
+    """The structure map ``key`` of M, keyed as ``RModule.maps`` keys it,
+    with the zero matrix of its cells where M stores none."""
+    src, tgt = _layout(M.algebra)[key]
+    x = M.maps.get(key)
+    return x if x is not None else Mat.zeros(M.dims(*tgt), M.dims(*src),
+                                             M.algebra.field)
+
+
+def level_rep(M, i):
+    """Level i of M as a base-quiver representation."""
+    q = M.algebra.quiver
+    return Rep(q, {v: M.dims(i, v) for v in q.vertices},
+               {a.name: structure_map(M, (i, a.name)) for a in q.arrows},
+               M.algebra.field)
 
 
 # -- base-quiver morphisms and Hom ------------------------------------
@@ -208,7 +249,7 @@ def _base_rep_faithful(rep):
             total += rep.dims[u] * rep.dims[w]
     m = Mat.zeros(max(total, 1), len(q.paths), field)
     for j, p in enumerate(q.paths):
-        mat = rep.path_action(p)
+        mat = path_action(rep, p)
         off = offsets[(p.source, p.target)]
         k = 0
         for row in mat.data:
@@ -271,9 +312,9 @@ def iota_path_map(alg, p):
     tgt = injective(alg, p.source, alg.m)
     comps = {}
     for u in alg.quiver.vertices:
-        rs = src.levels[alg.m].path_basis[u]
-        index = {x.arrows: k
-                 for k, x in enumerate(tgt.levels[alg.m].path_basis[u])}
+        rs = alg.base_injective(p.target).path_basis[u]
+        index = {x.arrows: k for k, x in
+                 enumerate(alg.base_injective(p.source).path_basis[u])}
         m = Mat.zeros(len(index), len(rs), alg.field)
         for c, r in enumerate(rs):
             cut = len(r.arrows) - len(p.arrows)

@@ -167,10 +167,20 @@ def test_input_errors_exit_2(files, capsys):
         assert len(err) == 1 and err[0].startswith("input error:"), err
 
 
+def _raw_dims(dims):
+    """{"raw": ...} of P(2, 1) over duplicated A2, with the dims list of
+    level 1 replaced by ``dims``."""
+    expr = _raw_a2(2)
+    expr["raw"]["levels"][1]["dims"] = dims
+    return expr
+
+
 @pytest.mark.parametrize("m, expr", [
     # each was accepted before: m 1.5 and true ran as m = 1 (exit 0), the
     # simple at vertex 3 was a zero module, a level or dim of true, 1.5 or
-    # "1" was read as 1 (exit 1), and a dim of -1 escaped as a ValueError
+    # "1" was read as 1 (exit 1), a dim of -1 escaped as a ValueError, and
+    # a raw dim of 1.5, "1" or true, or a vertex listed twice in one
+    # level, ran as a dim of 1 (exit 1)
     (1.5, {"regular": True}),
     (True, {"regular": True}),
     (1, {"simple": [3, 0]}),
@@ -179,7 +189,11 @@ def test_input_errors_exit_2(files, capsys):
     (1, {"embed": {"level": 0, "dims": {"1": -1}}}),
     (1, {"embed": {"level": 0, "dims": {"1": 1.5}}}),
     (1, {"embed": {"level": 0, "dims": {"1": "1"}}}),
-    (1, {"embed": {"level": 0, "dims": {"1": True}}})])
+    (1, {"embed": {"level": 0, "dims": {"1": True}}}),
+    (1, _raw_dims([["1", 1.5], ["2", 1]])),
+    (1, _raw_dims([["1", "1"], ["2", 1]])),
+    (1, _raw_dims([["1", True], ["2", 1]])),
+    (1, _raw_dims([["1", 1], ["2", 1], ["1", 1]]))])
 def test_malformed_integer_or_vertex_exits_2(files, capsys, m, expr):
     write, _ = files
     alg = write("alg.json", dict(A2, m=m))
@@ -229,6 +243,23 @@ def test_float_entries_exit_2(files, capsys, field):
     for k, expr in enumerate(exact + [_raw_a2(2)]):
         mod = write("exact%d.json" % k, expr)
         assert main(["--field", field, "check-tilting", alg, mod]) == 1, expr
+
+
+@pytest.mark.parametrize("field", ["q", "fp:101"])
+def test_zero_denominator_exits_2(files, capsys, field):
+    # "1/0", and over GF(101) "1/101", escaped as a ZeroDivisionError with
+    # exit 1, the code for "not tilting"
+    write, _ = files
+    alg = write("alg.json", A2)
+    zeros = ["1/0"] + (["1/101"] if field == "fp:101" else [])
+    bad = [expr for x in zeros
+           for expr in _scalar_exprs(x) + [_raw_a2(2, "e2", [[x]])]]
+    for k, expr in enumerate(bad):
+        mod = write("zero%d.json" % k, expr)
+        assert main(["--field", field, "check-tilting", alg, mod]) == 2, expr
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:"), err
+        assert "denominator" in err[0], err
 
 
 def test_complements_fan(files):

@@ -1,12 +1,12 @@
 import pytest
 
-from reptilt.hereditary import (Rep, injective_rep, projective_rep,
-                                simple_rep, zero_rep)
+from reptilt.hereditary import Rep, injective_rep, projective_rep
 from reptilt.linalg import Mat, rank
 from reptilt.quiver import Quiver
 from reptilt.replicated import ReplicatedAlgebra, embed_level, projective
 
-from reference import AMap, block_diag, hom_basis
+from reference import (AMap, block_diag, hom_basis, simple_rep,
+                       structure_map, zero_rep)
 
 
 def kronecker():
@@ -82,7 +82,8 @@ def connector_image_dims(M):
     matrices of M stacked over the paths from w: the dims of DA (x) M_1
     as it lands in level 0."""
     q = M.algebra.quiver
-    return {w: rank(Mat.hstack([M.connectors[0][p] for p in q.paths_from(w)]))
+    return {w: rank(Mat.hstack([structure_map(M, (0, p))
+                                for p in q.paths_from(w)]))
             for w in q.vertices}
 
 
@@ -111,7 +112,8 @@ def test_projective_connector_is_iso():
         for v in q.vertices:
             P = projective(alg, v, 1)
             P.validate()
-            assert P.levels[0].dims == injective_rep(v, q).dims
+            assert ({w: P.dims(0, w) for w in q.vertices}
+                    == injective_rep(v, q).dims)
             assert connector_image_dims(P) == {
                 w: len([p for p in q.paths_from(w) if p.target == v])
                 for w in q.vertices}

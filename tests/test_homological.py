@@ -12,22 +12,21 @@ from reptilt.homological import (_cover_with_data, _ext_differential,
                                  minimal_resolution, pd,
                                  projective_cover, realize_extension,
                                  syzygy)
-from reptilt.hereditary import Rep
 from reptilt.krullschmidt import decompose
 from reptilt.linalg import Mat, column_space, kernel_basis, solve_matrix
 from reptilt.quiver import Path, Quiver
-from reptilt.replicated import (RMap, RModule, ReplicatedAlgebra,
-                                _module_from_maps, _structure_maps, block_map,
-                                direct_sum, generator_action, hom_basis_r,
-                                injective, map_from_projectives,
+from reptilt.replicated import (RMap, RModule, ReplicatedAlgebra, _layout,
+                                _structure_maps, block_map, direct_sum,
+                                generator_action, hom_basis_r, identity_rmap,
+                                injective, kernel, map_from_projectives,
                                 projective, quotient_module, radical,
-                                regular_module, simple, socle_subspaces,
-                                submodule, summand_offsets, summands_of, top,
-                                zero_module, zero_rmap)
+                                regular_module, simple, socle,
+                                socle_subspaces, submodule, summand_offsets,
+                                summands_of, top, zero_module, zero_rmap)
 from reptilt.tiltquiver import Catalog
 
 from reference import (all_of_kind, block_diag, hom_dim, is_radical_valued,
-                       sigma_set)
+                       sigma_set, structure_map)
 
 
 def dgrid(M):
@@ -341,7 +340,8 @@ def _ext_differential_by_composition(res, k, N):
             g = block_map(res.modules[k - 1], N, [row])
             comp = g.compose(res.maps[k - 1])
             cols.append([e for l, (v, i) in enumerate(tgt)
-                         for e in comp.component(i, v).col(
+                         if (i, v) in comp.comps
+                         for e in comp.comps[(i, v)].col(
                              summand_offsets(parts, i, v)[l])])
     return Mat(len(cols[0]), len(cols),
                [list(r) for r in zip(*cols)], alg.field) if cols else None
@@ -405,38 +405,34 @@ def _radical_reference(M):
     subs = {}
     for i in range(alg.m + 1):
         for w in quiver.vertices:
-            pieces = [M.levels[i].maps[a.name] for a in quiver.arrows_into(w)]
+            pieces = [structure_map(M, (i, a.name))
+                      for a in quiver.arrows_into(w)]
             if i < alg.m:
-                pieces += [M.connectors[i][p] for p in quiver.paths_from(w)]
+                pieces += [structure_map(M, (i, p))
+                           for p in quiver.paths_from(w)]
             subs[(i, w)] = column_space(
                 Mat.hstack(pieces, field=f) if pieces
                 else Mat.zeros(M.dims(i, w), 0, f))
-    levels = []
-    for i in range(alg.m + 1):
-        maps = {a.name: solve_matrix(subs[(i, a.target)].basis,
-                                     M.levels[i].maps[a.name]
-                                     * subs[(i, a.source)].basis)
-                for a in quiver.arrows}
-        levels.append(Rep(quiver, {v: subs[(i, v)].dim
-                                   for v in quiver.vertices},
-                          maps, f, check=False))
-    conns = [{p: solve_matrix(subs[(j, p.source)].basis,
-                              phi * subs[(j + 1, p.target)].basis)
-              for p, phi in M.connectors[j].items()} for j in range(alg.m)]
-    R = RModule(alg, levels, conns, check=False)
+    maps = {key: solve_matrix(subs[tgt].basis,
+                              structure_map(M, key) * subs[src].basis)
+            for key, (src, tgt) in _layout(alg).items()
+            if subs[src].dim and subs[tgt].dim}
+    R = RModule(alg, {c: sub.dim for c, sub in subs.items()}, maps,
+                check=False)
     return R, RMap(R, M, {c: sub.basis for c, sub in subs.items()},
                    check=False)
 
 
 def _socle_reference(M):
     """soc M as it was built before ``socle_subspaces`` read the structure
-    maps: the kernel of the arrows out of each (level, vertex) and, above
-    level 0, of the ``generator_action`` of P(w, i) down at level i - 1."""
+    maps: the kernel of the arrows out of each (level, vertex) where M is
+    nonzero and, above level 0, of the ``generator_action`` of P(w, i) down
+    at level i - 1."""
     alg = M.algebra
     quiver, f = alg.quiver, alg.field
     subs = {}
-    for i, w in alg.cells:
-        rows = [M.levels[i].maps[a.name] for a in quiver.arrows_from(w)]
+    for i, w in M.support:
+        rows = [structure_map(M, (i, a.name)) for a in quiver.arrows_from(w)]
         if i >= 1:
             rows += [a for u in quiver.vertices
                      for a in generator_action(M, w, i, i - 1, u)]
@@ -449,9 +445,8 @@ def _top_reference(M):
     """M / rad M, the quotient by the column spaces of the inclusion of the
     reference radical."""
     _, incl = _radical_reference(M)
-    return quotient_module(M, {
-        (i, v): column_space(incl.component(i, v))
-        for i in range(M.algebra.m + 1) for v in M.algebra.quiver.vertices})
+    return quotient_module(M, {c: column_space(x)
+                               for c, x in incl.comps.items()})
 
 
 def _map_from_projective_reference(alg, v, i, M, x):
@@ -475,7 +470,7 @@ def _cover_reference(M):
         for v in alg.quiver.vertices:
             d = T.dims(i, v)
             if d:
-                lifts = solve_matrix(tproj.component(i, v),
+                lifts = solve_matrix(tproj.comps[(i, v)],
                                      Mat.identity(d, alg.field))
                 labels += [(v, i)] * d
                 gens += [lifts.submatrix_cols([j]) for j in range(d)]
@@ -486,15 +481,13 @@ def _cover_reference(M):
 
 
 def _same_map(f, g):
-    alg = f.source.algebra
-    return all(f.component(i, v) == g.component(i, v)
-               for i in range(alg.m + 1) for v in alg.quiver.vertices)
+    return f.comps == g.comps
 
 
 def _same_module(A, B):
-    return ([(l.dims, l.maps) for l in A.levels]
-            == [(l.dims, l.maps) for l in B.levels]
-            and A.connectors == B.connectors)
+    return A.support == B.support and all(
+        structure_map(A, key) == structure_map(B, key)
+        for key in _layout(A.algebra))
 
 
 COVER_ALGEBRAS = {"kronecker-m1": (kronecker_quiver, 1),
@@ -554,26 +547,67 @@ def test_structure_maps_rebuild_the_module(name, field):
     quiver, m = COVER_ALGEBRAS[name]
     alg = ReplicatedAlgebra(quiver(), m, field)
     q = alg.quiver
+    layout = _layout(alg)
+    assert len(layout) == (m + 1) * len(q.arrows) + m * len(q.paths)
     skipped = 0
     for M in _cover_modules(alg):
-        every = list(_structure_maps(M, every=True))
-        keys = [key for _, _, key, _ in every]
-        assert len(set(keys)) == len(keys)
-        assert len(keys) == (m + 1) * len(q.arrows) + m * len(q.paths)
-        for src, tgt, _, x in every:
-            assert (x.rows, x.cols) == (M.dims(*tgt), M.dims(*src))
-        # the default walk keeps exactly the maps between two nonzero cells,
-        # in the same order, and they alone rebuild M
         maps = list(_structure_maps(M))
-        assert maps == [walk for walk in every
-                        if M.dims(*walk[0]) and M.dims(*walk[1])]
-        skipped += len(every) - len(maps)
-        dims = {c: M.dims(*c) for c in alg.cells}
-        for walk in (every, maps):
-            rebuilt = _module_from_maps(alg, dims,
-                                        {key: x for _, _, key, x in walk})
+        keys = [key for _, _, key, _ in maps]
+        assert len(set(keys)) == len(keys)
+        # the walk yields the maps M stores, each between two nonzero cells
+        # and with the shape they give it
+        for src, tgt, key, x in maps:
+            assert layout[key] == (src, tgt)
+            assert M.dims(*src) and M.dims(*tgt)
+            assert (x.rows, x.cols) == (M.dims(*tgt), M.dims(*src))
+        skipped += len(layout) - len(maps)
+        # the walk alone rebuilds M, and so do the maps of the full grid
+        # between two nonzero cells; each passes the module axioms
+        full = {key: structure_map(M, key)
+                for key, (src, tgt) in layout.items()
+                if M.dims(*src) and M.dims(*tgt)}
+        for given in ({key: x for _, _, key, x in maps}, full):
+            rebuilt = RModule(alg, dict(M.support), given, check=True)
             assert _same_module(rebuilt, M)
     assert skipped
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("name", list(COVER_ALGEBRAS))
+def test_modules_and_maps_store_nothing_at_a_zero_cell(name, field):
+    # a module stores the dims of its nonzero cells and maps between two of
+    # them only; a map stores a component exactly where its source and its
+    # target are both nonzero, in cells order
+    quiver, m = COVER_ALGEBRAS[name]
+    alg = ReplicatedAlgebra(quiver(), m, field)
+    layout = _layout(alg)
+    mods = _cover_modules(alg)
+    vs = alg.quiver.vertices
+    maps = []
+    for M in mods:
+        maps += [identity_rmap(M), zero_rmap(M, M), radical(M)[1], top(M)[1],
+                 socle(M)[1]]
+        if M.is_zero():
+            continue
+        _, epi, _ = _cover_with_data(M)
+        _, incls, projs = direct_sum(alg, [M, simple(alg, vs[0], m)])
+        maps += [epi, kernel(epi)[1], incls[0], projs[1],
+                 projs[1].compose(incls[0]), injective_envelope(M)[1]]
+    rng = random.Random(3)
+    for _ in range(40):
+        M, N = rng.choice(mods), rng.choice(mods)
+        maps += hom_basis_r(M, N)
+    seen = mods + [X for g in maps for X in (g.source, g.target)]
+    for X in seen:
+        assert all(X.support.values())
+        for key in X.maps:
+            src, tgt = layout[key]
+            assert X.dims(*src) and X.dims(*tgt), (X, key)
+    assert any(not X.maps for X in seen) and any(X.maps for X in seen)
+    for g in maps:
+        assert list(g.comps) == [c for c in alg.cells
+                                 if g.source.dims(*c) and g.target.dims(*c)]
+    assert any(not g.comps for g in maps)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
@@ -593,9 +627,10 @@ def test_direct_sum_matches_block_diagonal_reference(name, field):
     cases += [rng.sample(mods, len(mods)) for _ in range(3)]
     for parts in cases:
         S = direct_sum(alg, parts)[0]
-        walks = [list(_structure_maps(X, every=True)) for X in parts]
-        for k, (src, tgt, key, x) in enumerate(_structure_maps(S, every=True)):
-            assert x == block_diag([walk[k][3] for walk in walks], field), key
+        for key, (src, tgt) in _layout(alg).items():
+            x = structure_map(S, key)
+            assert x == block_diag([structure_map(X, key) for X in parts],
+                                   field), key
             assert (x.rows, x.cols) == (S.dims(*tgt), S.dims(*src))
         for c in alg.cells:
             assert S.dims(*c) == sum(X.dims(*c) for X in parts)

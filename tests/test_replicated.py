@@ -9,7 +9,6 @@ from reptilt import replicated
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
 from reptilt.field import QQ, PrimeField
-from reptilt.hereditary import Rep, zero_rep
 from reptilt.krullschmidt import decompose, is_isomorphic
 from reptilt.linalg import Mat, kernel_basis, rank
 from reptilt.quiver import Path
@@ -22,11 +21,17 @@ from reptilt.replicated import (RMap, ReplicatedAlgebra, block_map,
                                 rmodule_to_json, simple, socle, summands_of,
                                 top, zero_rmap)
 
-from reference import block_diag, hom_basis as base_hom_basis
+from reference import block_diag, hom_basis as base_hom_basis, structure_map
 
 
 def dgrid(M):
     return M.dim_grid().entries
+
+
+def connector_maps(M):
+    """Every connector matrix of M, a zero one where M stores none."""
+    return {k: structure_map(M, k) for k in replicated._layout(M.algebra)
+            if isinstance(k[1], Path)}
 
 
 def test_projective_injective_kronecker():
@@ -203,7 +208,7 @@ def test_projective_connector_is_onto():
             P.validate()
             hit = 0
             for w in q.vertices:
-                stacked = Mat.hstack([P.connectors[0][p]
+                stacked = Mat.hstack([structure_map(P, (0, p))
                                       for p in q.paths_from(w)])
                 assert rank(stacked) == P.dims(0, w) == len(
                     [p for p in q.paths_from(w) if p.target == v])
@@ -237,23 +242,32 @@ def test_named_modules_satisfy_the_module_axioms(quiver, m):
     mods = _named_modules(alg)
     for M in mods:
         M.validate()
-    assert any(not phi.is_zero() for M in mods for conn in M.connectors
-               for phi in conn.values())
+    assert any(not phi.is_zero() for M in mods
+               for phi in connector_maps(M).values())
 
 
 @pytest.mark.parametrize("key", ["a1", "e1", "a1 conn"])
 def test_module_check_sees_the_shape_at_a_zero_cell(key):
-    # the shape check walks every key, also one whose cells are zero: here
-    # the only nonzero cell is (0, 2), and one map is 1x1 instead of empty
+    # the shape check walks every given key, also one whose cells are zero:
+    # here the only nonzero cell is (0, 2), and one map is 1x1 instead of
+    # empty.  The raw reader checks the shape of each matrix it reads
+    # before it drops those at a zero cell.
     alg = duplicated(linear_quiver(2))
     q = alg.quiver
     bad = Mat.identity(1)
-    level0 = Rep(q, {2: 1}, {"a1": bad} if key == "a1" else {}, check=False)
     paths = {"e1": Path(1, 1, ()), "a1 conn": Path(2, 1, ("a1",))}
     assert set(paths.values()) <= set(q.paths)
-    conn = {paths[key]: bad} if key in paths else {}
+    at = (0, paths[key]) if key in paths else (0, "a1")
     with pytest.raises(ValueError, match="has shape 1x1"):
-        replicated.RModule(alg, [level0, zero_rep(q)], [conn], check=True)
+        replicated.RModule(alg, {(0, 2): 1}, {at: bad}, check=True)
+    raw = rmodule_to_json(simple(alg, 2, 0))
+    entry = {"rows": 1, "cols": 1, "entries": [["1"]]}
+    if key in paths:
+        raw["connectors"][0][q.paths.index(paths[key])] = entry
+    else:
+        raw["levels"][0]["maps"]["a1"] = entry
+    with pytest.raises(ValueError, match="has shape 1x1"):
+        rmodule_from_json(alg, raw)
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -286,19 +300,19 @@ def test_sum_connectors_are_block_diagonal(quiver, m):
         f.validate()
     for j in range(m):
         for p in q.paths:
-            assert S.connectors[j][p] == block_diag(
-                [X.connectors[j][p] for X in parts])
+            assert structure_map(S, (j, p)) == block_diag(
+                [structure_map(X, (j, p)) for X in parts])
 
 
 def _eager_sum_maps(S, parts):
     """Reference inclusions and projections of S = parts[0] (+) ...: the
-    identity at each part's offset per (level, vertex), zero elsewhere."""
-    alg = S.algebra
-    f = alg.field
+    identity at each part's offset per (level, vertex) where the part is
+    nonzero, zero elsewhere."""
+    f = S.algebra.field
     incls, projs = [], []
     for k, X in enumerate(parts):
         comps = {}
-        for i, v in alg.cells:
+        for i, v in X.support:
             o = sum(Y.dims(i, v) for Y in parts[:k])
             comps[(i, v)] = Mat(S.dims(i, v), X.dims(i, v),
                                 [[f.one if r == o + c else f.zero
@@ -376,13 +390,12 @@ def test_resolving_a_recorded_sum_builds_no_sum_maps(monkeypatch):
 def test_raw_round_trip_of_a_cosyzygy(quiver, m):
     alg = ReplicatedAlgebra(quiver(), m)
     C = cosyzygy(simple(alg, alg.quiver.vertices[0], 0))
-    assert any(not phi.is_zero() for conn in C.connectors
-               for phi in conn.values())
+    assert any(not phi.is_zero() for phi in connector_maps(C).values())
     raw = json.loads(json.dumps(rmodule_to_json(C)))
     assert all(len(conn) == len(alg.quiver.paths)
                for conn in raw["connectors"])
     C2 = rmodule_from_json(alg, raw)
-    assert C2.connectors == C.connectors
+    assert connector_maps(C2) == connector_maps(C)
     assert is_isomorphic(C2, C)
 
 
@@ -456,7 +469,26 @@ def test_validate_rejects_bad_cells_arrows_and_connectors():
         RMap(L, L, {**identity_rmap(L).comps, (1, 1): Mat.zeros(2, 2, f)})
     # the level-1 cells zeroed commute with every arrow, not with p*
     with pytest.raises(ValueError, match="connector 0"):
-        RMap(P, P, {(0, 2): ident.component(0, 2)})
+        RMap(P, P, {(0, 2): ident.comps[(0, 2)]})
+
+
+def test_hom_between_disjoint_supports_solves_no_system(monkeypatch):
+    # S(1, 0) and S(1, 1) share no cell: Hom between them is the empty
+    # space, and no system is built or solved for it
+    solved = []
+    real = replicated.kernel_basis
+    monkeypatch.setattr(replicated, "kernel_basis",
+                        lambda m: solved.append(m) or real(m))
+    alg = duplicated(linear_quiver(2))
+    S0, S1 = simple(alg, 1, 0), simple(alg, 1, 1)
+    for M, N in ((S0, S1), (S1, S0)):
+        space = hom_space(M, N)
+        assert (space.basis, space.ambient, space.offsets) == ([], 0, {})
+        assert space.coords(zero_rmap(M, N)) == []
+        assert rmap_vector(space.combine([])) == []
+    assert solved == []
+    assert len(hom_basis_r(S0, S0)) == 1
+    assert len(solved) == 1
 
 
 def _hom_system_of_every_path(M, N):
@@ -470,16 +502,10 @@ def _hom_system_of_every_path(M, N):
             offsets[(i, v)] = total
             total += N.dims(i, v) * M.dims(i, v)
     rows = []
-    for i in range(alg.m + 1):
-        for a in q.arrows:
-            rows += replicated._commutation_rows(
-                N.levels[i].maps[a.name], M.levels[i].maps[a.name],
-                (i, a.source), (i, a.target), offsets, total, f.zero)
-    for j in range(alg.m):
-        for p in q.paths:
-            rows += replicated._commutation_rows(
-                N.connectors[j][p], M.connectors[j][p],
-                (j + 1, p.target), (j, p.source), offsets, total, f.zero)
+    for key, (src, tgt) in replicated._layout(alg).items():
+        rows += replicated._commutation_rows(
+            structure_map(N, key), structure_map(M, key), src, tgt,
+            (N.dims(*tgt), M.dims(*src)), offsets, total, f.zero)
     ker = kernel_basis(Mat(len(rows), total, rows, f) if rows
                        else Mat.zeros(0, total, f))
     return [ker.basis.col(k) for k in range(ker.dim)], ker.pivot_rows

@@ -25,7 +25,8 @@ from reptilt.tilting import (Catalog, _level0_faithful, bongartz_complete,
                              coresolution, is_partial_tilting)
 from reptilt.tiltquiver import exhaustive_tilting_oracle
 
-from reference import _base_rep_faithful, almost_complete, is_tilting
+from reference import (_base_rep_faithful, almost_complete, is_tilting,
+                       level_rep)
 
 
 @pytest.fixture(scope="module")
@@ -442,7 +443,7 @@ def test_level0_faithfulness_matches_the_path_action_reference(d4_pd1):
     verdicts = []
     for alg, parts in cases:
         S, _, _ = direct_sum(alg, parts)
-        verdicts.append(_base_rep_faithful(S.levels[0]))
+        verdicts.append(_base_rep_faithful(level_rep(S, 0)))
         assert _level0_faithful(alg, parts) == verdicts[-1]
     assert len(cases) == 7 + 63 + 15 + 5
     assert set(verdicts) == {True, False}
