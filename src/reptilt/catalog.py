@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from .field import QQ
-from .hereditary import Rep
 from .linalg import Mat
 from .quiver import Quiver
-from .replicated import (ReplicatedAlgebra, direct_sum, embed_level,
+from .replicated import (ReplicatedAlgebra, RModule, direct_sum, embed_level,
                          projective, simple)
 
 
@@ -54,7 +53,7 @@ def d4_almost_complete_pd2(field=QQ):
     Almost complete, projective dimension 2, and its fan has four
     complements with dimensions 0, 1, 2, 3."""
     alg = duplicated(dtilde4_quiver(), field)
-    parts = [embed_level(alg, general_position_rep(alg.quiver, v, field), 1)
+    parts = [embed_level(alg, general_position_rep(alg, v), 1)
              for v in (2, 3, 4, 5)]
     parts += _projective_injectives(alg)
     T, _, _ = direct_sum(alg, parts)
@@ -94,14 +93,14 @@ def kronecker_almost_complete_pd2(field=QQ):
     return alg, T
 
 
-def general_position_rep(quiver, missing, field=QQ):
-    """D~4 representation of dims {1:2, v:1 for outer v != missing} with the
-    three lines in general position (columns e1, e2, e1+e2)."""
+def general_position_rep(alg, missing):
+    """The level-0 module over a D~4 base of dims {1:2, v:1 for outer v !=
+    missing} with the three lines in general position (columns e1, e2,
+    e1+e2)."""
     outer = [v for v in (2, 3, 4, 5) if v != missing]
-    cols = [[1, 0], [0, 1], [1, 1]]
-    dims = {1: 2}
+    dims = {(0, 1): 2}
     maps = {}
-    for v, col in zip(outer, cols):
-        dims[v] = 1
-        maps["a%d" % v] = Mat.from_rows([[col[0]], [col[1]]], field)
-    return Rep(quiver, dims, maps, field)
+    for v, col in zip(outer, ([[1], [0]], [[0], [1]], [[1], [1]])):
+        dims[(0, v)] = 1
+        maps[(0, "a%d" % v)] = Mat.from_rows(col, alg.field)
+    return RModule(alg, dims, maps)

@@ -78,12 +78,11 @@ def eval_module_expr(alg, expr):
           matrix of path p: w -> u in connector j maps level j+1 at u to
           level j at w, and the module axioms are checked
     """
-    from .hereditary import Rep
     from .homological import cosyzygy, syzygy
     from .linalg import Mat
-    from .replicated import (cokernel, direct_sum, embed_level, hom_space,
-                             injective, kernel, projective, regular_module,
-                             rmodule_from_json, simple)
+    from .replicated import (RModule, cokernel, direct_sum, embed_level,
+                             hom_space, injective, kernel, projective,
+                             regular_module, rmodule_from_json, simple)
     if not isinstance(expr, dict) or len(expr) != 1:
         raise InputError("module expression must be a one-key object: %r"
                          % (expr,))
@@ -101,21 +100,21 @@ def eval_module_expr(alg, expr):
         return regular_module(alg)
     if op == "embed":
         try:
-            dims = {vkey[str(v)]: _natural(d, "dim")
+            dims = {(0, vkey[str(v)]): _natural(d, "dim")
                     for v, d in arg["dims"].items()}
-            for v in alg.quiver.vertices:
-                dims.setdefault(v, 0)
-            given = arg.get("maps", {})
-            maps = dict.fromkeys(given)   # Rep rejects names of no arrow
+            # a name of no arrow stays as given, for RModule to refuse
+            maps = {(0, name): rows
+                    for name, rows in arg.get("maps", {}).items()}
             for a in alg.quiver.arrows:
-                if given.get(a.name) is not None:
-                    data = [[alg.field.of(x) for x in row]
-                            for row in given[a.name]]
-                    maps[a.name] = Mat(dims[a.target], dims[a.source], data,
-                                       alg.field)
-            rep = Rep(alg.quiver, dims, maps, alg.field)
-            return embed_level(alg, rep, _natural(arg["level"], "level"))
-        except (KeyError, TypeError, ValueError) as e:
+                rows = maps.pop((0, a.name), None)
+                if rows is not None:   # null is the zero map
+                    maps[(0, a.name)] = Mat(
+                        dims.get((0, a.target), 0), dims.get((0, a.source), 0),
+                        [[alg.field.of(x) for x in row] for row in rows],
+                        alg.field)
+            return embed_level(alg, RModule(alg, dims, maps, check=True),
+                               _natural(arg["level"], "level"))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise InputError("bad embed expression: %s" % e)
     if op == "sum":
         if not isinstance(arg, list):

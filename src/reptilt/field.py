@@ -23,9 +23,11 @@ def _normal(q):
 
 def _exact(x):
     """A "p/q" string as a Fraction; a float, whose binary value is not the
-    decimal it spells, is refused, and so is a zero denominator."""
-    if isinstance(x, float):
-        raise TypeError("float entry %r: give an int or a 'p/q' string" % x)
+    decimal it spells, is refused, and so are a bool, which JSON spells
+    true or false and Python reads as 1 or 0, and a zero denominator."""
+    if isinstance(x, (bool, float)):
+        raise TypeError("%s entry %r: give an int or a 'p/q' string"
+                        % (type(x).__name__, x))
     try:
         return Fraction(x) if isinstance(x, str) else x
     except ZeroDivisionError:

@@ -53,6 +53,9 @@ class Quiver:
                             for v in self.vertices}
         self._paths_into = {v: [p for p in self.paths if p.target == v]
                             for v in self.vertices}
+        self._paths_between = {}
+        for p in self.paths:
+            self._paths_between.setdefault((p.source, p.target), []).append(p)
         self.maximal_paths = [p for p in self.paths  # from a source to a sink
                               if not self.arrows_into(p.source)
                               and not self.arrows_from(p.target)]
@@ -118,6 +121,12 @@ class Quiver:
 
     def paths_into(self, v):
         return self._paths_into[v]
+
+    def paths_between(self, u, w):
+        """The paths from u to w, in ``paths`` order: the basis of the
+        projective A e_u at w and, as functionals, of the injective D(e_w A)
+        at u."""
+        return self._paths_between.get((u, w), [])
 
     def arrows_from(self, v):
         return [a for a in self.arrows if a.source == v]

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from functools import reduce
+from functools import partial, reduce
 from types import MappingProxyType, SimpleNamespace
 
 from .field import QQ
-from .hereditary import injective_rep, projective_rep
 from .linalg import (Mat, column_space, kernel_basis, quotient_basis, rank,
                      solve_matrix)
 from .quiver import Path
@@ -40,19 +39,24 @@ class ReplicatedAlgebra:
         self.cells = [(i, v) for i in range(m + 1) for v in quiver.vertices]
         dim_a = len(quiver.paths)
         self.dim = (m + 1) * dim_a + m * dim_a
-        self._base_proj = {}
-        self._base_inj = {}
         self.cache = {}
 
     def base_projective(self, v):
-        if v not in self._base_proj:
-            self._base_proj[v] = projective_rep(v, self.quiver, self.field)
-        return self._base_proj[v]
+        """The projective A e_v of the base algebra, a level-0 module:
+        P(v, 0)."""
+        return projective(self, v, 0)
 
     def base_injective(self, v):
-        if v not in self._base_inj:
-            self._base_inj[v] = injective_rep(v, self.quiver, self.field)
-        return self._base_inj[v]
+        """The injective D(e_v A) of the base algebra, a level-0 module: the
+        socle level of P(v, 1), whose basis at w is the functionals r* on
+        the paths r: w -> v."""
+        key = ("base inj", v)
+        if key not in self.cache:
+            self.cache[key] = _path_module(
+                self, {(0, w): self.quiver.paths_between(w, v)
+                       for w in self.quiver.vertices},
+                partial(_projective_action, 1))
+        return self.cache[key]
 
     def __repr__(self):
         return "ReplicatedAlgebra(%r, m=%d)" % (self.quiver.vertices, self.m)
@@ -329,45 +333,66 @@ def zero_module(alg):
     return RModule(alg, {}, {}, check=False)
 
 
-def embed_level(alg, rep, i):
-    """Place a base representation at level i with zero connectors."""
+def _path_module(alg, basis, act):
+    """The module with basis ``basis[c]``, a list of paths, at each cell c,
+    on which the structure map ``key`` sends b to the basis element whose
+    arrows are ``act(key, b)``, or to 0 when that is None: the arrows of a
+    trivial path are (), a basis element too."""
+    maps = {}
+    for key, (src, tgt) in _layout(alg).items():
+        if basis.get(src) and basis.get(tgt):
+            index = {b.arrows: r for r, b in enumerate(basis[tgt])}
+            x = maps[key] = Mat.zeros(len(basis[tgt]), len(basis[src]),
+                                      alg.field)
+            for c, b in enumerate(basis[src]):
+                image = act(key, b)
+                if image is not None:
+                    x.data[index[image]][c] = alg.field.one
+    return RModule(alg, {c: len(b) for c, b in basis.items()}, maps,
+                   check=False)
+
+
+def _projective_action(i, key, b):
+    """``act`` of P(v, i) for ``_path_module``: an arrow at level i extends
+    the path b; an arrow a at level i - 1 sends b* to (b minus a)* when b
+    starts with a; the connector p* sends the path s to r* when p = (r then
+    s)."""
+    lev, y = key
+    if isinstance(y, Path):
+        cut = len(y) - len(b)
+        return y.arrows[:cut] if y.arrows[cut:] == b.arrows else None
+    if lev == i:
+        return b.arrows + (y,)
+    return b.arrows[1:] if b.arrows[:1] == (y,) else None
+
+
+def embed_level(alg, X, i):
+    """The level-0 module X moved to level i, with zero connectors."""
     if not 0 <= i <= alg.m:
         raise ValueError("level out of range")
-    return RModule(alg, {(i, v): d for v, d in rep.dims.items()},
-                   {(i, a.name): rep.maps[a.name] for a in rep.quiver.arrows
-                    if rep.dims[a.source] and rep.dims[a.target]}, check=False)
+    if any(lev for lev, _ in X.support):
+        raise ValueError("embed_level moves a level-0 module, not %s"
+                         % X.dim_grid())
+    return RModule(alg, {(i, v): d for (_, v), d in X.support.items()},
+                   {(i, a): x for (_, a), x in X.maps.items()}, check=False)
 
 
 def projective(alg, v, i):
-    """P(v, i): for i=0 the level-0 copy of A e_v; for i>=1 the
-    projective-injective with top at level i and socle at level i-1."""
+    """P(v, i): for i=0 the level-0 copy of A e_v, whose basis at w is the
+    paths from v to w; for i>=1 the projective-injective with top A e_v at
+    level i and socle D(e_v A) at level i-1."""
     if not 0 <= i <= alg.m:
         raise ValueError("level out of range")
     key = ("proj", v, i)
-    if key in alg.cache:
-        return alg.cache[key]
-    if i == 0:
-        mod = embed_level(alg, alg.base_projective(v), 0)
-    else:
-        P, I = alg.base_projective(v), alg.base_injective(v)
-        hi, lo = embed_level(alg, P, i), embed_level(alg, I, i - 1)
-        maps = {**hi.maps, **lo.maps}
-        # p* sends the basis path q of A e_v to r* when p = (r then q)
-        for p in alg.quiver.paths:
-            if not (I.dims[p.source] and P.dims[p.target]):
-                continue
-            phi = Mat.zeros(I.dims[p.source], P.dims[p.target], alg.field)
-            index = {r: k for k, r in enumerate(I.path_basis[p.source])}
-            for c, q in enumerate(P.path_basis[p.target]):
-                cut = len(p.arrows) - len(q.arrows)
-                if cut >= 0 and p.arrows[cut:] == q.arrows:
-                    k = index.get(Path(p.source, v, p.arrows[:cut]))
-                    if k is not None:
-                        phi.data[k][c] = alg.field.one
-            maps[(i - 1, p)] = phi
-        mod = RModule(alg, {**hi.support, **lo.support}, maps, check=False)
-    alg.cache[key] = mod
-    return mod
+    if key not in alg.cache:
+        q = alg.quiver
+        basis = {(i, w): q.paths_between(v, w) for w in q.vertices}
+        if i:
+            basis.update(((i - 1, w), q.paths_between(w, v))
+                         for w in q.vertices)
+        alg.cache[key] = _path_module(alg, basis,
+                                      partial(_projective_action, i))
+    return alg.cache[key]
 
 
 def injective(alg, v, i):
@@ -767,11 +792,11 @@ def generator_action(M, v, i, lev, w):
         if lev == i:
             # the paths from v to w act on x through the arrow maps
             steps = [[(i, a) for a in p.arrows]
-                     for p in alg.base_projective(v).path_basis[w]]
+                     for p in alg.quiver.paths_between(v, w)]
         elif lev == i - 1:
             # the functionals r* on the paths r: w -> v act on x through
             # the connector
-            steps = [[(i - 1, r)] for r in alg.base_injective(v).path_basis[w]]
+            steps = [[(i - 1, r)] for r in alg.quiver.paths_between(w, v)]
         else:
             steps = []
         # the composite of the maps along each step, zero if one is missing

@@ -3,10 +3,11 @@
 None of this is reached by the command line or the benchmark: the AR
 translate and its almost split sequences and AR quiver, the Hom builder of
 the base quiver, a few predicates, the block-diagonal matrix, the grouping
-of the tilting oracle by its almost complete parts, the simple and zero
-representations and their path actions, and a module's structure maps and
-levels read on the full grid, as modules stored them before they stored
-only their support.  They stay as independent checks of the library:
+of the tilting oracle by its almost complete parts, the representations of
+the base quiver (``Rep``) that the Hom builder reads, the simple one and
+their path actions, and a module's structure maps and levels read on the
+full grid, as modules stored them before they stored only their support.
+They stay as independent checks of the library:
 ``translate`` against ``translate_inverse``, ``hom_basis`` against
 ``hom_basis_r``, ``all_of_kind`` (Krull-Schmidt plus an isomorphism search)
 against the dimension counts ``is_projective`` and ``is_injective``,
@@ -21,7 +22,6 @@ from __future__ import annotations
 from reptilt.approx import left_approximation, right_approximation
 from reptilt.arknit import enumerate_indecomposables
 from reptilt.field import QQ
-from reptilt.hereditary import Rep
 from reptilt.homological import (_at_generators, cosyzygy, ext1_classes,
                                  is_projective, minimal_resolution,
                                  realize_extension)
@@ -57,12 +57,25 @@ def block_diag(mats, field=QQ):
 
 # -- base-quiver representations and the full grid of a module -------
 
+class Rep:
+    """A representation of the base quiver: a dim at every vertex and a
+    matrix of shape dims[w] x dims[u] for every arrow a: u -> w, the zero
+    matrix where ``maps`` gives none.  The form the base-quiver Hom
+    reference reads."""
+
+    def __init__(self, quiver, dims, maps, field=QQ):
+        self.quiver = quiver
+        self.field = field
+        self.dims = {v: dims.get(v, 0) for v in quiver.vertices}
+        self.maps = {}
+        for a in quiver.arrows:
+            m = maps.get(a.name)
+            self.maps[a.name] = m if m is not None else Mat.zeros(
+                self.dims[a.target], self.dims[a.source], field)
+
+
 def simple_rep(v, quiver, field=QQ):
-    return Rep(quiver, {v: 1}, {}, field, check=False)
-
-
-def zero_rep(quiver, field=QQ):
-    return Rep(quiver, {}, {}, field, check=False)
+    return Rep(quiver, {v: 1}, {}, field)
 
 
 def path_action(rep, p):
@@ -312,9 +325,9 @@ def iota_path_map(alg, p):
     tgt = injective(alg, p.source, alg.m)
     comps = {}
     for u in alg.quiver.vertices:
-        rs = alg.base_injective(p.target).path_basis[u]
+        rs = alg.quiver.paths_between(u, p.target)
         index = {x.arrows: k for k, x in
-                 enumerate(alg.base_injective(p.source).path_basis[u])}
+                 enumerate(alg.quiver.paths_between(u, p.source))}
         m = Mat.zeros(len(index), len(rs), alg.field)
         for c, r in enumerate(rs):
             cut = len(r.arrows) - len(p.arrows)
@@ -336,7 +349,7 @@ def _nu_block(alg, coords, v, i, w, j):
         if any(coords):
             raise RuntimeError("impossible Nakayama block")
         return zero_rmap(injective(alg, v, alg.m), injective(alg, w, j))
-    paths = alg.base_projective(w).path_basis[v]
+    paths = alg.quiver.paths_between(w, v)
     return sum((iota_path_map(alg, p).scale(c)
                 for c, p in zip(coords, paths) if c),
                zero_rmap(injective(alg, v, alg.m), injective(alg, w, alg.m)))

@@ -6,6 +6,7 @@ import pytest
 from reptilt.catalog import duplicated, linear_quiver
 from reptilt.cli import eval_module_expr, main
 from reptilt.krullschmidt import is_isomorphic
+from reptilt.linalg import Mat
 from reptilt.replicated import (projective, radical, rmodule_from_json,
                                 rmodule_to_json, simple)
 
@@ -104,6 +105,11 @@ def test_input_errors_exit_2(files, capsys):
                    "maps": {"a1": [[1, 0]]}}},
         {"embed": {"level": 0, "dims": {"1": 2, "2": 1},
                    "maps": {"a1": [[1], [0, 1]]}}},
+        {"embed": {"level": 0, "dims": {"1": 1, "2": 1}, "maps": {"a1": []}}},
+        {"embed": {"level": 0, "dims": {"2": 1}, "maps": {"a1": [[1]]}}},
+        {"embed": {"level": 2, "dims": {"1": 1}}},
+        {"embed": {"level": 0, "dims": [1]}},
+        {"embed": {"level": 0, "dims": {"1": 1}, "maps": [1]}},
         {"sum": 5},
         {"raw": {"m": 1, "levels": 3, "connectors": []}},
         {"proj": [1, 0], "inj": [1, 1]},
@@ -133,7 +139,9 @@ def test_input_errors_exit_2(files, capsys):
     stray["raw"]["levels"][0]["maps"]["zz"] = {
         "rows": 1, "cols": 1, "entries": [["1"]]}
     misspelled = [{"embed": {"level": 0, "dims": {"1": 1, "2": 1},
-                             "maps": {"zz": [[1]]}}}, stray]
+                             "maps": {"zz": [[1]]}}},
+                  {"embed": {"level": 0, "dims": {"1": 1},
+                             "maps": {"zz": None}}}, stray]
     for k, expr in enumerate(misspelled):
         mod = write("misspelled%d.json" % k, expr)
         assert main(["check-tilting", alg, mod]) == 2, expr
@@ -243,6 +251,47 @@ def test_float_entries_exit_2(files, capsys, field):
     for k, expr in enumerate(exact + [_raw_a2(2)]):
         mod = write("exact%d.json" % k, expr)
         assert main(["--field", field, "check-tilting", alg, mod]) == 1, expr
+
+
+@pytest.mark.parametrize("field", ["q", "fp:101"])
+def test_bool_entries_exit_2(files, capsys, field):
+    # JSON true and false were read as 1 and 0, so a module or a map built
+    # from them ran to a verdict (exit 1)
+    write, _ = files
+    alg = write("alg.json", A2)
+    bools = _scalar_exprs(True) + _scalar_exprs(False) + [
+        _raw_a2(2, "e2", [[True]])]
+    for k, expr in enumerate(bools):
+        mod = write("bool%d.json" % k, expr)
+        assert main(["--field", field, "check-tilting", alg, mod]) == 2, expr
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:"), err
+        assert "bool" in err[0], err
+
+
+def _embed_a2(level, dims, maps):
+    return {"embed": {"level": level, "dims": dims, "maps": maps}}
+
+
+def test_embed_maps_take_their_shape_from_the_dims():
+    # a null map is zero, and an empty matrix is read at the shape the dims
+    # give it: [] where the arrow's target is zero, [[]] where its source is
+    alg = duplicated(linear_quiver(2))
+    cases = [(_embed_a2(0, {"1": 1, "2": 1}, {"a1": None}),
+              {(0, 1): 1, (0, 2): 1}),
+             (_embed_a2(1, {"1": 0, "2": 1}, {"a1": []}), {(1, 2): 1}),
+             (_embed_a2(1, {"1": 1}, {"a1": [[]]}), {(1, 1): 1}),
+             (_embed_a2(1, {"1": 1, "2": 1}, {"a1": [["1/2"]]}),
+              {(1, 1): 1, (1, 2): 1})]
+    for expr, support in cases:
+        M = eval_module_expr(alg, expr)
+        assert M.support == support, expr
+        M.validate()
+    zero = _embed_a2(0, {"1": 1, "2": 1}, {"a1": [[0]]})
+    assert (rmodule_to_json(eval_module_expr(alg, cases[0][0]))
+            == rmodule_to_json(eval_module_expr(alg, zero)))
+    assert eval_module_expr(alg, cases[3][0]).maps == {
+        (1, "a1"): Mat.from_rows([["1/2"]])}
 
 
 @pytest.mark.parametrize("field", ["q", "fp:101"])

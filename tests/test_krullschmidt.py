@@ -11,15 +11,14 @@ from reptilt import krullschmidt
 from reptilt.catalog import (dtilde4_quiver, duplicated, general_position_rep,
                              kronecker_quiver, linear_quiver)
 from reptilt.field import PrimeField
-from reptilt.hereditary import Rep
 from reptilt.homological import ext, pd
 from reptilt.krullschmidt import (basic_summands, decompose, delta_count,
                                   end_radical_dim, is_indecomposable,
                                   is_isomorphic)
 from reptilt.linalg import Mat
-from reptilt.replicated import (direct_sum, embed_level, projective,
-                                regular_module, rmodule_from_json,
-                                rmodule_to_json, simple)
+from reptilt.replicated import (RModule, direct_sum, embed_level,
+                                projective, regular_module,
+                                rmodule_from_json, rmodule_to_json, simple)
 from reptilt.tiltquiver import Catalog
 
 from reference import decompose_with_maps, hom_dim
@@ -27,6 +26,14 @@ from reference import decompose_with_maps, hom_dim
 
 def dgrid(M):
     return M.dim_grid().entries
+
+
+def level0(alg, dims, rows):
+    """The level-0 module of ``dims`` per vertex and the matrix of ``rows``
+    per arrow, checked."""
+    return RModule(alg, {(0, v): d for v, d in dims.items()},
+                   {(0, a): Mat.from_rows(r, field=alg.field)
+                    for a, r in rows.items()})
 
 
 @pytest.fixture(scope="module")
@@ -73,14 +80,9 @@ def test_decompose_with_maps_reassembles(kron):
 
 def test_iso_detects_twisted_copy(kron):
     # the same subspace configuration written in a different basis
-    q = kron.quiver
-    from reptilt.hereditary import Rep
-    a = Rep(q, {1: 1, 2: 1}, {"a": Mat.from_rows([[1]]),
-                              "b": Mat.from_rows([[0]])}, kron.field)
-    b = Rep(q, {1: 1, 2: 1}, {"a": Mat.from_rows([[2]]),
-                              "b": Mat.from_rows([[0]])}, kron.field)
-    c = Rep(q, {1: 1, 2: 1}, {"a": Mat.from_rows([[0]]),
-                              "b": Mat.from_rows([[1]])}, kron.field)
+    a = level0(kron, {1: 1, 2: 1}, {"a": [[1]], "b": [[0]]})
+    b = level0(kron, {1: 1, 2: 1}, {"a": [[2]], "b": [[0]]})
+    c = level0(kron, {1: 1, 2: 1}, {"a": [[0]], "b": [[1]]})
     A = embed_level(kron, a, 0)
     B = embed_level(kron, b, 0)
     C = embed_level(kron, c, 0)
@@ -101,11 +103,8 @@ def test_kronecker_regular_tube_endring(kron):
     # a homogeneous tube module: End is a field, the module is
     # indecomposable although End has dimension 1 here; the quasi-length-2
     # module on the same tube has a 2-dimensional local End ring
-    from reptilt.hereditary import Rep
-    q = kron.quiver
-    r2 = Rep(q, {1: 2, 2: 2},
-             {"a": Mat.identity(2), "b": Mat.from_rows([[1, 1], [0, 1]])},
-             kron.field)
+    r2 = level0(kron, {1: 2, 2: 2},
+                {"a": [[1, 0], [0, 1]], "b": [[1, 1], [0, 1]]})
     M = embed_level(kron, r2, 0)
     assert hom_dim(M, M) == 2
     assert end_radical_dim(M) == 1
@@ -115,11 +114,8 @@ def test_kronecker_regular_tube_endring(kron):
 def test_irrational_slope_endring_is_quadratic_field(kron):
     # companion matrix of x^2 - 2: indecomposable over Q with End a real
     # quadratic field, so End/rad has dimension 2
-    from reptilt.hereditary import Rep
-    q = kron.quiver
-    r = Rep(q, {1: 2, 2: 2},
-            {"a": Mat.identity(2), "b": Mat.from_rows([[0, 2], [1, 0]])},
-            kron.field)
+    r = level0(kron, {1: 2, 2: 2},
+               {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]})
     M = embed_level(kron, r, 0)
     assert hom_dim(M, M) == 2
     assert end_radical_dim(M) == 0
@@ -128,11 +124,8 @@ def test_irrational_slope_endring_is_quadratic_field(kron):
 
 def test_splits_eigenvalue_pair(kron):
     # diagonal slopes 1 and 2: decomposes into two tube modules
-    from reptilt.hereditary import Rep
-    q = kron.quiver
-    r = Rep(q, {1: 2, 2: 2},
-            {"a": Mat.identity(2), "b": Mat.from_rows([[1, 0], [0, 2]])},
-            kron.field)
+    r = level0(kron, {1: 2, 2: 2},
+               {"a": [[1, 0], [0, 1]], "b": [[1, 0], [0, 2]]})
     M = embed_level(kron, r, 0)
     parts = decompose(M)
     assert len(parts) == 2
@@ -142,8 +135,7 @@ def test_splits_eigenvalue_pair(kron):
 def test_general_position_summands_indecomposable():
     alg = duplicated(dtilde4_quiver())
     for missing in (2, 3, 4, 5):
-        rep = general_position_rep(alg.quiver, missing)
-        M = embed_level(alg, rep, 1)
+        M = embed_level(alg, general_position_rep(alg, missing), 1)
         assert is_indecomposable(M)
 
 
@@ -165,10 +157,7 @@ def test_linear_quiver_regular_decomposition():
 
 def kronecker_module(alg, b_rows):
     """Level-0 Kronecker module on k^2 -> k^2 with a = I and b = b_rows."""
-    f = alg.field
-    rep = Rep(alg.quiver, {1: 2, 2: 2},
-              {"a": Mat.identity(2, f), "b": Mat.from_rows(b_rows, field=f)},
-              f)
+    rep = level0(alg, {1: 2, 2: 2}, {"a": [[1, 0], [0, 1]], "b": b_rows})
     return embed_level(alg, rep, 0)
 
 

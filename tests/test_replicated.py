@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import weakref
@@ -6,8 +7,8 @@ import weakref
 import pytest
 
 from reptilt import replicated
-from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
-                             linear_quiver)
+from reptilt.catalog import (dtilde4_quiver, duplicated, general_position_rep,
+                             kronecker_quiver, linear_quiver)
 from reptilt.field import QQ, PrimeField
 from reptilt.krullschmidt import decompose, is_isomorphic
 from reptilt.linalg import Mat, kernel_basis, rank
@@ -21,7 +22,8 @@ from reptilt.replicated import (RMap, ReplicatedAlgebra, block_map,
                                 rmodule_to_json, simple, socle, summands_of,
                                 top, zero_rmap)
 
-from reference import block_diag, hom_basis as base_hom_basis, structure_map
+from reference import (block_diag, hom_basis as base_hom_basis, level_rep,
+                       structure_map)
 
 
 def dgrid(M):
@@ -55,6 +57,80 @@ def test_projective_level_zero_is_embedded_base_projective():
     alg = duplicated(kronecker_quiver())
     p = projective(alg, 2, 0)
     assert dgrid(p) == {(0, 1): 2, (0, 2): 1}
+
+
+def test_base_modules_are_level_0_modules():
+    alg = ReplicatedAlgebra(kronecker_quiver(), 2)
+    for v in alg.quiver.vertices:
+        assert alg.base_projective(v) is projective(alg, v, 0)
+        assert alg.base_injective(v) is alg.base_injective(v)
+        assert dgrid(injective(alg, v, 2)) == {
+            (2, w): d for (_, w), d in dgrid(alg.base_injective(v)).items()}
+        alg.base_injective(v).validate()
+
+
+# sha256 of the sorted JSON of each family of modules that the enumeration
+# does not build, one digest per family in ``cells`` order: the same over
+# QQ and GF(101), since every entry is 0 or 1
+FAMILY_DIGESTS = {
+    ("kronecker", 1): {
+        "P": "9d00af65aba7c5c66112eef712c40111b824a08977bd6d2427c6d97ee2986f72",
+        "I": "69650c83478fcff593cda259a3b97a2af0b5c4485f114058c357e200162a864a",
+        "base P": "a0400fbd877f38490d462476b68c6552"
+                  "a3646ed01f4ad5ec773f382f76245c19",
+        "base I": "04847a649ade721705ba671d286acd0e"
+                  "2c5bcd7b88adcb21f13ca7607398364f",
+    },
+    ("dtilde4", 2): {
+        "P": "293620a2203ef2c9f4ff19a8a7f249bc550d254c411172341c42ddbca0ae99f5",
+        "I": "849fefa58b39463656af625f2717c84a007411e92acce0894fdaa5c920ba876f",
+        "base P": "41fa6336915771d0ee0a54f76dc4f1a4"
+                  "b9addca4d81bb4d510c050714bbccf73",
+        "base I": "6c44504a8af268a3d58176242614b235"
+                  "26b283aff99ebc9e84fdc537e948b3e5",
+        "general": "a99a95ac26fff4fbd433c6e4432d5c95"
+                   "d7e3188563105193fa14dd3447f14cff",
+    },
+}
+
+
+@pytest.mark.parametrize("name,m", list(FAMILY_DIGESTS),
+                         ids=["kronecker-m1", "dtilde4-m2"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+def test_modules_outside_the_enumeration_keep_their_bytes(name, m, field):
+    # the Dynkin pins of test_arknit do not reach a tame base, the base
+    # modules embedded at each level or the general-position modules
+    quiver = {"kronecker": kronecker_quiver, "dtilde4": dtilde4_quiver}[name]
+    alg = ReplicatedAlgebra(quiver(), m, field)
+    families = {
+        "P": [projective(alg, v, i) for i, v in alg.cells],
+        "I": [injective(alg, v, i) for i, v in alg.cells],
+        "base P": [embed_level(alg, alg.base_projective(v), i)
+                   for i, v in alg.cells],
+        "base I": [embed_level(alg, alg.base_injective(v), i)
+                   for i, v in alg.cells],
+    }
+    if name == "dtilde4":
+        general = [general_position_rep(alg, v) for v in (2, 3, 4, 5)]
+        families["general"] = [embed_level(alg, X, i)
+                               for i in range(m + 1) for X in general]
+    got = {}
+    for family, mods in families.items():
+        data = json.dumps([rmodule_to_json(M) for M in mods], sort_keys=True)
+        got[family] = hashlib.sha256(data.encode()).hexdigest()
+    assert got == FAMILY_DIGESTS[(name, m)]
+
+
+def test_embed_level_moves_only_a_level_0_module():
+    alg = ReplicatedAlgebra(kronecker_quiver(), 2)
+    P = alg.base_projective(2)
+    assert dgrid(embed_level(alg, P, 2)) == {(2, 1): 2, (2, 2): 1}
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match="level out of range"):
+            embed_level(alg, P, i)
+    for X in (simple(alg, 1, 1), projective(alg, 2, 1)):
+        with pytest.raises(ValueError, match="level-0 module"):
+            embed_level(alg, X, 0)
 
 
 def test_projective_out_of_range():
@@ -104,8 +180,10 @@ def test_embed_level_fullness():
     for i in (0, 1):
         a = embed_level(alg, p2, i)
         b = embed_level(alg, i1, i)
-        assert len(hom_basis_r(a, b)) == len(base_hom_basis(p2, i1))
-        assert len(hom_basis_r(a, a)) == len(base_hom_basis(p2, p2))
+        assert len(hom_basis_r(a, b)) == len(base_hom_basis(
+            level_rep(p2, 0), level_rep(i1, 0)))
+        assert len(hom_basis_r(a, a)) == len(base_hom_basis(
+            level_rep(p2, 0), level_rep(p2, 0)))
 
 
 def test_hom_from_projective_is_component_dim():

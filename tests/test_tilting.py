@@ -10,14 +10,13 @@ from reptilt.catalog import (d4_almost_complete_pd1, d4_almost_complete_pd2,
                              kronecker_almost_complete_pd2,
                              kronecker_almost_complete_pd3, kronecker_quiver,
                              linear_quiver)
-from reptilt.hereditary import Rep
 from reptilt.homological import (cosyzygy, injective_envelope, is_faithful,
                                  pd)
 from reptilt.krullschmidt import (basic_summands, decompose, is_isomorphic)
 from reptilt.linalg import Mat
-from reptilt.replicated import (ReplicatedAlgebra, cokernel, direct_sum,
-                                embed_level, injective, projective,
-                                regular_module, simple)
+from reptilt.replicated import (ReplicatedAlgebra, RModule, cokernel,
+                                direct_sum, embed_level, injective,
+                                projective, regular_module, simple)
 from reptilt import tilting
 from reptilt.tilting import (Catalog, _level0_faithful, bongartz_complete,
                              certify, certify_tilting, classify_duplicated,
@@ -433,9 +432,9 @@ def test_level0_faithfulness_matches_the_path_action_reference(d4_pd1):
     assert len(parts) == 4
     cases += [(alg, sub) for sub in subsets(parts)]
     kron = duplicated(kronecker_quiver())
-    line = Rep(kron.quiver, {1: 1, 2: 1}, {"a": Mat.from_rows([[1]]),
-                                           "b": Mat.from_rows([[0]])},
-               kron.field)
+    line = RModule(kron, {(0, 1): 1, (0, 2): 1},
+                   {(0, "a"): Mat.from_rows([[1]]),
+                    (0, "b"): Mat.from_rows([[0]])})
     cases += [(kron, [X]) for X in (
         projective(kron, 1, 0), projective(kron, 2, 0), simple(kron, 2, 0),
         embed_level(kron, kron.base_injective(1), 0),
