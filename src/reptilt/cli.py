@@ -144,7 +144,7 @@ def eval_module_expr(alg, expr):
     if op == "raw":
         try:
             return rmodule_from_json(alg, arg)
-        except (KeyError, TypeError, ValueError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise InputError("bad raw module: %s" % e)
     raise InputError("unknown module constructor %r" % op)
 
@@ -383,7 +383,7 @@ def main(argv=None):
     except InputError as e:
         sys.stderr.write("input error: %s\n" % e)
         return EXIT_INPUT
-    except (NotImplementedError, RuntimeError) as e:
+    except Exception as e:   # internal or unsupported, never "not tilting"
         sys.stderr.write("error: %s\n" % e)
         return EXIT_INTERNAL
 

@@ -96,7 +96,11 @@ def minimal_resolution(M):
 
 
 def pd(M):
-    """Projective dimension (0 for the zero module by convention)."""
+    """Projective dimension (0 for the zero module by convention); that of
+    a recorded direct sum is the largest of its summands'."""
+    parts = summands_of(M)
+    if parts[0] is not M:
+        return max(pd(X) for X in parts)
     return minimal_resolution(M).length if not M.is_zero() else 0
 
 
@@ -150,13 +154,22 @@ def ext_table(M, N):
     """[dim Ext^i(M, N) for i = 0..pd M] from a minimal projective
     resolution of M, memoized on M per target module like the Hom memo.
     With r_k the rank of g -> g o d_k (r_0 = r_{pd M + 1} = 0),
-    Ext^i = dim Hom(P_i, N) - r_i - r_{i+1}; each d_k is built once."""
+    Ext^i = dim Hom(P_i, N) - r_i - r_{i+1}; each d_k is built once.
+    Ext is additive: the table of a recorded direct sum is the entrywise
+    sum of its summands' tables, and the sum itself is never resolved."""
     memo = M.cache.setdefault("ext", {})
     table = memo.get(N)
     if table is not None:
         return table
-    table = []
-    if not (M.is_zero() or N.is_zero()):
+    parts = summands_of(M)
+    if M.is_zero() or N.is_zero():
+        table = []
+    elif parts[0] is not M:
+        table = [0] * (pd(M) + 1)
+        for X in parts:
+            for i, e in enumerate(ext_table(X, N)):
+                table[i] += e
+    else:
         res = minimal_resolution(M)
         r = [0] + [rank(_ext_differential(res, k, N))
                    for k in range(1, res.length + 1)] + [0]

@@ -555,6 +555,32 @@ def test_certificate_disagreement_exits_5(files, capsys, monkeypatch):
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+def test_raw_level_maps_not_an_object_exits_2(files, capsys):
+    # exit 1 means "not tilting", so a malformed input must never reach it
+    write, _ = files
+    alg = write("alg.json", A2)
+    obj = rmodule_to_json(simple(duplicated(linear_quiver(2)), 1, 0))
+    obj["levels"][0]["maps"] = []
+    assert main(["check-tilting", alg, write("mod.json", {"raw": obj})]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:"), err
+
+
+def test_any_other_exception_exits_5(files, capsys, monkeypatch):
+    import reptilt.tilting
+
+    def broken(*args):
+        raise AttributeError("a fault of the program")
+
+    monkeypatch.setattr(reptilt.tilting, "coresolution", broken)
+    write, _ = files
+    alg = write("alg.json", KRONECKER)
+    mod = write("mod.json", {"regular": True})
+    assert main(["check-tilting", alg, mod]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: a fault of the program"], err
+
+
 def test_module_expr_constructors():
     alg = duplicated(linear_quiver(2))
     M = eval_module_expr(alg, {"syzygy": {"simple": [2, 0]}})
@@ -568,8 +594,9 @@ def test_module_expr_constructors():
     assert is_isomorphic(C, simple(alg, 2, 0))
 
 
-def test_verify_examples_passes(files):
-    code, text = run(files, ["verify-examples"])
+@pytest.mark.parametrize("field", ["q", "fp:101"])
+def test_verify_examples_passes(files, field):
+    code, text = run(files, ["--field", field, "verify-examples"])
     assert code == 0
     assert "FAIL" not in text
     assert text == (GOLDEN / "verify_examples.txt").read_text()

@@ -6,7 +6,7 @@ from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
 from reptilt.field import QQ, PrimeField
 from reptilt.homological import (_cover_with_data, _ext_differential,
-                                 cosyzygy, ext,
+                                 cosyzygy, ext, ext_table,
                                  ext1_classes, injective_envelope,
                                  is_injective, is_projective,
                                  minimal_resolution, pd,
@@ -392,6 +392,59 @@ def test_ext_table_over_fp101_equals_qq(name):
     _, over_q = _ext_table(ReplicatedAlgebra(quiver(), m, QQ))
     _, over_p = _ext_table(ReplicatedAlgebra(quiver(), m, PrimeField(101)))
     assert over_p == over_q
+
+
+def _recorded_sums(mods):
+    return [S for S in mods if summands_of(S)[0] is not S]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("name", list(EULER_ALGEBRAS))
+def test_split_pd_and_ext_table_match_the_whole_sum(name, field):
+    # an unrecorded copy of a sum has no summands to split along, so its
+    # pd and Ext table come from a resolution of the whole module
+    quiver, m = EULER_ALGEBRAS[name]
+    alg = ReplicatedAlgebra(quiver(), m, field)
+    mods = _euler_modules(alg)
+    sums = _recorded_sums(mods)
+    assert len(sums) == 4
+    for S in sums:
+        whole = RModule(alg, S.support, S.maps, check=False)
+        assert summands_of(whole) == [whole]
+        assert pd(S) == pd(whole)
+        for N in mods:
+            assert ext_table(S, N) == ext_table(whole, N)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("name", list(EULER_ALGEBRAS))
+def test_recorded_sums_are_never_resolved(name, field, monkeypatch):
+    import reptilt.homological as homological
+    built = []
+    resolve = homological.minimal_resolution
+
+    def counted(M):
+        if "resolution" not in M.cache:
+            built.append(M)
+        return resolve(M)
+
+    monkeypatch.setattr(homological, "minimal_resolution", counted)
+    quiver, m = EULER_ALGEBRAS[name]
+    alg = ReplicatedAlgebra(quiver(), m, field)
+    mods = _euler_modules(alg)
+    # a further sum whose every summand is also a summand of another sum
+    mods.append(direct_sum(alg, summands_of(mods[0])
+                           + summands_of(mods[1]))[0])
+    sums = _recorded_sums(mods)
+    for S in sums:
+        pd(S)
+        for N in mods:
+            ext_table(S, N)
+    assert built
+    assert not any(M is S for M in built for S in sums)
+    assert len({id(M) for M in built}) == len(built)
+    shared = summands_of(mods[0])[0]
+    assert any(M is shared for M in built)
 
 
 # -- the projective cover against the construction it replaced -------
