@@ -4,8 +4,8 @@ Auslander-Reiten translation (computed via the inverse Nakayama functor)."""
 
 from __future__ import annotations
 
-from .homological import (cokernel, envelope_copies,
-                          injective_envelope_with_data, is_injective)
+from .homological import (cokernel, envelope_copies, injective_envelope,
+                          is_injective)
 from .krullschmidt import is_indecomposable
 from .linalg import Mat
 from .replicated import (direct_sum, map_from_projectives, projective,
@@ -20,7 +20,7 @@ def translate_inverse(M):
     E0's copies, by Hom(X, I(w, j)) = D(X at (j, w)) it lists the images in
     P(w, j) of the generators of nu-inverse E0."""
     alg = M.algebra
-    E0, mono, labels0 = injective_envelope_with_data(M)
+    E0, mono = injective_envelope(M)
     C, cproj = cokernel(mono)
     copies1 = envelope_copies(C)
     if not copies1:
@@ -30,8 +30,8 @@ def translate_inverse(M):
             for w, j, r in copies1]
     gens = [(v, i, Mat.column([x for row, cut in rows
                                for x in row[cut[l]:cut[l + 1]]], alg.field))
-            for l, (v, i) in enumerate(labels0)]
-    p0 = direct_sum(alg, [projective(alg, v, i) for v, i in labels0])[0]
+            for l, (v, i, _) in enumerate(envelope_copies(M))]
+    p0 = direct_sum(alg, [projective(alg, v, i) for v, i, _ in gens])[0]
     p1 = direct_sum(alg, [projective(alg, w, j) for w, j, _ in copies1])[0]
     C2, _ = cokernel(map_from_projectives(p0, p1, gens))
     return C2

@@ -252,8 +252,7 @@ def cmd_tilting_quiver(args):
             oracle = exhaustive_tilting_oracle(alg)
 
             def vertex_set(records):
-                return {Catalog.parts_key([X for X, _ in r.pieces])
-                        for r in records}
+                return {frozenset(X for X, _ in r.pieces) for r in records}
             data["oracle_vertex_count"] = len(oracle)
             verified = vertex_set(oracle) == vertex_set(graph.vertices)
             data["connectivity_verified"] = verified

@@ -41,17 +41,12 @@ class Resolution:
 
 
 def projective_cover(M):
-    """The projective cover (P, epi) of a nonzero module."""
-    P, epi, _ = _cover_with_data(M)
-    return P, epi
-
-
-def _cover_with_data(M):
-    """(P, epi, labels): one P(v, i) per basis vector of top(M) at (i, v),
-    its generator sent to the unit vector at a row of M at (i, v) that is
-    not a pivot row of rad M's echelon basis there (the section of
-    ``quotient_basis``).  Those unit vectors span a complement of rad M, so
-    neither rad M nor top M is built as a module."""
+    """The projective cover (P, epi, labels) of a nonzero module: one
+    P(v, i), labelled (v, i) in the order of the direct sum P, per basis
+    vector of top(M) at (i, v), its generator sent to the unit vector at a
+    row of M at (i, v) that is not a pivot row of rad M's echelon basis
+    there (the section of ``quotient_basis``).  Those unit vectors span a
+    complement of rad M, so neither rad M nor top M is built as a module."""
     alg = M.algebra
     rad = radical_subspaces(M)
     labels = []
@@ -75,22 +70,20 @@ def minimal_resolution(M):
     if "resolution" in M.cache:
         return M.cache["resolution"]
     res = Resolution(M)
-    if not M.is_zero():
-        P, epi, labels = _cover_with_data(M)
-        res.augmentation = epi
-        while True:
-            res.modules.append(P)
-            res.summands.append(labels)
-            K, incl = kernel(epi)
-            if K.is_zero():
-                break
-            if len(res.modules) > 2 * M.algebra.m + 1:
-                raise RuntimeError(
-                    "resolution exceeded the global dimension bound")
-            P, epi, labels = _cover_with_data(K)
+    K, incl = M, None
+    while not K.is_zero():
+        if len(res.modules) > 2 * M.algebra.m + 1:
+            raise RuntimeError("resolution exceeded the global dimension bound")
+        P, epi, labels = projective_cover(K)
+        res.modules.append(P)
+        res.summands.append(labels)
+        if incl is None:
+            res.augmentation = epi
+        else:
             if res.syzygy is None:
                 res.syzygy = (K, incl, epi)
             res.maps.append(incl.compose(epi))
+        K, incl = kernel(epi)
     M.cache["resolution"] = res
     return res
 
@@ -199,15 +192,9 @@ def syzygy(M):
     """Kernel of the projective cover."""
     if M.is_zero():
         return M
-    _, epi = projective_cover(M)
+    _, epi, _ = projective_cover(M)
     K, _ = kernel(epi)
     return K
-
-
-def injective_envelope(M):
-    """The injective envelope (E, mono)."""
-    E, mono, _ = injective_envelope_with_data(M)
-    return E, mono
 
 
 def envelope_copies(M):
@@ -222,22 +209,21 @@ def envelope_copies(M):
     return M.cache["envelope"]
 
 
-def injective_envelope_with_data(M):
-    """Envelope plus the (v, i) labels of its summands I(v, i), in the order
-    of the direct sum E: (E, mono, labels).
+def injective_envelope(M):
+    """The injective envelope (E, mono) of a nonzero module, E the direct
+    sum of the copies of ``envelope_copies`` in that order.
 
     Hom(M, I(v, i)) is D(M at (i, v)): the basis of I(v, i) at (lev, w)
     lists that of P(w, lev) at (i, v), so the map of the coordinate
     functional at row r of M at (i, v) has, at (lev, w), the rows r of the
-    generator actions of P(w, lev) at (i, v).  The copies are those of
-    ``envelope_copies``; the socle's echelon basis is the identity at its
-    pivot rows, so the map is mono on soc M, hence on M."""
+    generator actions of P(w, lev) at (i, v).  The socle's echelon basis is
+    the identity at its pivot rows, so the map is mono on soc M, hence on
+    M."""
     alg = M.algebra
     picks = envelope_copies(M)
     if not picks:
         raise ValueError("injective envelope of the zero module")
-    labels = [(v, i) for v, i, _ in picks]
-    E, _, _ = direct_sum(alg, [injective(alg, v, i) for (v, i) in labels])
+    E, _, _ = direct_sum(alg, [injective(alg, v, i) for v, i, _ in picks])
     mono = RMap(M, E, {
         (lev, w): Mat(E.dims(lev, w), d,
                       [a.data[r][:] for v, i, r in picks
@@ -245,7 +231,7 @@ def injective_envelope_with_data(M):
         for (lev, w), d in M.support.items()}, check=False)
     if not mono.is_mono():
         raise RuntimeError("injective envelope map is not injective")
-    return E, mono, labels
+    return E, mono
 
 
 def cosyzygy(M):

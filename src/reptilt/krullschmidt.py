@@ -2,10 +2,11 @@
 isomorphism testing for modules over a replicated algebra.
 
 A ``direct_sum`` splits along its recorded summands; any other module is
-split by Fitting decompositions and minimal-polynomial factors of basis and
-seeded random endomorphisms, the MeatAxe idea (Parker 1984; Holt-Rees
-1994).  Over GF(p) only the Fitting split is supported: the
-minimal-polynomial split and the trace-form radical hold only in
+split by Fitting decompositions of basis and seeded random endomorphisms
+f and, when none splits, of g(f)^k for a primary factor g^k of the
+minimal polynomial of one of them, the MeatAxe idea (Parker 1984;
+Holt-Rees 1994).  Over GF(p) only the Fitting split of f is supported:
+the minimal-polynomial split and the trace-form radical hold only in
 characteristic 0 and raise ``NotImplementedError`` there.
 """
 
@@ -87,22 +88,18 @@ def _require_char_zero(M, step):
 
 
 def _minpoly_split(M, f):
-    """Split along coprime irreducible factors of the minimal polynomial."""
+    """The Fitting split of g(f)^k for the first of two or more coprime
+    factors g^k of the minimal polynomial: g(f)^k is nilpotent on its
+    primary part and invertible on the others, so both sides are
+    nonzero."""
     _require_char_zero(M, "the minimal-polynomial split")
     import sympy
     poly = _min_poly(M, f)
     factors = sympy.factor_list(poly.as_expr())[1]
     if len(factors) < 2:
         return None
-    parts = []
-    for g, mult in factors:
-        gf = _eval_poly(M, f, sympy.Poly(g ** mult, poly.gen))
-        ker = kernel_subspaces(gf)
-        kdim = sum(s.dim for s in ker.values())
-        if kdim == 0 or kdim == M.total_dim:
-            return None
-        parts.append(submodule(M, ker))
-    return parts
+    g, mult = factors[0]
+    return _fitting_split(M, _eval_poly(M, f, sympy.Poly(g ** mult, poly.gen)))
 
 
 def _random_endo(space, rng):
@@ -131,11 +128,6 @@ def _trace(f):
     return sum(m.trace() for m in f.comps.values())
 
 
-def end_radical_dim(M):
-    """Dimension of rad End(M), via the trace form (valid over Q)."""
-    return len(end_radical_basis(M))
-
-
 def end_radical_basis(M):
     """Basis of rad End(M) = the radical of the trace form (valid over Q)."""
     _require_char_zero(M, "the trace-form radical of End")
@@ -161,7 +153,7 @@ def _certify_indecomposable(M):
     n = len(space.basis)
     if n == 1:
         return
-    top_dim = n - end_radical_dim(M)
+    top_dim = n - len(end_radical_basis(M))
     if top_dim == 1:
         return
     # End/rad has dimension > 1: it is a division ring iff it is a field,

@@ -108,9 +108,11 @@ class Catalog:
     """One per algebra, in ``alg.cache``: the canonical representative of
     each isomorphism class of indecomposables met so far, bucketed by dim
     grid, the verdict of ``certify`` on each set of parts it has run on
-    and the complement chain of each T_bar it has walked.  Once
-    ``indecomposables`` has enumerated every indecomposable (a Dynkin
-    base), a module that matches none of them is an internal error."""
+    and the complement chain of each T_bar it has walked.  A set of
+    canonical parts is keyed by its frozenset; a module hashes by
+    identity, so the key holds its nodes alive.  Once ``indecomposables``
+    has enumerated every indecomposable (a Dynkin base), a module that
+    matches none of them is an internal error."""
 
     def __init__(self, alg):
         self.algebra = alg
@@ -125,12 +127,6 @@ class Catalog:
         if catalog is None:
             catalog = alg.cache[("catalog",)] = Catalog(alg)
         return catalog
-
-    @staticmethod
-    def parts_key(parts):
-        """The key of a set of canonical representatives: the set itself.
-        A module hashes by identity, so the key holds its nodes alive."""
-        return frozenset(parts)
 
     def canonical(self, M):
         bucket = self.by_grid.setdefault(M.dim_grid().key(), [])
@@ -160,7 +156,7 @@ class Catalog:
     def is_tilting(self, parts):
         """Whether (+) parts is tilting; ``certify``, with both of its
         certificates, runs once per set of canonical parts."""
-        key = self.parts_key(parts)
+        key = frozenset(parts)
         verdict = self.verdicts.get(key)
         if verdict is None:
             verdict = certify(self.algebra, parts) is not None
@@ -182,7 +178,7 @@ class Catalog:
         """The complement chain of T_bar = (+) parts through the node
         ``seed``, walked down and up from it once per set of parts: its
         nodes bottom-up and the exchange witness between neighbours."""
-        key = self.parts_key(parts)
+        key = frozenset(parts)
         if key in self.fans:
             return self.fans[key]
         nodes, witnesses = [seed], []
@@ -336,7 +332,7 @@ def complement_fan(T_bar, seed=None):
         seed = catalog.complement(parts, seed)
         if seed is None:
             raise ValueError("provided seed is not a complement")
-    elif catalog.parts_key(parts) not in catalog.fans:
+    elif frozenset(parts) not in catalog.fans:
         seed = find_complement(T_bar, parts)
     nodes, witnesses = catalog.fan(parts, seed)
     return ComplementFan(T_bar, [(X, pd(X)) for X in nodes], witnesses)

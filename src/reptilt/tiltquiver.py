@@ -32,8 +32,8 @@ class TiltingQuiverGraph:
 
 def _record_from_parts(alg, parts, records):
     """The walk's record of the tilting module (+) parts, parts canonical;
-    ``records`` holds the walk's records by ``parts_key``."""
-    ckey = Catalog.parts_key(parts)
+    ``records`` holds the walk's records by the frozenset of their parts."""
+    ckey = frozenset(parts)
     record = records.get(ckey)
     if record is None:
         if not Catalog.of(alg).is_tilting(parts):
@@ -77,7 +77,9 @@ def explore(seed=None, algebra=None, max_vertices=None):
     ``exhausted`` is set only when the frontier empties within
     ``max_vertices``; in that case the vertex set is all tilting modules
     (connectivity).  The walk keeps its own records, so a record lists its
-    parts in the order the walk found them.
+    parts in the order the walk found them.  An arrow is recorded once,
+    from its source: both of its ends read the same memoized fan, so they
+    see the same witness.
     """
     if seed is None:
         from .replicated import regular_module
@@ -90,15 +92,14 @@ def explore(seed=None, algebra=None, max_vertices=None):
     seed = _record_from_parts(
         algebra, [catalog.canonical(X) for X in parts], records)
     vertices = [seed]
-    index_of = {Catalog.parts_key([X for X, _ in seed.pieces]): 0}
+    index_of = {frozenset(X for X, _ in seed.pieces): 0}
     arrows = []
-    arrow_set = set()
     exhausted = True
     vidx = 0                             # vertices[vidx:] is the frontier
     while vidx < len(vertices):
         for neighbor, direction, witness in mutate_all(vertices[vidx],
                                                        records):
-            nkey = Catalog.parts_key([X for X, _ in neighbor.pieces])
+            nkey = frozenset(X for X, _ in neighbor.pieces)
             nidx = index_of.get(nkey)
             if nidx is None:
                 if (max_vertices is not None
@@ -108,10 +109,8 @@ def explore(seed=None, algebra=None, max_vertices=None):
                 vertices.append(neighbor)
                 nidx = len(vertices) - 1
                 index_of[nkey] = nidx
-            edge = (nidx, vidx) if direction == "in" else (vidx, nidx)
-            if edge not in arrow_set:
-                arrow_set.add(edge)
-                arrows.append((edge[0], edge[1], witness))
+            if direction == "out":
+                arrows.append((vidx, nidx, witness))
         vidx += 1
     return TiltingQuiverGraph(vertices, arrows, exhausted)
 

@@ -34,7 +34,7 @@ from reptilt.replicated import (RMap, SummandMaps, _layout, block_map,
                                 map_from_projectives, projective,
                                 radical_subspaces, summand_offsets,
                                 summands_of, zero_rmap)
-from reptilt.tilting import Catalog, certify
+from reptilt.tilting import certify
 
 
 # -- block-diagonal matrices --------------------------------------------
@@ -206,14 +206,15 @@ def is_tilting(M):
 
 def almost_complete(oracle):
     """Each almost complete part T_bar of the oracle's tilting modules, by
-    ``Catalog.parts_key``: (T_bar's parts, its partners in oracle order).
+    the frozenset of T_bar's parts, the key of ``Catalog``: (T_bar's
+    parts, its partners in oracle order).
     The census step of CI reads it as well."""
     out = {}
     for record in oracle:
         parts = [X for X, _ in record.pieces]
         for drop, X in enumerate(parts):
             rest = parts[:drop] + parts[drop + 1:]
-            out.setdefault(Catalog.parts_key(rest), (rest, []))[1].append(X)
+            out.setdefault(frozenset(rest), (rest, []))[1].append(X)
     return out
 
 

@@ -29,7 +29,7 @@ def test_right_approx_by_regular_is_projective_cover(kron):
         for i in (0, 1):
             S = simple(kron, v, i)
             appr = right_approximation(S, basic_summands(reg))
-            P, _ = projective_cover(S)
+            P, _, _ = projective_cover(S)
             assert dgrid(appr.map.source) == dgrid(P)
             assert appr.map.is_epi()
 

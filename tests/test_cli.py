@@ -600,3 +600,17 @@ def test_verify_examples_passes(files, field):
     assert code == 0
     assert "FAIL" not in text
     assert text == (GOLDEN / "verify_examples.txt").read_text()
+
+
+def test_verify_examples_reports_a_mismatch(files, capsys, monkeypatch):
+    # a fixture with the wrong fan: one FAIL line, its count on stderr and
+    # exit 1, the code for a failed check
+    import reptilt.catalog
+    monkeypatch.setattr(reptilt.catalog, "kronecker_almost_complete_pd1",
+                        reptilt.catalog.kronecker_almost_complete_pd2)
+    code, text = run(files, ["verify-examples"])
+    assert code == 1
+    failed = [line for line in text.splitlines() if not line.startswith("ok")]
+    assert failed == [
+        "FAIL kronecker pd1: fan pds: [1, 2, 2] (expected [1, 1, 2])"]
+    assert capsys.readouterr().err == "1 mismatch(es)\n"

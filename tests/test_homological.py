@@ -5,9 +5,8 @@ import pytest
 from reptilt.catalog import (dtilde4_quiver, duplicated, kronecker_quiver,
                              linear_quiver)
 from reptilt.field import QQ, PrimeField
-from reptilt.homological import (_cover_with_data, _ext_differential,
-                                 cosyzygy, ext, ext_table,
-                                 ext1_classes, injective_envelope,
+from reptilt.homological import (_ext_differential, cosyzygy, ext,
+                                 ext_table, ext1_classes, injective_envelope,
                                  is_injective, is_projective,
                                  minimal_resolution, pd,
                                  projective_cover, realize_extension,
@@ -48,8 +47,14 @@ def all_vertex_levels(alg):
 
 
 def test_pd_of_projectives_is_zero(kron):
+    # the resolution of a projective is its cover alone: no syzygy
     for (v, i) in all_vertex_levels(kron):
-        assert pd(projective(kron, v, i)) == 0
+        P = projective(kron, v, i)
+        assert pd(P) == 0
+        res = minimal_resolution(P)
+        assert res.syzygy is None and res.maps == []
+        assert res.augmentation.is_iso()
+        assert syzygy(P).is_zero()
 
 
 def test_pd_of_regular_module_is_zero(kron):
@@ -58,10 +63,25 @@ def test_pd_of_regular_module_is_zero(kron):
 
 def test_projective_cover_of_simple(kron):
     for (v, i) in all_vertex_levels(kron):
-        P, epi = projective_cover(simple(kron, v, i))
+        P, epi, _ = projective_cover(simple(kron, v, i))
         assert dgrid(P) == dgrid(projective(kron, v, i))
         epi.validate()
         assert epi.is_epi()
+
+
+def test_zero_module_edge_cases(kron):
+    Z = zero_module(kron)
+    S = simple(kron, 2, 0)
+    assert ext_table(Z, S) == ext_table(S, zero_module(kron)) == []
+    assert ext(0, S, zero_module(kron)) == 0
+    assert pd(Z) == 0
+    res = minimal_resolution(Z)
+    assert res.length == -1 and res.augmentation is None
+    assert syzygy(Z).is_zero() and cosyzygy(Z).is_zero()
+    with pytest.raises(ValueError, match="zero module"):
+        projective_cover(Z)
+    with pytest.raises(ValueError, match="zero module"):
+        injective_envelope(Z)
 
 
 def test_syzygy_of_simple_is_radical_of_projective(kron):
@@ -301,7 +321,7 @@ def _ext_by_dimension_shift(i, M, N):
         L = syzygy(L)
     if L.is_zero():
         return 0
-    P, _ = projective_cover(L)
+    P, _, _ = projective_cover(L)
     return hom_dim(syzygy(L), N) - hom_dim(P, N) + hom_dim(L, N)
 
 
@@ -583,14 +603,14 @@ def test_cover_radical_and_top_match_their_references(name, field):
             assert _same_map(got[1], want[1])
         if M.is_zero():
             continue
-        P, epi, labels = _cover_with_data(M)
+        P, epi, labels = projective_cover(M)
         P0, epi0, labels0 = _cover_reference(M)
         assert labels == labels0
         assert summands_of(P) == summands_of(P0)
         assert _same_map(epi, epi0)
     # several generators share a label and, over the Kronecker quiver,
     # several actions reach one vertex: the column layout is exercised
-    labels = _cover_with_data(mods[-1])[2]
+    labels = projective_cover(mods[-1])[2]
     assert len(set(labels)) < len(labels)
 
 
@@ -642,7 +662,7 @@ def test_modules_and_maps_store_nothing_at_a_zero_cell(name, field):
                  socle(M)[1]]
         if M.is_zero():
             continue
-        _, epi, _ = _cover_with_data(M)
+        _, epi, _ = projective_cover(M)
         _, incls, projs = direct_sum(alg, [M, simple(alg, vs[0], m)])
         maps += [epi, kernel(epi)[1], incls[0], projs[1],
                  projs[1].compose(incls[0]), injective_envelope(M)[1]]

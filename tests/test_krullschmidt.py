@@ -13,10 +13,10 @@ from reptilt.catalog import (dtilde4_quiver, duplicated, general_position_rep,
 from reptilt.field import PrimeField
 from reptilt.homological import ext, pd
 from reptilt.krullschmidt import (basic_summands, decompose, delta_count,
-                                  end_radical_dim, is_indecomposable,
+                                  end_radical_basis, is_indecomposable,
                                   is_isomorphic)
 from reptilt.linalg import Mat
-from reptilt.replicated import (RModule, direct_sum, embed_level,
+from reptilt.replicated import (RMap, RModule, direct_sum, embed_level,
                                 projective, regular_module,
                                 rmodule_from_json, rmodule_to_json, simple)
 from reptilt.tiltquiver import Catalog
@@ -107,7 +107,7 @@ def test_kronecker_regular_tube_endring(kron):
                 {"a": [[1, 0], [0, 1]], "b": [[1, 1], [0, 1]]})
     M = embed_level(kron, r2, 0)
     assert hom_dim(M, M) == 2
-    assert end_radical_dim(M) == 1
+    assert len(end_radical_basis(M)) == 1
     assert is_indecomposable(M)
 
 
@@ -118,7 +118,7 @@ def test_irrational_slope_endring_is_quadratic_field(kron):
                {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]})
     M = embed_level(kron, r, 0)
     assert hom_dim(M, M) == 2
-    assert end_radical_dim(M) == 0
+    assert len(end_radical_basis(M)) == 0
     assert is_indecomposable(M)
 
 
@@ -221,7 +221,7 @@ def test_prime_field_fitting_split_and_refusal():
     with pytest.raises(NotImplementedError, match="characteristic 0"):
         is_indecomposable(kronecker_module(gf5, SQRT2))
     with pytest.raises(NotImplementedError, match="characteristic 0"):
-        end_radical_dim(kronecker_module(gf5, SQRT2))
+        end_radical_basis(kronecker_module(gf5, SQRT2))
     gf7 = duplicated(kronecker_quiver(), field=PrimeField(7))
     parts = decompose(kronecker_module(gf7, SQRT2))
     assert len(parts) == 2
@@ -233,7 +233,8 @@ def test_prime_field_fitting_split_and_refusal():
 def test_minpoly_split_when_every_fitting_split_fails(monkeypatch):
     # b = P diag(1, 2) P^-1 for P = [[-3, -3], [-1, 2]]: no basis or
     # seeded random endomorphism has a nontrivial Fitting split, so the
-    # factors x - 1 and x - 2 of a minimal polynomial split the module
+    # module is split by the Fitting split of g(f) for the first factor g
+    # of a minimal polynomial (x - 1)(x - 2): the 23rd and last call
     from fractions import Fraction as F
     alg = duplicated(kronecker_quiver())
     M = kronecker_module(alg, [[F(4, 3), -1], [F(-2, 9), F(5, 3)]])
@@ -254,11 +255,34 @@ def test_minpoly_split_when_every_fitting_split_fails(monkeypatch):
     monkeypatch.setattr(krullschmidt, "_fitting_split", counting_fitting)
     monkeypatch.setattr(krullschmidt, "_eval_poly", counting_eval)
     parts = decompose(M)
-    assert len(fitting) == 22 and not any(fitting)
-    assert len(evals) >= 2
+    assert len(fitting) == 23 and not any(fitting[:22]) and fitting[22]
+    assert len(evals) == 1
     assert len(parts) == 2
     assert [str(X.dim_grid()) for X in parts] == ["L0{1:1,2:1}"] * 2
     assert not is_isomorphic(parts[0], parts[1])
+
+
+def test_minpoly_split_takes_one_primary_part_at_a_time(kron):
+    # b = P diag(1, 2, 3) P^-1 on k^3 -> k^3: the minimal polynomial of
+    # f = (b, b) has three factors, and the split is the Fitting split of
+    # the first, so it gives two parts, the second split again by decompose
+    from fractions import Fraction as F
+    P = Mat.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 2]], field=kron.field)
+    D = Mat.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]], field=kron.field)
+    b = P * D * Mat.from_rows([[F(2, 3), F(-2, 3), F(1, 3)],
+                               [F(1, 3), F(2, 3), F(-1, 3)],
+                               [F(-1, 3), F(1, 3), F(1, 3)]], field=kron.field)
+    eye = [[int(r == c) for c in range(3)] for r in range(3)]
+    M = embed_level(kron, level0(kron, {1: 3, 2: 3},
+                                 {"a": eye, "b": b.data}), 0)
+    f = RMap(M, M, {(0, 1): b, (0, 2): b})
+    parts = krullschmidt._minpoly_split(M, f)
+    assert [str(X.dim_grid()) for X, _ in parts] == ["L0{1:1,2:1}",
+                                                     "L0{1:2,2:2}"]
+    leaves = decompose(M)
+    assert [str(X.dim_grid()) for X in leaves] == ["L0{1:1,2:1}"] * 3
+    assert not any(is_isomorphic(leaves[s], leaves[t])
+                   for s in range(3) for t in range(s + 1, 3))
 
 
 @pytest.fixture(scope="module")

@@ -195,6 +195,25 @@ def test_bongartz_rejects_higher_pd():
         bongartz_complete(M)
 
 
+def test_seed_candidates_end_with_the_bongartz_pieces():
+    # a Kronecker base is not Dynkin: the projectives, the I(v, m), the base
+    # projectives and injectives at each level, then for pd <= 1 the
+    # pieces of the Bongartz completion, which reads the first syzygy of
+    # the minimal resolution
+    alg, T = kronecker_almost_complete_pd1()
+    assert pd(T) == 1
+    got = list(tilting._seed_candidates(T))
+    assert len(got) == 18
+    assert got[:4] == [projective(alg, v, i) for i, v in alg.cells]
+    assert got[4:6] == [injective(alg, v, 1) for v in alg.quiver.vertices]
+    base = [embed_level(alg, f(v), i) for i, v in alg.cells
+            for f in (alg.base_projective, alg.base_injective)]
+    assert all(is_isomorphic(X, Y) for X, Y in zip(got[6:14], base))
+    pieces = [X for X, _ in bongartz_complete(T).pieces]
+    assert len(pieces) == alg.delta == 4
+    assert all(is_isomorphic(X, Y) for X, Y in zip(got[14:], pieces))
+
+
 def _fan_grids(fan):
     """The complement grids, pds and witness grids of a fan."""
     return ([str(X.dim_grid()) for X, _ in fan.complements], fan.pds,
@@ -261,7 +280,7 @@ def test_seed_is_checked_against_a_cached_chain(a2, a2_oracle):
     rest = parts[1:]
     T_bar, _, _ = direct_sum(a2, rest)
     fan = complement_fan(T_bar)
-    nodes, witnesses = Catalog.of(a2).fans[Catalog.parts_key(rest)]
+    nodes, witnesses = Catalog.of(a2).fans[frozenset(rest)]
     assert [X for X, _ in fan.complements] == nodes
     assert fan.exchange_witnesses is witnesses
     # a summand of T_bar, and a decomposable sum of two complements
@@ -289,7 +308,7 @@ def test_fan_certifies_each_set_of_parts_once(fixture, monkeypatch):
     calls = Counter()
 
     def counted(alg, parts):
-        calls[Catalog.parts_key([classes.canonical(X) for X in parts])] += 1
+        calls[frozenset(classes.canonical(X) for X in parts)] += 1
         return certify(alg, parts)
     monkeypatch.setattr(reptilt.tilting, "certify", counted)
     fan = complement_fan(T)

@@ -9,7 +9,7 @@ from reptilt.homological import minimal_resolution
 from reptilt.quiver import Quiver
 from reptilt.replicated import (ReplicatedAlgebra, RMap, _structure_maps,
                                 direct_sum, hom_basis_r)
-from reptilt.tilting import Catalog, complement_fan
+from reptilt.tilting import complement_fan
 from reptilt.tiltquiver import (exhaustive_tilting_oracle, explore, export_dot,
                                 graph_to_json, mutate_all, record_key,
                                 records_isomorphic)
@@ -54,7 +54,7 @@ def test_explore_from_each_oracle_record(a2):
     # the seeded walk of the benchmark: from any vertex it closes up on the
     # whole quiver, and the seed is vertex 0
     def key(record):
-        return Catalog.parts_key([X for X, _ in record.pieces])
+        return frozenset(X for X, _ in record.pieces)
 
     oracle = exhaustive_tilting_oracle(a2)
     for record in oracle:
